@@ -9,10 +9,8 @@ This is scheduling *overhead*, not simulation work: the numbers bound how
 small a job can be before queue bookkeeping dominates.  Expected shape:
 memory ≫ filesystem ≳ HTTP — server-side ``POST /claim`` plus the
 one-shot ``mutate_many`` settle cut a broker cycle from ~6 round trips
-to ~2, so HTTP now competes with the filesystem.  Both broker cores are
-measured (``http`` = asyncio, ``http_thread`` = legacy threaded); floors
-are asserted loose enough to survive CI hosts.  Opt-in via
-``pytest -m bench``.
+to ~2, so HTTP now competes with the filesystem.  Floors are asserted
+loose enough to survive CI hosts.  Opt-in via ``pytest -m bench``.
 """
 
 import time
@@ -91,11 +89,8 @@ def rates(tmp_path_factory):
     root = tmp_path_factory.mktemp("transport-bench")
     out = {"memory": _cycle_rate(MemoryTransport()),
            "fs": _cycle_rate(FsTransport(root / "fs-queue"))}
-    with Broker(core="asyncio") as broker:
+    with Broker() as broker:
         out["http"] = _cycle_rate(HttpTransport(broker.url, retries=1))
-    with Broker(core="thread") as broker:
-        out["http_thread"] = _cycle_rate(
-            HttpTransport(broker.url, retries=1))
     return out
 
 
@@ -108,12 +103,10 @@ def test_report_and_floor_cycle_rates(rates, bench_artifact):
     # below them).  The HTTP floor is calibrated to the server-side
     # ``POST /claim`` + single ``mutate_many`` settle (~2 round trips
     # per cycle): the previous client-side scan measured ~560 cycles/s
-    # locally and could not clear it.  Both broker cores serve /claim,
-    # so both must hold the raised floor.
+    # locally and could not clear it.
     assert rates["memory"] > 200.0
     assert rates["fs"] > 50.0
     assert rates["http"] > 250.0
-    assert rates["http_thread"] > 250.0
 
 
 def test_memory_transport_is_the_fast_path(rates):

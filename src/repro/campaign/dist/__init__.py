@@ -12,11 +12,11 @@ that any mix of threads, processes and hosts can participate in:
   MemoryTransport` (in-process, thread fleets) and
   :class:`~repro.campaign.dist.transport.HttpTransport` (S3-style REST
   against the :mod:`repro.campaign.dist.server` broker,
-  ``python -m repro.campaign.dist.server``, asyncio-cored by default).
+  ``python -m repro.campaign.dist.server``, served by one asyncio event
+  loop).
   The HTTP transport also speaks ``POST /claim`` — the whole claim scan
-  runs broker-side in one round trip, with a client-side fallback
-  (:class:`~repro.campaign.dist.transport.ClaimUnsupported`) for brokers
-  that predate the endpoint.  The result cache and the persisted cost
+  runs broker-side in one round trip; directory and in-memory transports
+  run the same scan client-side.  The result cache and the persisted cost
   model ride the same contract
   (:func:`~repro.campaign.cache.open_cache`), so broker fleets
   deduplicate without any shared filesystem.
@@ -80,7 +80,6 @@ from repro.campaign.dist.queue import (
 )
 from repro.campaign.dist.sharding import EpochMismatch, ShardedTransport
 from repro.campaign.dist.transport import (
-    ClaimUnsupported,
     DegradedResult,
     FsTransport,
     HttpTransport,
@@ -113,7 +112,6 @@ __all__ = [
     "CampaignSnapshot",
     "ChaosTransport",
     "CircuitBreaker",
-    "ClaimUnsupported",
     "CostModel",
     "DegradedResult",
     "DistributedExecutor",

@@ -16,7 +16,7 @@ The queue's storage is pluggable (:mod:`repro.campaign.dist.transport`):
   worker *processes* sharing the filesystem — the classic mode;
 * an **``http://`` broker URL** spawns worker processes that talk to
   :mod:`repro.campaign.dist.server` — campaigns spanning hosts without a
-  shared filesystem; the broker's asyncio core serves ``POST /claim``,
+  shared filesystem; the broker serves ``POST /claim``,
   collapsing each worker's claim scan into a single round trip;
 * an address-less transport (e.g.
   :class:`~repro.campaign.dist.transport.MemoryTransport`) runs the fleet

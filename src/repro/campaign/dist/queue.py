@@ -50,6 +50,7 @@ tests run identically over ``FsTransport``, ``MemoryTransport`` and
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -58,7 +59,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.dist.transport import (
     ANY,
-    ClaimUnsupported,
     DegradedResult,
     FsTransport,
     QueueTransport,
@@ -176,10 +176,10 @@ def claim_first_over(transport: QueueTransport, prefix: str = "pending/",
     """Run one scan-probe-CAS claim pass over a bare transport.
 
     This is *the* claim algorithm — :meth:`WorkQueue.claim` runs it
-    client-side over fs/memory transports (and against brokers that
-    predate ``POST /claim``), and the broker runs the very same function
-    server-side to answer ``POST /claim``, where every round trip in it
-    is a local store operation instead of a network exchange.
+    client-side over fs/memory transports, and the broker runs the very
+    same function server-side to answer ``POST /claim``, where every
+    round trip in it is a local store operation instead of a network
+    exchange.
 
     ``prefix`` must end with ``"pending/"``; anything before it is the
     queue's key namespace (normally empty).  ``now`` defaults to the
@@ -416,11 +416,6 @@ class WorkQueue:
             raise ValueError("max_attempts must be >= 1")
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
-        # Set once the transport's server-side claim fast path has been
-        # probed and found missing (an old broker): later claims skip the
-        # doomed POST and go straight to the client-side scan.
-        self._claim_fallback = not callable(
-            getattr(self.transport, "claim_first", None))
 
     @property
     def address(self) -> Optional[str]:
@@ -600,22 +595,21 @@ class WorkQueue:
         batch-probe each candidate window's result, ticket *and* claim
         documents in one round trip, CAS-create the claim document.
 
-        When the transport advertises a server-side claim
-        (``claim_first`` — the HTTP transport against a current broker),
-        the whole pass runs broker-side as one ``POST /claim`` round
-        trip instead of four; the claimant's clock and adopted lease
-        policy ride along, so the semantics (including fake-clock tests)
-        are identical.  A 404 from an old broker falls back to the
-        client-side scan, permanently for this queue object.
+        When the transport advertises a server-side claim (a callable
+        ``claim_first`` — the HTTP transport, or a shard router whose
+        every shard has one), the whole pass runs broker-side as one
+        ``POST /claim`` round trip instead of four; the claimant's clock
+        and adopted lease policy ride along, so the semantics (including
+        fake-clock tests) are identical.  Transports whose
+        ``claim_first`` is absent or ``None`` run the pass client-side.
         """
-        while not self._claim_fallback:
-            try:
-                outcome = self.transport.claim_first(
-                    prefix="pending/", worker=worker, now=self._clock(),
-                    lease_seconds=self.lease_seconds)
-            except ClaimUnsupported:
-                self._claim_fallback = True
-                break
+        claim_first = (getattr(self.transport, "claim_first", None)
+                       or functools.partial(claim_first_over, self.transport,
+                                            registry=self.registry))
+        while True:
+            outcome = claim_first(prefix="pending/", worker=worker,
+                                  now=self._clock(),
+                                  lease_seconds=self.lease_seconds)
             if outcome is None:
                 return None
             item = self._item_from_outcome(outcome, worker)
@@ -623,17 +617,6 @@ class WorkQueue:
                 return item
             # The outcome carried a record this client cannot parse
             # (version skew): it was buried client-side; rescan.
-        outcome = claim_first_over(
-            self.transport, worker=worker, now=self._clock(),
-            lease_seconds=self.lease_seconds, registry=self.registry)
-        while outcome is not None:
-            item = self._item_from_outcome(outcome, worker)
-            if item is not None:
-                return item
-            outcome = claim_first_over(
-                self.transport, worker=worker, now=self._clock(),
-                lease_seconds=self.lease_seconds, registry=self.registry)
-        return None
 
     def _item_from_outcome(self, outcome: Dict[str, Any],
                            worker: str) -> Optional[WorkItem]:

@@ -3,8 +3,7 @@
 Runnable as a module::
 
     python -m repro.campaign.dist.server --port 8123 [--data-dir DIR] \
-        [--host 0.0.0.0] [--core asyncio|thread] [--lock-stripes N] \
-        [--verbose]
+        [--host 0.0.0.0] [--verbose]
 
 The broker is the network hop that lets a campaign scale past one shared
 filesystem: the orchestrator and any number of workers point
@@ -20,37 +19,29 @@ Design:
   — in which case the whole queue state survives a broker restart, and
   because ETags are content-derived, *leases held by workers remain valid
   across the restart* (the crash tests pin this down).
-* **One wire dialect, two cores.**  All request semantics live in
-  :class:`BrokerDialect` — a transport-agnostic dispatcher from parsed
-  requests to replies.  Two interchangeable network cores drive it: the
-  default ``asyncio`` core (a selector event loop; a thousand-worker
-  fleet costs a thousand sockets, not a thousand parked OS threads) and
-  the legacy ``thread`` core (``ThreadingHTTPServer``), selectable via
-  ``--core`` / the ``REPRO_BROKER_CORE`` environment variable and kept
-  until the migration completes.  CI runs the HTTP test leg once per
-  core.
-* **Mutations serialize.**  Conditional PUT/DELETE (``If-Match`` /
+* **One event loop, one dialect.**  A selector event loop owns every
+  connection (a thousand-worker fleet costs a thousand sockets, not a
+  thousand parked OS threads) and parses requests off them; all request
+  semantics live in :class:`BrokerDialect`, a dispatcher from parsed
+  requests to replies.
+* **Requests serialize.**  Conditional PUT/DELETE (``If-Match`` /
   ``If-None-Match: *``) must be atomic even over the read-check-write
-  filesystem transport.  Under the ``thread`` core, keys hash by their
-  *top-level prefix* (``pending/``, ``claims/``, …) onto a small array
-  of stripe locks (:class:`StripeLocks`), so a worker settling a result
-  never waits behind another worker claiming a ticket.  Under the
-  ``asyncio`` core the dialect runs on the event-loop thread, so every
-  request body is naturally a loop-serialized section — the stripe locks
-  are acquired uncontended and cost nanoseconds.
+  filesystem transport.  The dialect answers every request under one
+  lock; since the dialect only ever runs on the event-loop thread the
+  lock is uncontended, and it keeps each request an exclusive section of
+  the store however the dialect is driven.
 * **Server-side claim.**  ``POST /claim`` runs the queue's whole
   scan-probe-CAS claim pass (:func:`repro.campaign.dist.queue.
   claim_first_over`) broker-side, collapsing the claim's four round
-  trips into one.  Brokers that predate the endpoint answer 404 and
-  clients fall back to the client-side scan.
+  trips into one.
 * **Batching.**  ``POST /batch`` executes many conditional operations
   from one request body in order, returning a per-op status — one round
   trip for what used to be dozens.  Batches are not transactions: each
-  op locks its own stripe and succeeds or conflicts individually.
-* **Pagination.**  ``GET /list`` accepts ``max-keys`` and ``start-after``
-  so heartbeat and autoscale scans fetch bounded pages (keyset
-  continuation: the token is the last key of the page, so deletions
-  between pages never skip survivors).
+  op succeeds or conflicts individually.
+* **Pagination.**  ``GET /list`` serves bounded keyset pages
+  (``max-keys``, default and cap :data:`MAX_LIST_PAGE`, and
+  ``start-after``), so heartbeat and autoscale scans fetch bounded pages
+  and deletions between pages never skip survivors.
 * **Dialect** (see :class:`~repro.campaign.dist.transport.HttpTransport`):
   ``GET/PUT/DELETE /k/<key>`` with ``ETag``/``If-Match``/``If-None-Match``
   headers, ``GET /list?prefix=<p>`` → ``{"keys": [...]}``,
@@ -58,15 +49,15 @@ Design:
   probes and ``GET /stats`` for the telemetry snapshot the
   ``python -m repro.campaign.dist.stats`` dashboard polls (per-route
   request counts and latency histograms, in-flight gauge, bytes in/out,
-  claim outcomes, stripe-lock contention — all from the per-dialect
+  claim outcomes — all from the per-dialect
   :class:`~repro.campaign.obs.metrics.MetricsRegistry`).  Connections
   are HTTP/1.1 keep-alive: one TCP connection
   carries a whole campaign.  Malformed requests (bad ``Content-Length``,
   garbage request line) are answered with 400 and an *announced*
   connection close — never a desynced keep-alive stream.
 
-For tests and single-process demos, :class:`Broker` runs either core on
-a background thread (``with Broker() as broker:
+For tests and single-process demos, :class:`Broker` runs the event loop
+on a background thread (``with Broker() as broker:
 HttpTransport(broker.url)``).
 """
 
@@ -78,14 +69,11 @@ import base64
 import binascii
 import http.client
 import math
-import os
 import socket
 import threading
 import time
 import urllib.parse
-import zlib
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.campaign.jsonio import json_dumps_bytes, json_loads_or_none
 from repro.campaign.obs import MetricsRegistry, StructLogger
@@ -96,85 +84,19 @@ from repro.campaign.dist.transport import (
     QueueTransport,
 )
 
-#: Default number of stripe locks; a power of two comfortably above the
-#: number of distinct queue states (jobs/pending/claims/results/done/dead
-#: + queue.json + cache shards) without wasting memory.
-DEFAULT_LOCK_STRIPES = 16
-
-#: Upper bound the broker clamps a ``max-keys`` request parameter to.
+#: Page size of a ``/list`` request without ``max-keys``, and the upper
+#: bound the broker clamps a ``max-keys`` request parameter to.
 MAX_LIST_PAGE = 10000
 
 #: Upper bound on operations accepted in one ``/batch`` request.
 MAX_BATCH_OPS = 1024
 
-#: Header-count cap per request in the asyncio core's parser — a framing
-#: sanity bound, far above anything :class:`~repro.campaign.dist.
-#: transport.HttpTransport` sends.
+#: Header-count cap per request in the parser — a framing sanity bound,
+#: far above anything :class:`~repro.campaign.dist.transport.
+#: HttpTransport` sends.
 _MAX_HEADERS = 100
 
 SERVER_VERSION = "repro-queue-broker/3.0"
-
-
-class _ContentionLock:
-    """One stripe: a lock that counts the acquisitions it had to wait for.
-
-    A miss on the non-blocking fast path means another request held the
-    stripe — that is exactly the contention signal the ``/stats``
-    ``broker_lock_contention_total`` counter reports (and the metric
-    that will justify, or veto, more stripes / key-level locks later).
-    The extra non-blocking attempt on the uncontended path is tens of
-    nanoseconds — invisible next to a broker request.
-    """
-
-    __slots__ = ("_lock", "_stripe", "on_contention")
-
-    def __init__(self, stripe: int):
-        self._lock = threading.Lock()
-        self._stripe = stripe
-        self.on_contention: Optional[Callable[[int], None]] = None
-
-    def __enter__(self) -> "_ContentionLock":
-        if not self._lock.acquire(blocking=False):
-            if self.on_contention is not None:
-                self.on_contention(self._stripe)
-            self._lock.acquire()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self._lock.release()
-
-
-class StripeLocks:
-    """Per-prefix stripe locks: mutations on one key always serialize,
-    mutations on unrelated prefixes proceed concurrently.
-
-    The stripe is chosen by the key's top-level prefix (the segment
-    before the first ``/``, or the whole key) hashed with CRC-32 — stable
-    across processes, unlike ``hash(str)``, so a future multi-process
-    broker could share the mapping.  Under the asyncio core every
-    acquisition is uncontended (the dialect runs on one loop thread);
-    they are kept because the ``thread`` core shares the same dialect.
-
-    Contended acquisitions are observable: :meth:`bind_contention` hooks
-    a callback (the dialect wires its contention counter in) that fires
-    with the stripe index whenever an acquisition had to wait.
-    """
-
-    def __init__(self, stripes: int = DEFAULT_LOCK_STRIPES):
-        self._locks = [_ContentionLock(i)
-                       for i in range(max(1, int(stripes)))]
-
-    def __len__(self) -> int:
-        return len(self._locks)
-
-    def bind_contention(self, callback: Callable[[int], None]) -> None:
-        for lock in self._locks:
-            lock.on_contention = callback
-
-    def for_key(self, key: str) -> _ContentionLock:
-        prefix = key.split("/", 1)[0]
-        return self._locks[zlib.crc32(prefix.encode("utf-8"))
-                           % len(self._locks)]
 
 
 class _Reply:
@@ -191,24 +113,20 @@ class _Reply:
 
 
 class BrokerDialect:
-    """The broker's request semantics, independent of the network core.
+    """The broker's request semantics, independent of socket handling.
 
-    Both cores parse bytes off their sockets and hand
+    The event loop parses bytes off its sockets and hands
     ``(method, target, headers, body)`` to :meth:`handle`; everything the
     wire dialect *means* — key operations, listings, batches, the
-    server-side claim — lives here, so the two cores cannot drift apart.
+    server-side claim — lives here.
 
-    Test hooks (used by the regression suites, harmless in production):
+    Test hook (used by the regression suites, harmless in production):
 
     ``force_close``
-        When true, the serving core drops the connection after every
-        reply *without announcing it* — simulating a broker that closes
-        idle pooled sockets, the stale-keep-alive hazard the transport's
-        free retry exists for.
-    ``serve_claim``
-        When false, ``POST /claim`` answers 404 — simulating an old
-        broker, so the client-side fallback path stays testable after
-        brokers learn the endpoint.
+        When true, the connection is dropped after every reply *without
+        announcing it* — simulating a broker that closes idle pooled
+        sockets, the stale-keep-alive hazard the transport's free retry
+        exists for.
 
     Every dialect owns a private :class:`~repro.campaign.obs.metrics.
     MetricsRegistry` (per-broker isolation — two brokers in one test
@@ -216,17 +134,17 @@ class BrokerDialect:
     serves; see docs/observability.md for the family catalogue.
     """
 
-    def __init__(self, store: QueueTransport, locks: StripeLocks,
-                 verbose: bool = False):
+    def __init__(self, store: QueueTransport, verbose: bool = False):
         self.store = store
-        self.locks = locks
         self.verbose = verbose
         self.force_close = False
-        self.serve_claim = True
-        self.core_name: Optional[str] = None  # set by the serving core
         self.started_at = time.time()
         self.log = StructLogger("broker", enabled=verbose)
         self.registry = MetricsRegistry()
+        # Held around each request's dispatch: a conditional PUT/DELETE
+        # is a read-check-write on the filesystem store and must not
+        # interleave with another request's.
+        self._lock = threading.Lock()
         self._requests = self.registry.counter(
             "broker_requests_total", "requests served, by route/method/status")
         self._latency = self.registry.histogram(
@@ -239,11 +157,6 @@ class BrokerDialect:
             "broker_bytes_out_total", "response body bytes sent")
         self._claims = self.registry.counter(
             "broker_claims_total", "POST /claim outcomes")
-        contention = self.registry.counter(
-            "broker_lock_contention_total",
-            "stripe-lock acquisitions that had to wait, by stripe")
-        locks.bind_contention(
-            lambda stripe: contention.inc(stripe=stripe))
 
     @staticmethod
     def _route(method: str, path: str) -> str:
@@ -260,18 +173,19 @@ class BrokerDialect:
                headers: Dict[str, str], body: bytes) -> _Reply:
         """Answer one parsed request.  ``headers`` keys are lowercase.
 
-        This wrapper is the metering point shared by both network cores:
-        per-route request counts, latency, in-flight level, body bytes in
-        and out, plus the ``--verbose`` access line (to stderr — stdout
-        stays reserved for program output).
+        This wrapper is the metering point: per-route request counts,
+        latency, in-flight level, body bytes in and out, plus the
+        ``--verbose`` access line (to stderr — stdout stays reserved for
+        program output).
         """
         parsed = urllib.parse.urlsplit(target)
         route = self._route(method, parsed.path)
         self._inflight.inc()
         start = time.perf_counter()
         try:
-            reply = self._dispatch(method, parsed.path, parsed.query,
-                                   headers, body)
+            with self._lock:
+                reply = self._dispatch(method, parsed.path, parsed.query,
+                                       headers, body)
         finally:
             elapsed = time.perf_counter() - start
             self._inflight.dec()
@@ -321,9 +235,7 @@ class BrokerDialect:
         payload = {
             "server": {
                 "version": SERVER_VERSION,
-                "core": self.core_name,
                 "store": type(self.store).__name__,
-                "lock_stripes": len(self.locks),
                 "started_at": self.started_at,
                 "uptime_seconds": max(0.0, time.time() - self.started_at),
             },
@@ -342,8 +254,7 @@ class BrokerDialect:
         key = self._key(path)
         if key is None:
             return _Reply(404)
-        with self.locks.for_key(key):
-            got = self.store.get(key)
+        got = self.store.get(key)
         if got is None:
             return _Reply(404)
         data, etag = got
@@ -355,14 +266,12 @@ class BrokerDialect:
         if key is None:
             return _Reply(404)
         if_match = headers.get("if-match")
-        if_none_match = headers.get("if-none-match")
-        with self.locks.for_key(key):
-            if if_none_match == "*":
-                etag = self.store.cas(key, body, if_match=None)
-            elif if_match is not None:
-                etag = self.store.cas(key, body, if_match=if_match)
-            else:
-                etag = self.store.put(key, body)
+        if headers.get("if-none-match") == "*":
+            etag = self.store.cas(key, body, if_match=None)
+        elif if_match is not None:
+            etag = self.store.cas(key, body, if_match=if_match)
+        else:
+            etag = self.store.put(key, body)
         if etag is None:
             return _Reply(412)
         return _Reply(200, etag=etag)
@@ -371,11 +280,8 @@ class BrokerDialect:
         key = self._key(path)
         if key is None:
             return _Reply(404)
-        if_match = headers.get("if-match")
-        with self.locks.for_key(key):
-            existed = self.store.get(key) is not None
-            removed = self.store.delete(key, if_match=if_match)
-        if removed:
+        existed = self.store.get(key) is not None
+        if self.store.delete(key, if_match=headers.get("if-match")):
             return _Reply(204)
         return _Reply(412 if existed else 404)
 
@@ -383,23 +289,14 @@ class BrokerDialect:
     def _list(self, query_string: str) -> _Reply:
         """``/list?prefix=<p>[&max-keys=<n>&start-after=<k>]``.
 
-        Without ``max-keys`` the full listing ships in one response (the
-        pre-pagination dialect, kept for old clients).  With it, one
-        keyset page: ``{"keys": [...], "truncated": bool, "next": tok}``.
-        Listings take no stripe lock — both backing stores are internally
-        consistent for reads, and a listing racing a mutation is allowed
-        to see either side of it (exactly as over a shared filesystem).
+        One keyset page: ``{"keys": [...], "truncated": bool, "next":
+        tok}``.  ``max-keys`` defaults to, and is clamped to,
+        :data:`MAX_LIST_PAGE`.
         """
         query = urllib.parse.parse_qs(query_string)
         prefix = (query.get("prefix") or [""])[0]
-        raw_max = (query.get("max-keys") or [None])[0]
+        raw_max = (query.get("max-keys") or [str(MAX_LIST_PAGE)])[0]
         start_after = (query.get("start-after") or [""])[0]
-        if raw_max is None:
-            keys = self.store.list(prefix)
-            if start_after:
-                keys = [key for key in keys if key > start_after]
-            return _Reply(200, json_dumps_bytes(
-                {"keys": keys, "truncated": False}))
         try:
             max_keys = int(raw_max)
         except ValueError:
@@ -430,7 +327,7 @@ class BrokerDialect:
         return _Reply(200, json_dumps_bytes({"results": results}))
 
     def _apply(self, op: Any) -> Dict[str, Any]:
-        """Execute one batch op under its key's stripe lock.
+        """Execute one batch op.
 
         Per-op statuses mirror the single-request dialect exactly:
         ``get`` → 200 (``etag`` + base64 ``data``) / 404; ``put`` →
@@ -446,8 +343,7 @@ class BrokerDialect:
             return {"status": 400, "error": "need op in get/put/delete "
                                             "and a non-empty key"}
         if kind == "get":
-            with self.locks.for_key(key):
-                got = self.store.get(key)
+            got = self.store.get(key)
             if got is None:
                 return {"status": 404}
             data, etag = got
@@ -460,23 +356,19 @@ class BrokerDialect:
             except (binascii.Error, ValueError):
                 return {"status": 400, "error": "data must be base64"}
             if_match = op.get("if_match")
-            with self.locks.for_key(key):
-                if op.get("if_none_match") == "*":
-                    etag = self.store.cas(key, data, if_match=None)
-                elif if_match is not None:
-                    etag = self.store.cas(key, data,
-                                          if_match=str(if_match))
-                else:
-                    etag = self.store.put(key, data)
+            if op.get("if_none_match") == "*":
+                etag = self.store.cas(key, data, if_match=None)
+            elif if_match is not None:
+                etag = self.store.cas(key, data, if_match=str(if_match))
+            else:
+                etag = self.store.put(key, data)
             if etag is None:
                 return {"status": 412}
             return {"status": 200, "etag": etag}
         if_match = op.get("if_match")
-        with self.locks.for_key(key):
-            existed = self.store.get(key) is not None
-            removed = self.store.delete(
-                key, if_match=str(if_match) if if_match is not None else None)
-        if removed:
+        existed = self.store.get(key) is not None
+        if self.store.delete(
+                key, if_match=str(if_match) if if_match is not None else None):
             return {"status": 204}
         return {"status": 412 if existed else 404}
 
@@ -494,17 +386,7 @@ class BrokerDialect:
         client-side scan exactly (and fake-clock tests work over HTTP);
         when omitted the broker falls back to its wall clock and the
         stored queue config.
-
-        Every store mutation the pass performs is individually atomic on
-        both backing transports (conditional creates, unconditional
-        writes/deletes), so concurrent claims — from this endpoint or
-        from old clients running the scan remotely — still pick exactly
-        one winner per ticket without holding a stripe lock across the
-        whole scan.
         """
-        if not self.serve_claim:
-            self._claims.inc(outcome="disabled")
-            return _Reply(404)
         query = urllib.parse.parse_qs(query_string)
         prefix = (query.get("prefix") or ["pending/"])[0]
         worker = (query.get("worker") or [""])[0]
@@ -545,126 +427,7 @@ class BrokerDialect:
 
 
 # ---------------------------------------------------------------------------
-# thread core: ThreadingHTTPServer driving the dialect
-# ---------------------------------------------------------------------------
-
-class _BrokerHandler(BaseHTTPRequestHandler):
-    """Thread-core shim: parse with ``http.server``, answer via the dialect.
-
-    The handler class is generated per-server (:func:`make_server`) so
-    the dialect arrives as a class attribute — ``BaseHTTPRequestHandler``
-    instantiates per request and cannot take constructor arguments.
-    """
-
-    dialect: BrokerDialect = None  # type: ignore[assignment]
-
-    protocol_version = "HTTP/1.1"
-    server_version = SERVER_VERSION
-    #: TCP_NODELAY: responses are written as a header packet then a body
-    #: packet; under Nagle the body write stalls until the client ACKs
-    #: the headers (~40ms of delayed-ACK per GET/LIST on Linux), which
-    #: would erase everything keep-alive buys.
-    disable_nagle_algorithm = True
-
-    def _reply(self, status: int, body: bytes = b"",
-               etag: Optional[str] = None,
-               announce_close: bool = False) -> None:
-        self.send_response(status)
-        if etag:
-            self.send_header("ETag", etag)
-        if announce_close:
-            self.send_header("Connection", "close")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
-
-    def _drain_body(self) -> Optional[bytes]:
-        """Read the request body; ``None`` means unframeable request.
-
-        A malformed or negative ``Content-Length`` leaves the connection
-        byte stream unparseable — there is no knowing where this request
-        ends — so the caller must answer 400 and close.
-        """
-        raw = self.headers.get("Content-Length")
-        if raw is None or not raw.strip():
-            return b""
-        try:
-            length = int(raw)
-        except (TypeError, ValueError):
-            return None
-        if length < 0:
-            return None
-        return self.rfile.read(length) if length else b""
-
-    def _handle(self) -> None:
-        # The body is drained unconditionally, for *every* method: a
-        # client that sends a body with GET or DELETE must not leave
-        # its bytes in the stream to be parsed as the next request line.
-        body = self._drain_body()
-        if body is None:
-            self._reply(400, json_dumps_bytes(
-                {"error": "malformed Content-Length"}), announce_close=True)
-            return
-        headers = {name.lower(): value
-                   for name, value in self.headers.items()}
-        reply = self.dialect.handle(self.command, self.path, headers, body)
-        self._reply(reply.status, reply.body, etag=reply.etag,
-                    announce_close=reply.close)
-        if self.dialect.force_close:
-            # Unannounced close *after* the reply: the stale-keep-alive
-            # test hook (see BrokerDialect.force_close).
-            self.close_connection = True
-
-    do_GET = _handle    # noqa: N815 - http.server naming
-    do_PUT = _handle    # noqa: N815
-    do_POST = _handle   # noqa: N815
-    do_DELETE = _handle  # noqa: N815
-
-    def log_request(self, code: Any = "-", size: Any = "-") -> None:
-        pass  # the dialect emits one structured access line per request
-
-    def log_message(self, fmt: str, *args) -> None:  # noqa: D102
-        # http.server's own messages — parse errors the dialect never
-        # sees — routed through the same stderr structured logger as the
-        # dialect's access lines (no bare interleaved prints).
-        if self.dialect is not None and self.dialect.verbose:
-            self.dialect.log.event("http", message=fmt % args,
-                                   client=self.address_string())
-
-
-def make_server(host: str = "127.0.0.1", port: int = 0,
-                data_dir: Optional[str] = None,
-                verbose: bool = False,
-                lock_stripes: int = DEFAULT_LOCK_STRIPES,
-                dialect: Optional[BrokerDialect] = None
-                ) -> ThreadingHTTPServer:
-    """Build (but don't start) a thread-core broker HTTP server.
-
-    ``port=0`` binds an ephemeral port (read it back from
-    ``server.server_address``).  With ``data_dir`` the store is
-    disk-backed and survives restarts; otherwise it is in-memory.
-    A pre-built ``dialect`` overrides ``data_dir``/``lock_stripes``
-    (how :class:`Broker` shares one dialect across cores).
-    """
-    if dialect is None:
-        store: QueueTransport = (FsTransport(data_dir) if data_dir
-                                 else MemoryTransport())
-        dialect = BrokerDialect(store, StripeLocks(lock_stripes),
-                                verbose=verbose)
-    if dialect.core_name is None:
-        dialect.core_name = "thread"
-    handler = type("BoundBrokerHandler", (_BrokerHandler,),
-                   {"dialect": dialect})
-    ThreadingHTTPServer.allow_reuse_address = True
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    server.dialect = dialect  # type: ignore[attr-defined]
-    return server
-
-
-# ---------------------------------------------------------------------------
-# asyncio core: a selector event loop driving the same dialect
+# the event loop: parse requests off sockets, answer via the dialect
 # ---------------------------------------------------------------------------
 
 class _BadRequest(Exception):
@@ -699,8 +462,7 @@ async def _read_request(reader: asyncio.StreamReader
         raise _BadRequest(f"bad request line: {error.partial!r}")
     except asyncio.LimitOverrunError:
         raise _BadRequest("request head too large")
-    # Tolerate stray CRLFs between pipelined requests (RFC 7230 §3.5),
-    # as http.server does.
+    # Tolerate stray CRLFs between pipelined requests (RFC 7230 §3.5).
     lines = head[:-4].lstrip(b"\r\n").split(b"\r\n")
     parts = lines[0].decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
@@ -773,7 +535,7 @@ async def _serve_connection(dialect: BrokerDialect,
         method, target, version, headers, body = request
         try:
             reply = dialect.handle(method, target, headers, body)
-        except Exception:  # noqa: BLE001 - a handler bug must not kill the core
+        except Exception:  # noqa: BLE001 - a handler bug must not kill the loop
             reply = _Reply(500)
         close = (reply.close or version == "HTTP/1.0"
                  or headers.get("connection", "").strip().lower() == "close")
@@ -783,7 +545,7 @@ async def _serve_connection(dialect: BrokerDialect,
             # test hook (see BrokerDialect.force_close).
             close, announce = True, False
         # Access lines come from the dialect itself (stderr, structured)
-        # — verbose output no longer interleaves with program stdout.
+        # — verbose output never interleaves with program stdout.
         try:
             writer.write(_render_response(reply.status, reply.body,
                                           reply.etag, announce))
@@ -795,17 +557,12 @@ async def _serve_connection(dialect: BrokerDialect,
 
 
 class Broker:
-    """An embeddable broker: either network core on a background thread.
+    """An embeddable broker: the event loop on a background thread.
 
     For tests, demos and single-process fleets::
 
         with Broker(data_dir="…/state") as broker:
             transport = HttpTransport(broker.url)
-
-    ``core`` selects the network core — ``"asyncio"`` (default) or
-    ``"thread"`` — falling back to the ``REPRO_BROKER_CORE`` environment
-    variable (how CI runs the HTTP test leg once per core).  Both cores
-    share one :class:`BrokerDialect`, so the wire behaviour is identical.
 
     ``stop()`` (or leaving the ``with`` block) shuts the listener down;
     it is idempotent and safe to call before :meth:`start` (it just
@@ -815,34 +572,18 @@ class Broker:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 data_dir: Optional[str] = None, verbose: bool = False,
-                 lock_stripes: int = DEFAULT_LOCK_STRIPES,
-                 core: Optional[str] = None):
-        core = core or os.environ.get("REPRO_BROKER_CORE") or "asyncio"
-        if core not in ("asyncio", "thread"):
-            raise ValueError(f"unknown broker core: {core!r} "
-                             "(expected 'asyncio' or 'thread')")
-        self.core = core
+                 data_dir: Optional[str] = None, verbose: bool = False):
         store: QueueTransport = (FsTransport(str(data_dir)) if data_dir
                                  else MemoryTransport())
-        self.dialect = BrokerDialect(store, StripeLocks(lock_stripes),
-                                     verbose=verbose)
-        self.dialect.core_name = core
+        self.dialect = BrokerDialect(store, verbose=verbose)
         self._thread: Optional[threading.Thread] = None
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = threading.Event()
         self._start_error: Optional[BaseException] = None
-        if core == "thread":
-            self._server = make_server(host=host, port=port,
-                                       dialect=self.dialect)
-            self.host, self.port = self._server.server_address[:2]
-        else:
-            # Bind in the constructor so the port is known (and the URL
-            # printable) before start() — exactly like the thread core.
-            self._sock = socket.create_server((host, port))
-            self.host, self.port = self._sock.getsockname()[:2]
+        # Bind in the constructor so the port is known (and the URL
+        # printable) before start().
+        self._sock = socket.create_server((host, port))
+        self.host, self.port = self._sock.getsockname()[:2]
 
     @property
     def url(self) -> str:
@@ -851,13 +592,7 @@ class Broker:
 
     def start(self) -> "Broker":
         """Serve on a daemon thread; returns ``self`` for chaining."""
-        if self.core == "thread":
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name=f"broker-{self.port}", daemon=True)
-            self._thread.start()
-            return self
-        self._thread = threading.Thread(target=self._run_loop,
+        self._thread = threading.Thread(target=self.serve_forever,
                                         name=f"broker-{self.port}",
                                         daemon=True)
         self._thread.start()
@@ -873,15 +608,6 @@ class Broker:
     def serve_forever(self) -> None:
         """Serve on the *calling* thread (the CLI path); returns after
         :meth:`stop` or ``KeyboardInterrupt``."""
-        if self.core == "thread":
-            try:
-                self._server.serve_forever()
-            finally:
-                self._server.server_close()
-            return
-        self._run_loop()
-
-    def _run_loop(self) -> None:
         loop = asyncio.new_event_loop()
         self._loop = loop
         server = None
@@ -941,18 +667,9 @@ class Broker:
         """Stop serving and release the port.
 
         Idempotent, and safe to call on a broker that was never started:
-        the thread core's ``shutdown()`` is only invoked when
-        ``serve_forever`` is actually running (calling it otherwise
-        blocks forever on a loop that never ran), and the asyncio core
-        just closes the listening socket when no loop exists.
+        with no running loop it just closes the listening socket.
         """
         thread, self._thread = self._thread, None
-        if self.core == "thread":
-            if thread is not None:
-                self._server.shutdown()
-                thread.join(timeout=5.0)
-            self._server.server_close()
-            return
         loop = self._loop
         if thread is not None and loop is not None:
             try:
@@ -960,13 +677,12 @@ class Broker:
             except RuntimeError:  # loop already closed
                 pass
             thread.join(timeout=5.0)
-        if self._sock is not None:
-            # No-op after a started loop ran (start_server took ownership
-            # and closed it); releases the port when start() never ran.
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
+        # No-op after a started loop ran (start_server took ownership and
+        # closed it); releases the port when start() never ran.
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - close is best-effort
+            pass
 
     def __enter__(self) -> "Broker":
         return self.start()
@@ -993,29 +709,18 @@ def main(argv: Optional[list] = None) -> int:
                              "a broker restart resumes mid-campaign "
                              "(default: in-memory, state dies with the "
                              "process)")
-    parser.add_argument("--core", choices=("asyncio", "thread"),
-                        default=None,
-                        help="network core (default: $REPRO_BROKER_CORE or "
-                             "asyncio); 'thread' keeps the legacy "
-                             "one-OS-thread-per-connection server")
-    parser.add_argument("--lock-stripes", type=int,
-                        default=DEFAULT_LOCK_STRIPES,
-                        help="number of striped mutation locks (default "
-                             f"{DEFAULT_LOCK_STRIPES}); mutations on "
-                             "different key prefixes proceed concurrently")
     parser.add_argument("--verbose", action="store_true",
                         help="log every request")
     args = parser.parse_args(argv)
 
     broker = Broker(host=args.host, port=args.port, data_dir=args.data_dir,
-                    verbose=args.verbose, lock_stripes=args.lock_stripes,
-                    core=args.core)
+                    verbose=args.verbose)
     backing = args.data_dir or "memory (volatile)"
     # The listening line is *program output* (scripts read the URL from
     # it) and stays on stdout; every diagnostic goes through the
     # dialect's structured stderr logger.
-    print(f"queue broker listening on {broker.url} "
-          f"(core: {broker.core}, store: {backing})", flush=True)
+    print(f"queue broker listening on {broker.url} (store: {backing})",
+          flush=True)
     log = StructLogger("broker")
     try:
         broker.serve_forever()

@@ -45,10 +45,10 @@ never were on a single broker either (per-item outcomes).
 
 ``claim_first`` round-robins the shards (a rotating starting offset per
 router, so idle polls spread load) and returns the first shard's claim.
-If *any* shard cannot claim server-side, the router raises
-:class:`~repro.campaign.dist.transport.ClaimUnsupported` so the queue
-falls back to its client-side scan over the router — a half-supported
-fleet must not look drained while unsupported shards still hold tickets.
+The router advertises ``claim_first`` only when *every* shard has one;
+otherwise it is ``None`` and the queue runs its client-side scan over
+the router — a half-supported fleet must not look drained while
+unsupported shards still hold tickets.
 
 Partial failure: breakers and degraded mode
 -------------------------------------------
@@ -131,7 +131,6 @@ from repro.campaign.dist.breaker import (
     state_code,
 )
 from repro.campaign.dist.transport import (
-    ClaimUnsupported,
     DegradedResult,
     QueueTransport,
     TransportError,
@@ -264,6 +263,11 @@ class ShardedTransport(QueueTransport):
         # ring mapping itself is wrong, so every later op must keep
         # failing fast instead of stamping the reachable shards anyway.
         self._epoch_conflict: Optional[EpochMismatch] = None
+        # Capability mirroring (as ChaosTransport does): a server-side
+        # claim is only fleet-wide when every shard can run one.
+        if not all(callable(getattr(shard, "claim_first", None))
+                   for shard in shards):
+            self.claim_first = None  # type: ignore[assignment]
         self.breakers: List[CircuitBreaker] = [
             CircuitBreaker(failure_threshold=breaker_failures,
                            cooldown_seconds=breaker_cooldown,
@@ -663,22 +667,14 @@ class ShardedTransport(QueueTransport):
         fleet with an unreadable shard as empty).  Only when *no* shard
         answers does the claim raise ``TransportError``.
 
-        Raises ``ClaimUnsupported`` when any shard lacks a server-side
-        claim entirely (e.g. in-memory shards), or when a shard holding
-        tickets answers with an old broker's 404: with mixed support,
-        trusting only the supporting shards would report a drained queue
-        while the others still hold tickets — the client-side scan over
-        the router is the only claim pass that sees the whole fleet.
+        Only routers whose every shard has a server-side claim expose
+        this method; otherwise ``claim_first`` is ``None``.
         """
         count = len(self.shards)
         with self._lock:
             start = self._claim_offset
             self._claim_offset = (self._claim_offset + 1) % count
         rotated = [(start + step) % count for step in range(count)]
-        for index in rotated:
-            if not callable(getattr(self.shards[index], "claim_first",
-                                    None)):
-                raise ClaimUnsupported(self.identities[index])
         ranked: List[Tuple[str, int]] = []
         unreachable: List[str] = []
         for index in rotated:

@@ -88,9 +88,9 @@ deletes are read-check-write — racy by nature of POSIX.  The queue is
 designed so that every ``If-Match`` race degrades to a re-executed job
 (results are content-derived, so re-execution is harmless), never to a
 lost one.  ``MemoryTransport`` and the HTTP broker serialize mutations
-under a lock (striped by key prefix on the broker), so for them every
-conditional operation is exact.  Batches are *not* transactions: each
-item succeeds or conflicts individually.
+under a lock, so for them every conditional operation is exact.
+Batches are *not* transactions: each item succeeds or conflicts
+individually.
 """
 
 from __future__ import annotations
@@ -182,18 +182,6 @@ def is_degraded(value) -> bool:
     False
     """
     return bool(getattr(value, "missing_shards", None))
-
-
-class ClaimUnsupported(Exception):
-    """The transport's backend cannot run the claim scan server-side.
-
-    Raised by :meth:`HttpTransport.claim_first` when the broker answers
-    ``POST /claim`` with 404 — an older broker that predates the
-    endpoint.  :meth:`~repro.campaign.dist.queue.WorkQueue.claim` catches
-    this once, memoizes it, and falls back to the client-side
-    scan-probe-CAS sequence for the rest of the process, so new workers
-    interoperate with old brokers at the old (slower) wire cost.
-    """
 
 
 def etag_of(data: bytes) -> str:
@@ -688,7 +676,6 @@ class HttpTransport(QueueTransport):
         self.retry_max_delay = retry_max_delay
         self.timeout = timeout
         self.address = self.base_url
-        self._claim_unsupported = False
         parsed = urllib.parse.urlsplit(self.base_url)
         self._https = parsed.scheme == "https"
         self._host = parsed.hostname or ""
@@ -1086,22 +1073,20 @@ class HttpTransport(QueueTransport):
         ``POST /claim`` collapses the whole client-side claim sequence —
         page the pending listing, batch-probe results/pending/claims,
         CAS-create the claim document, read the job record — into a
-        single round trip, decided under the broker's locks.  Returns the
+        single round trip, decided under the broker's lock.  Returns the
         claim outcome document (``name``/``key``/``etag``/``attempts``/
-        ``cost``/``record``/``lease``), ``None`` when the queue is
-        drained (204), and raises :class:`ClaimUnsupported` against
-        brokers that predate the endpoint (404) — the caller falls back
-        to the client-side scan.  ``now`` and ``lease_seconds`` are
-        passed through for callers driving fake clocks; the broker
-        defaults them to its wall clock and the queue config.
+        ``cost``/``record``/``lease``) or ``None`` when the queue is
+        drained (204); any other status — a 404 means the URL is not a
+        broker — raises :class:`TransportError`.  ``now`` and
+        ``lease_seconds`` are passed through for callers driving fake
+        clocks; the broker defaults them to its wall clock and the queue
+        config.
 
         The request is **not** idempotent: a retried POST whose first
         response was lost may have claimed a ticket whose lease the
         caller never learns about.  That degrades to a lease-expiry
         retry (the queue's normal at-least-once path), never a lost job.
         """
-        if self._claim_unsupported:
-            raise ClaimUnsupported(self.base_url)
         query: Dict[str, str] = {"prefix": prefix, "worker": worker}
         if now is not None:
             query["now"] = repr(float(now))
@@ -1110,9 +1095,6 @@ class HttpTransport(QueueTransport):
         status, body, _ = self._request(
             "POST", f"{self._prefix}/claim?{urllib.parse.urlencode(query)}",
             idempotent=False)
-        if status == 404:
-            self._claim_unsupported = True
-            raise ClaimUnsupported(self.base_url)
         if status == 204:
             return None
         if status != 200:

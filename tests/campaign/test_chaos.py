@@ -681,8 +681,7 @@ def test_chaos_partitioned_shard_fleet_completes_grid_exactly_once(
     must still complete the full grid with exactly one execution per job
     key and a serial-identical aggregate, no job lost or dead-lettered —
     and the flapping shard's breaker must show the full trip ->
-    half-open -> reclose lifecycle.  Runs on whichever broker core
-    ``REPRO_BROKER_CORE`` selects (CI runs both)."""
+    half-open -> reclose lifecycle."""
     from repro.campaign.dist import worker as worker_mod
 
     spec = SweepSpec(name="chaos-acceptance", case="chaos-nap",

@@ -2,8 +2,8 @@
 
 Covers the :mod:`repro.campaign.obs` contracts (labelled counters and
 histograms, thread-safety under concurrent increments, Chrome-trace span
-shape), the broker's ``GET /stats`` endpoint on BOTH network cores
-(shape, monotonic counters, 200 on a fresh broker), the heartbeat
+shape), the broker's ``GET /stats`` endpoint (shape, monotonic
+counters, 200 on a fresh broker), the heartbeat
 transport-error tolerance, the per-job span pipeline through result
 records into ``trace.json``, and the ``dist.stats`` CLI.
 """
@@ -33,12 +33,9 @@ from repro.campaign.obs import (
     spans_from_result_records,
 )
 
-CORES = ["asyncio", "thread"]
-
-
-@pytest.fixture(params=CORES)
-def broker(request):
-    b = Broker(core=request.param).start()
+@pytest.fixture
+def broker():
+    b = Broker().start()
     try:
         yield b
     finally:
@@ -268,7 +265,7 @@ def test_worker_metrics_travel_through_heartbeats():
     assert fleet["w0"]["jobs_per_second"] == 3.5  # freshest snapshot wins
 
 
-# -- GET /stats on both broker cores -----------------------------------------
+# -- GET /stats ---------------------------------------------------------------
 
 def test_stats_endpoint_fresh_broker_shape(broker):
     # a fresh broker must serve /stats immediately: 200, never 404
@@ -276,9 +273,7 @@ def test_stats_endpoint_fresh_broker_shape(broker):
         assert resp.status == 200
         payload = json.loads(resp.read())
     server = payload["server"]
-    assert server["core"] == broker.core
     assert server["store"] == "MemoryTransport"
-    assert server["lock_stripes"] >= 1
     assert server["uptime_seconds"] >= 0.0
     metrics = payload["metrics"]
     assert set(metrics) >= {"counters", "gauges", "histograms"}
@@ -393,7 +388,7 @@ def test_stats_cli_one_shot_and_watch(broker, capsys):
 
 def test_stats_cli_exit_codes():
     assert stats_main(["not-a-url"]) == 2
-    broker = Broker(core="asyncio").start()
+    broker = Broker().start()
     url = broker.url
     broker.stop()
     assert stats_main([url]) == 3

@@ -359,9 +359,10 @@ def test_claim_adopts_its_own_lost_response_write(queue, clock):
         return tag
 
     # The own-write check lives in the *client-side* scan: over a broker
-    # with server-side claim the CAS is local and exact, so pin the
-    # fallback path (old brokers and fs/memory transports keep it).
-    queue._claim_fallback = True
+    # with server-side claim the CAS is local and exact, so withdraw the
+    # transport's claim capability to pin the scan fs/memory transports
+    # always run.
+    queue.transport.claim_first = None
     queue.transport.cas = lossy_cas
     item = queue.claim("w0")
     assert dropped, "the simulated lost response never triggered"

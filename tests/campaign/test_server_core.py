@@ -1,12 +1,10 @@
-"""Broker network-core regression tests, run against BOTH cores.
+"""Broker event-loop and ``POST /claim`` regression tests.
 
-The broker grew a second network core (asyncio selector loop alongside
-the legacy ``ThreadingHTTPServer``) and a server-side claim endpoint.
-Everything here is parametrized over both cores: the wire dialect, the
-keep-alive desync hardening (malformed ``Content-Length``, bodies on
-GET/DELETE), the ``Broker.stop()`` lifecycle guards, and the
-``POST /claim`` contract — exactly-one-winner, drained → 204, corrupt
-bookkeeping, the old-broker fallback, and fake clocks riding the wire.
+Covers the wire dialect, the keep-alive desync hardening (malformed
+``Content-Length``, garbage request lines, bodies on GET/DELETE), the
+``Broker.stop()`` lifecycle guards, and the ``POST /claim`` contract —
+exactly-one-winner, drained → 204, corrupt bookkeeping, a 404 surfacing
+as a transport error, and fake clocks riding the wire.
 """
 
 import json
@@ -20,10 +18,9 @@ import pytest
 from repro.campaign import SweepSpec
 from repro.campaign.dist import HttpTransport, WorkQueue
 from repro.campaign.dist.server import Broker
-from repro.campaign.dist.transport import ClaimUnsupported
+from repro.campaign.dist.transport import TransportError
 from repro.campaign.jobs import execute_job
-
-CORES = ["asyncio", "thread"]
+from repro.campaign.obs import series_value
 
 
 def _spec(**overrides):
@@ -34,9 +31,9 @@ def _spec(**overrides):
     return SweepSpec(**kwargs)
 
 
-@pytest.fixture(params=CORES)
-def broker(request):
-    b = Broker(core=request.param).start()
+@pytest.fixture
+def broker():
+    b = Broker().start()
     try:
         yield b
     finally:
@@ -63,25 +60,7 @@ def _read_responses(stream, count):
     return out
 
 
-# -- core selection ----------------------------------------------------------
-
-def test_core_selection_and_validation(monkeypatch):
-    monkeypatch.delenv("REPRO_BROKER_CORE", raising=False)
-    b = Broker()
-    assert b.core == "asyncio"  # the default core
-    b.stop()
-    monkeypatch.setenv("REPRO_BROKER_CORE", "thread")
-    b = Broker()
-    assert b.core == "thread"  # env var steers the default (CI matrix)
-    b.stop()
-    b = Broker(core="asyncio")
-    assert b.core == "asyncio"  # explicit arg beats the env var
-    b.stop()
-    with pytest.raises(ValueError, match="unknown broker core"):
-        Broker(core="gevent")
-
-
-# -- wire dialect smoke over both cores --------------------------------------
+# -- wire dialect smoke ------------------------------------------------------
 
 def test_wire_dialect_smoke(broker):
     transport = HttpTransport(broker.url, retries=1, retry_delay=0.05)
@@ -145,15 +124,16 @@ def test_negative_content_length_gets_400_and_announced_close(broker):
 
 
 def test_garbage_request_line_gets_400_not_a_hang(broker):
-    # The legacy thread core's error page lacks a status line (stdlib
-    # quirk), so only assert the essentials: a 400-ish refusal arrives
-    # and the connection closes instead of wedging.
+    """An unparseable request line gets a real ``HTTP/1.1 400`` status
+    line and an announced close — and the connection actually closes
+    instead of wedging."""
     with socket.create_connection((broker.host, broker.port),
                                   timeout=5.0) as sock:
         sock.sendall(b"THIS IS NOT HTTP\r\n\r\n")
-        stream = sock.makefile("rb")
-        data = stream.read()  # returns only because the server closed
-    assert b"400" in data
+        data = sock.makefile("rb").read()  # returns only once closed
+    head = data.partition(b"\r\n\r\n")[0].split(b"\r\n")
+    assert head[0] == b"HTTP/1.1 400 Bad Request"
+    assert b"Connection: close" in head[1:]
 
 
 def test_bodies_on_get_and_delete_do_not_desync_keepalive(broker):
@@ -192,12 +172,10 @@ def test_post_to_unknown_path_drains_body_then_keeps_alive(broker):
 
 # -- Broker lifecycle --------------------------------------------------------
 
-@pytest.mark.parametrize("core", CORES)
-def test_stop_before_start_does_not_deadlock(core):
-    """Satellite regression: ``stop()`` is documented idempotent but the
-    thread core's ``shutdown()`` blocked forever when ``serve_forever``
-    never ran.  Run stop on a helper thread and require it to finish."""
-    broker = Broker(core=core)
+def test_stop_before_start_does_not_deadlock():
+    """``stop()`` is documented idempotent and safe before ``start()``:
+    run it on a helper thread and require it to finish."""
+    broker = Broker()
     finished = []
 
     def stopper():
@@ -211,9 +189,8 @@ def test_stop_before_start_does_not_deadlock(core):
         "stop() before start() must return, not deadlock"
 
 
-@pytest.mark.parametrize("core", CORES)
-def test_stop_is_idempotent_after_start(core):
-    broker = Broker(core=core).start()
+def test_stop_is_idempotent_after_start():
+    broker = Broker().start()
     transport = HttpTransport(broker.url, retries=0)
     transport.put("k.json", b"v")
     broker.stop()
@@ -269,12 +246,10 @@ def test_claim_endpoint_exactly_one_winner_under_concurrency(broker):
         setup.enqueue(job)
 
     claimed, lock = [], threading.Lock()
-    queues = []
 
     def worker(wid):
         queue = WorkQueue(transport=HttpTransport(
             broker.url, retries=2, retry_delay=0.05))
-        queues.append(queue)
         while True:
             item = queue.claim(f"w{wid}")
             if item is None:
@@ -292,8 +267,10 @@ def test_claim_endpoint_exactly_one_winner_under_concurrency(broker):
     assert len(claimed) == len(jobs)
     assert len({item.key for item in claimed}) == len(jobs)
     assert setup.counts()["claimed"] == len(jobs)
-    assert all(not queue._claim_fallback for queue in queues), \
-        "claims must ride the server-side fast path, not the fallback"
+    # Every win came through the server-side fast path.
+    assert series_value(broker.dialect.registry.snapshot(), "counters",
+                        "broker_claims_total",
+                        outcome="claimed") == len(jobs)
 
 
 def test_claim_endpoint_corrupt_ticket_claims_at_attempt_zero(broker):
@@ -308,7 +285,6 @@ def test_claim_endpoint_corrupt_ticket_claims_at_attempt_zero(broker):
     assert item is not None
     assert item.key == job.job_id
     assert item.attempts == 0
-    assert not queue._claim_fallback
 
 
 def test_claim_endpoint_buries_corrupt_job_record_and_scans_on(broker):
@@ -329,27 +305,12 @@ def test_claim_endpoint_buries_corrupt_job_record_and_scans_on(broker):
     assert "corrupt job record" in queue.dead()[first_key]["error"]
 
 
-def test_claim_falls_back_against_old_broker(broker):
-    """A broker without ``POST /claim`` answers 404: the transport
-    raises ClaimUnsupported once, the queue memoizes the fallback, and
-    claims keep working through the client-side scan."""
-    broker.dialect.serve_claim = False  # simulate a pre-/claim broker
-    transport = HttpTransport(broker.url, retries=1, retry_delay=0.05)
-    queue = WorkQueue(transport=transport, lease_seconds=30.0)
-    jobs = _spec().expand()[:2]
-    for job in jobs:
-        queue.enqueue(job)
-    item = queue.claim("w0")
-    assert item is not None
-    assert queue._claim_fallback, "the 404 must memoize the fallback"
-    with pytest.raises(ClaimUnsupported):
-        transport.claim_first()  # memoized client-side: no round trip
-    # Later claims go straight to the scan and still work.
-    second = queue.claim("w0")
-    assert second is not None and second.key != item.key
-    queue.complete(item, execute_job(item.job))
-    queue.complete(second, execute_job(second.job))
-    assert queue.drained()
+def test_claim_404_is_a_transport_error(broker):
+    """Every broker serves ``POST /claim``, so a 404 means the URL is
+    not a broker: it must raise, never silently fall back to a scan."""
+    transport = HttpTransport(broker.url + "/not-a-broker", retries=0)
+    with pytest.raises(TransportError, match="CLAIM"):
+        transport.claim_first()
 
 
 def test_fake_clock_and_lease_ride_the_claim_endpoint(broker):
@@ -363,7 +324,6 @@ def test_fake_clock_and_lease_ride_the_claim_endpoint(broker):
     job = _spec().expand()[0]
     queue.enqueue(job)
     assert queue.claim("doomed") is not None
-    assert not queue._claim_fallback
     assert queue.requeue_expired() == []  # lease live at fake-now
     clock[0] += 11.0
     assert queue.requeue_expired() == [job.job_id]

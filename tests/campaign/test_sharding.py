@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.campaign import SweepSpec
 from repro.campaign.dist import (
-    ClaimUnsupported,
     MemoryTransport,
     ShardedTransport,
     TransportError,
@@ -245,12 +244,24 @@ def test_epoch_stamp_heals_garbage():
 # -- claim semantics over mixed fleets ---------------------------------------
 
 def test_sharded_claim_falls_back_client_side_and_drains():
-    """Shards without a server-side claim make the router raise
-    ``ClaimUnsupported`` — and the queue's client-side scan over the
-    router still claims and settles every job exactly once."""
+    """Claim support is a static capability: a router over shards
+    without a server-side claim advertises ``claim_first = None``, so the
+    queue runs its client-side scan over the router from the start — and
+    still claims and settles every job exactly once.  A router over live
+    brokers advertises a callable ``claim_first``."""
+    from repro.campaign.dist import HttpTransport
+    from repro.campaign.dist.server import Broker
+
+    brokers = [Broker().start(), Broker().start()]
+    try:
+        live = ShardedTransport([HttpTransport(b.url) for b in brokers])
+        assert callable(live.claim_first)
+        live.close()
+    finally:
+        for broker in brokers:
+            broker.stop()
     router, _ = _router(2)
-    with pytest.raises(ClaimUnsupported):
-        router.claim_first()
+    assert router.claim_first is None
     spec = SweepSpec(name="sharded", case="synthetic", base={"rate": 150.0},
                      grid={"workers": [1, 2], "tasks": [4, 8]})
     queue = WorkQueue(transport=router, lease_seconds=30.0)

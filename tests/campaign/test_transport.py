@@ -333,30 +333,13 @@ def test_batch_malformed_ops_fail_per_op_not_per_batch():
         broker.stop()
 
 
-def test_stripe_locks_are_stable_per_prefix():
-    """All keys of one top-level prefix share a stripe (mutations on one
-    key always serialize), and the mapping is deterministic."""
-    from repro.campaign.dist.server import StripeLocks
-
-    locks = StripeLocks(8)
-    assert len(locks) == 8
-    assert (locks.for_key("pending/000-a.json")
-            is locks.for_key("pending/999-z.json"))
-    assert locks.for_key("queue.json") is locks.for_key("queue.json")
-    distinct = {id(locks.for_key(f"{prefix}/x.json"))
-                for prefix in ("jobs", "pending", "claims", "results",
-                               "done", "dead", "ab", "cd")}
-    assert len(distinct) > 1  # prefixes actually spread across stripes
-
-
 # -- keep-alive connection reuse ---------------------------------------------
 
 def _closing_broker() -> Broker:
     """A broker that closes the TCP connection after *every* response —
     without announcing it (no ``Connection: close`` header), so a pooled
     client discovers the close only when its next request fails.  The
-    hook is ``BrokerDialect.force_close``, honored by both network
-    cores."""
+    hook is ``BrokerDialect.force_close``."""
     broker = Broker()
     broker.dialect.force_close = True  # unannounced: client keeps pooling
     return broker
