@@ -50,7 +50,7 @@ def rates():
 
     def inc_labelled(n):
         for i in range(n):
-            counter.inc(route="/k", method="GET")
+            counter.inc(route="/batch", method="POST")
 
     def observe(n):
         for i in range(n):
@@ -70,7 +70,8 @@ def rates():
     # Snapshot cost over a realistically-populated registry (a few
     # dozen series, like a busy broker) — per snapshot, not per op.
     wide = MetricsRegistry()
-    for route in ("/k", "/list", "/batch", "/claim", "/stats", "other"):
+    for route in ("/healthz", "/list", "/batch", "/claim", "/stats",
+                  "other"):
         for method in ("GET", "PUT", "POST", "DELETE"):
             wide.counter("requests_total").inc(route=route, method=method)
             wide.histogram("seconds").observe(0.001, route=route)

@@ -4,14 +4,15 @@ The ROADMAP's distributed-executor seam, realized as cooperating pieces
 that any mix of threads, processes and hosts can participate in:
 
 * :class:`~repro.campaign.dist.transport.QueueTransport` — the pluggable
-  storage contract (get/put/compare-and-swap/list/delete on opaque keys,
-  plus batch ``get_many``/``put_many``/``delete_many`` and paginated
-  ``list_page`` for throughput) with three implementations:
+  storage contract over opaque keys: three primitives (batch
+  ``get_many``, conditional ``mutate_many`` and paginated ``list_page``)
+  from which get/put/compare-and-swap/delete/list are derived, with three
+  implementations:
   :class:`~repro.campaign.dist.transport.
   FsTransport` (shared directory), :class:`~repro.campaign.dist.transport.
   MemoryTransport` (in-process, thread fleets) and
-  :class:`~repro.campaign.dist.transport.HttpTransport` (S3-style REST
-  against the :mod:`repro.campaign.dist.server` broker,
+  :class:`~repro.campaign.dist.transport.HttpTransport` (``/batch`` and
+  ``/list`` against the :mod:`repro.campaign.dist.server` broker,
   ``python -m repro.campaign.dist.server``, served by one asyncio event
   loop).
   The HTTP transport also speaks ``POST /claim`` — the whole claim scan

@@ -9,11 +9,12 @@ an exactly-once queue, because every retry path must tolerate its own
 successful past).  Faults are drawn from a seeded RNG, so a chaos run
 is reproducible: same plan, same op sequence, same faults.
 
-The wrapper implements the *full* transport protocol — point ops, the
-batch primitives (``get_many`` / ``put_many`` / ``delete_many`` /
-``mutate_many``), ``list_page``, and the optional ``claim_first`` /
-``stats`` probes (exposed only when the inner transport has them, so
-capability detection by callers keeps working).  It composes under
+The wrapper intercepts the three contract primitives (``get_many`` /
+``mutate_many`` / ``list_page``) — so every derived operation faults as
+the primitive it rides: a ``put`` is a one-op ``mutate_many``, a ``get``
+a one-key ``get_many`` — plus the optional ``claim_first`` / ``stats``
+probes (exposed only when the inner transport has them, so capability
+detection by callers keeps working).  It composes under
 :class:`~repro.campaign.dist.sharding.ShardedTransport`, which is the
 point: wrap one shard of a fleet and the router's circuit breakers,
 degraded reads and claim failover can be exercised without killing a
@@ -28,10 +29,11 @@ an address-less queue.
 
 >>> from repro.campaign.dist.transport import MemoryTransport
 >>> store = MemoryTransport()
->>> chaos = ChaosTransport(store, FaultPlan(seed=7).fail_next(1, "put"))
+>>> chaos = ChaosTransport(store,
+...                        FaultPlan(seed=7).fail_next(1, "mutate_many"))
 >>> chaos.put("k", b"v")  # doctest: +IGNORE_EXCEPTION_DETAIL
 Traceback (most recent call last):
-TransportError: chaos: injected put fault
+TransportError: chaos: injected mutate_many fault
 >>> tag = chaos.put("k", b"v")  # the one-shot fault is spent
 >>> chaos.get("k") == (b"v", tag)
 True
@@ -47,15 +49,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.campaign.dist.transport import QueueTransport, TransportError
 from repro.campaign.obs import MetricsRegistry, get_registry
 
-#: Every op kind a :class:`FaultPlan` can target.  ``"*"`` matches all.
-OP_KINDS = ("get", "put", "cas", "delete", "list", "get_many", "put_many",
-            "delete_many", "mutate_many", "list_page", "claim_first")
+#: Every op kind a :class:`FaultPlan` can target — the contract
+#: primitives plus the server-side claim.  ``"*"`` matches all.
+OP_KINDS = ("get_many", "mutate_many", "list_page", "claim_first")
 
 #: Ops that write: only these can tear (apply-then-report-failure).
 #: ``claim_first`` belongs here — a torn claim leaves a dangling lease
 #: the caller does not know it owns, which must expire and requeue.
-MUTATING_OPS = frozenset({"put", "cas", "delete", "put_many", "delete_many",
-                          "mutate_many", "claim_first"})
+MUTATING_OPS = frozenset({"mutate_many", "claim_first"})
+
+
+def _scope(op: str) -> str:
+    """Validate a fault scope: a plan scoped to an op that never runs
+    would inject nothing while its test passes."""
+    if op != "*" and op not in OP_KINDS:
+        raise ValueError(f"unknown op kind {op!r}: expected one of "
+                         f"{', '.join(OP_KINDS)} or '*'")
+    return op
 
 
 class FaultPlan:
@@ -66,9 +76,12 @@ class FaultPlan:
 
         plan = (FaultPlan(seed=11)
                 .error_rate(0.05)                  # 5% of every op
-                .torn_writes(0.2, "mutate_many")   # torn settles
-                .add_latency(0.002, "get")
+                .torn_writes(0.2, "mutate_many")   # torn writes
+                .add_latency(0.002, "get_many")
                 .fail_between(t0, t1))             # full partition window
+
+    ``op`` scopes are :data:`OP_KINDS` names or ``"*"``; anything else
+    raises ``ValueError``.
 
     Decisions are drawn from ``random.Random(seed)`` in op order (one
     draw per op), so a single-threaded op sequence faults identically
@@ -93,23 +106,24 @@ class FaultPlan:
     def error_rate(self, rate: float, op: str = "*") -> "FaultPlan":
         """Fail this fraction of ``op`` calls (before they reach the
         store)."""
-        self._error_rates[op] = max(0.0, min(1.0, float(rate)))
+        self._error_rates[_scope(op)] = max(0.0, min(1.0, float(rate)))
         return self
 
     def torn_writes(self, rate: float, op: str = "*") -> "FaultPlan":
         """Tear this fraction of mutating ``op`` calls: the operation is
         applied, then reported as failed."""
-        self._torn_rates[op] = max(0.0, min(1.0, float(rate)))
+        self._torn_rates[_scope(op)] = max(0.0, min(1.0, float(rate)))
         return self
 
     def add_latency(self, seconds: float, op: str = "*") -> "FaultPlan":
         """Sleep this long before every ``op`` call."""
-        self._latency[op] = max(0.0, float(seconds))
+        self._latency[_scope(op)] = max(0.0, float(seconds))
         return self
 
     def fail_next(self, count: int = 1, op: str = "*") -> "FaultPlan":
         """Deterministically fail the next ``count`` calls of ``op`` —
         the drop-one-request regression harness."""
+        op = _scope(op)
         self._one_shot[op] = self._one_shot.get(op, 0) + max(0, int(count))
         return self
 
@@ -208,38 +222,10 @@ class ChaosTransport(QueueTransport):
                 address=address)
         return result
 
-    # -- point ops ---------------------------------------------------------
-    def get(self, key: str) -> Optional[Tuple[bytes, str]]:
-        return self._apply("get", lambda: self.inner.get(key))
-
-    def put(self, key: str, data: bytes) -> str:
-        return self._apply("put", lambda: self.inner.put(key, data))
-
-    def cas(self, key: str, data: bytes,
-            if_match: Optional[str]) -> Optional[str]:
-        return self._apply(
-            "cas", lambda: self.inner.cas(key, data, if_match=if_match))
-
-    def delete(self, key: str, if_match: Optional[str] = None) -> bool:
-        return self._apply(
-            "delete", lambda: self.inner.delete(key, if_match=if_match))
-
-    def list(self, prefix: str) -> List[str]:
-        return self._apply("list", lambda: self.inner.list(prefix))
-
-    # -- batch / pagination ------------------------------------------------
+    # -- the primitives ----------------------------------------------------
     def get_many(self, keys: Sequence[str]
                  ) -> List[Optional[Tuple[bytes, str]]]:
         return self._apply("get_many", lambda: self.inner.get_many(keys))
-
-    def put_many(self, items: Sequence[Tuple[str, bytes, Optional[str]]]
-                 ) -> List[Optional[str]]:
-        return self._apply("put_many", lambda: self.inner.put_many(items))
-
-    def delete_many(self, items: Sequence[Tuple[str, Optional[str]]]
-                    ) -> List[bool]:
-        return self._apply(
-            "delete_many", lambda: self.inner.delete_many(items))
 
     def mutate_many(self, ops: Sequence[Tuple]) -> List[object]:
         return self._apply("mutate_many", lambda: self.inner.mutate_many(ops))

@@ -406,7 +406,8 @@ class WorkQueue:
                     # atomic rewrite, or every participant would silently
                     # run its own constructor defaults — divergent lease
                     # policies steal live claims.
-                    self._put_json("queue.json", payload)
+                    self.transport.put("queue.json",
+                                       json_dumps_bytes(payload))
                     config = payload
         lease_seconds = float(config.get("lease_seconds", lease_seconds))
         max_attempts = int(config.get("max_attempts", max_attempts))
@@ -426,12 +427,6 @@ class WorkQueue:
     def _get_json(self, key: str) -> Optional[Dict[str, Any]]:
         got = self.transport.get(key)
         return None if got is None else json_loads_or_none(got[0])
-
-    def _put_json(self, key: str, payload: Dict[str, Any]) -> str:
-        return self.transport.put(key, json_dumps_bytes(payload))
-
-    def _delete(self, key: str, if_match: Optional[str] = None) -> bool:
-        return self.transport.delete(key, if_match=if_match)
 
     @staticmethod
     def _key_of(name: str) -> Optional[str]:
@@ -504,7 +499,7 @@ class WorkQueue:
 
         Fully batched: existing state is listed once up front, the
         (immutable) job records are read and conditionally created in
-        bulk (``get_many`` / ``put_many``), and the tickets land in one
+        bulk (``get_many`` / ``mutate_many``), and the tickets land in one
         more batch — so replaying a large grid costs O(5 listings + a few
         batch round trips), not O(jobs) round trips, over the HTTP
         transport.  Races with concurrent orchestrators settle exactly as
@@ -541,8 +536,8 @@ class WorkQueue:
                 creates.append((index, json_dumps_bytes(payload)))
                 names.append(name)
         if creates:
-            outcomes = self.transport.put_many(
-                [(f"jobs/{jobs[index].job_id}.json", data, None)
+            outcomes = self.transport.mutate_many(
+                [("put", f"jobs/{jobs[index].job_id}.json", data, None)
                  for index, data in creates])
             losers = [index for (index, _), tag in zip(creates, outcomes)
                       if tag is None]
@@ -567,8 +562,8 @@ class WorkQueue:
             tickets.append(name)
             known["pending"].add(name)
         if tickets:
-            self.transport.put_many(
-                [(f"pending/{name}.json",
+            self.transport.mutate_many(
+                [("put", f"pending/{name}.json",
                   json_dumps_bytes({"attempts": 0}), None)
                  for name in tickets])
         return names
@@ -809,9 +804,9 @@ class WorkQueue:
                 continue
             if key in have_dead:
                 # Crash mid-bury: the dead record is authoritative.
-                self.transport.delete_many([
-                    (f"pending/{name}.json", None),
-                    (f"claims/{name}.json", None),
+                self.transport.mutate_many([
+                    ("delete", f"pending/{name}.json", None),
+                    ("delete", f"claims/{name}.json", None),
                 ])
                 continue
             if got is None:
@@ -839,11 +834,16 @@ class WorkQueue:
                 self.registry.counter("queue_dead_letters_total").inc(
                     reason="lease-expired")
                 continue
-            # Re-create the ticket if a crashed settle removed it, fold in
-            # the attempt count, then release the claim — conditionally,
-            # so a concurrent heartbeat renewal (the worker lives) wins.
-            self._put_json(f"pending/{name}.json", {"attempts": attempts})
-            if self._delete(f"claims/{name}.json", if_match=etag):
+            # One batch: re-create the ticket if a crashed settle removed
+            # it, fold in the attempt count, then release the claim —
+            # conditionally, so a concurrent heartbeat renewal (the worker
+            # lives) wins and the job is not reported requeued.
+            _, released = self.transport.mutate_many([
+                ("put", f"pending/{name}.json",
+                 json_dumps_bytes({"attempts": attempts}), ANY),
+                ("delete", f"claims/{name}.json", etag),
+            ])
+            if released:
                 requeued.append(key)
         if requeued:
             self.registry.counter("queue_lease_expiries_total").inc(
@@ -860,7 +860,10 @@ class WorkQueue:
         them), which would strand a persistent queue forever without
         this.  Restricts to ``keys`` when given; returns the keys
         actually revived (jobs whose spec record is unreadable cannot run
-        and stay buried).
+        and stay buried).  Every revival lands in one ``mutate_many``:
+        the fresh tickets first, then the dead-record deletes — a crash
+        mid-batch can leave a job both pending and buried (the next call
+        revives it again), never neither.
         """
         wanted = None if keys is None else set(keys)
         buried = [key for key in self._names("dead")
@@ -869,10 +872,12 @@ class WorkQueue:
             [f"results/{key}.json" for key in buried]
             + [f"jobs/{key}.json" for key in buried])
         revived: List[str] = []
+        tickets: List[Tuple] = []
+        deletes: List[Tuple] = []
         for key, result_doc, job_doc in zip(buried, probes[:len(buried)],
                                             probes[len(buried):]):
-            if result_doc is not None:
-                self._delete(f"dead/{key}.json")  # already computed
+            if result_doc is not None:  # already computed
+                deletes.append(("delete", f"dead/{key}.json", None))
                 continue
             record = (json_loads_or_none(job_doc[0])
                       if job_doc is not None else None)
@@ -881,9 +886,12 @@ class WorkQueue:
             name = record.get("name") or (
                 f"{priority_for_cost(float(record.get('cost', 0.0) or 0.0))}"
                 f"-{key}")
-            self._put_json(f"pending/{name}.json", {"attempts": 0})
-            self._delete(f"dead/{key}.json")
+            tickets.append(("put", f"pending/{name}.json",
+                            json_dumps_bytes({"attempts": 0}), ANY))
+            deletes.append(("delete", f"dead/{key}.json", None))
             revived.append(key)
+        if tickets or deletes:
+            self.transport.mutate_many(tickets + deletes)
         return revived
 
     # -- inspection --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""An HTTP broker serving the S3-style queue-transport dialect.
+"""An HTTP broker serving the queue-transport dialect.
 
 Runnable as a module::
 
@@ -24,29 +24,29 @@ Design:
   thousand parked OS threads) and parses requests off them; all request
   semantics live in :class:`BrokerDialect`, a dispatcher from parsed
   requests to replies.
-* **Requests serialize.**  Conditional PUT/DELETE (``If-Match`` /
-  ``If-None-Match: *``) must be atomic even over the read-check-write
-  filesystem transport.  The dialect answers every request under one
-  lock; since the dialect only ever runs on the event-loop thread the
-  lock is uncontended, and it keeps each request an exclusive section of
-  the store however the dialect is driven.
+* **Requests serialize.**  Conditional writes and deletes (``if_match``
+  / ``if_none_match: "*"``) must be atomic even over the
+  read-check-write filesystem transport.  The dialect answers every
+  request under one lock; since the dialect only ever runs on the
+  event-loop thread the lock is uncontended, and it keeps each request
+  an exclusive section of the store however the dialect is driven.
 * **Server-side claim.**  ``POST /claim`` runs the queue's whole
   scan-probe-CAS claim pass (:func:`repro.campaign.dist.queue.
   claim_first_over`) broker-side, collapsing the claim's four round
   trips into one.
 * **Batching.**  ``POST /batch`` executes many conditional operations
   from one request body in order, returning a per-op status — one round
-  trip for what used to be dozens.  Batches are not transactions: each
-  op succeeds or conflicts individually.
+  trip for what used to be dozens, and the only route that reads or
+  writes keys (a single ``get`` is a one-op batch).  Batches are not
+  transactions: each op succeeds or conflicts individually.
 * **Pagination.**  ``GET /list`` serves bounded keyset pages
   (``max-keys``, default and cap :data:`MAX_LIST_PAGE`, and
   ``start-after``), so heartbeat and autoscale scans fetch bounded pages
   and deletions between pages never skip survivors.
 * **Dialect** (see :class:`~repro.campaign.dist.transport.HttpTransport`):
-  ``GET/PUT/DELETE /k/<key>`` with ``ETag``/``If-Match``/``If-None-Match``
-  headers, ``GET /list?prefix=<p>`` → ``{"keys": [...]}``,
-  ``POST /batch``, ``POST /claim``, ``GET /healthz`` for liveness
-  probes and ``GET /stats`` for the telemetry snapshot the
+  ``POST /batch``, ``POST /claim``, ``GET /list?prefix=<p>`` →
+  ``{"keys": [...]}``, ``GET /healthz`` for liveness probes and
+  ``GET /stats`` for the telemetry snapshot the
   ``python -m repro.campaign.dist.stats`` dashboard polls (per-route
   request counts and latency histograms, in-flight gauge, bytes in/out,
   claim outcomes — all from the per-dialect
@@ -79,14 +79,11 @@ from repro.campaign.jsonio import json_dumps_bytes, json_loads_or_none
 from repro.campaign.obs import MetricsRegistry, StructLogger
 from repro.campaign.dist.queue import claim_first_over
 from repro.campaign.dist.transport import (
+    MAX_LIST_PAGE,
     FsTransport,
     MemoryTransport,
     QueueTransport,
 )
-
-#: Page size of a ``/list`` request without ``max-keys``, and the upper
-#: bound the broker clamps a ``max-keys`` request parameter to.
-MAX_LIST_PAGE = 10000
 
 #: Upper bound on operations accepted in one ``/batch`` request.
 MAX_BATCH_OPS = 1024
@@ -100,25 +97,22 @@ SERVER_VERSION = "repro-queue-broker/3.0"
 
 
 class _Reply:
-    """One response from the dialect: status, body, optional ETag."""
+    """One response from the dialect: status and body."""
 
-    __slots__ = ("status", "body", "etag", "close")
+    __slots__ = ("status", "body")
 
-    def __init__(self, status: int, body: bytes = b"",
-                 etag: Optional[str] = None, close: bool = False):
+    def __init__(self, status: int, body: bytes = b""):
         self.status = status
         self.body = body
-        self.etag = etag
-        self.close = close
 
 
 class BrokerDialect:
     """The broker's request semantics, independent of socket handling.
 
     The event loop parses bytes off its sockets and hands
-    ``(method, target, headers, body)`` to :meth:`handle`; everything the
-    wire dialect *means* — key operations, listings, batches, the
-    server-side claim — lives here.
+    ``(method, target, body)`` to :meth:`handle`; everything the
+    wire dialect *means* — batches, listings, the server-side claim —
+    lives here.
 
     Test hook (used by the regression suites, harmless in production):
 
@@ -141,9 +135,9 @@ class BrokerDialect:
         self.started_at = time.time()
         self.log = StructLogger("broker", enabled=verbose)
         self.registry = MetricsRegistry()
-        # Held around each request's dispatch: a conditional PUT/DELETE
-        # is a read-check-write on the filesystem store and must not
-        # interleave with another request's.
+        # Held around each request's dispatch: a conditional write or
+        # delete is a read-check-write on the filesystem store and must
+        # not interleave with another request's.
         self._lock = threading.Lock()
         self._requests = self.registry.counter(
             "broker_requests_total", "requests served, by route/method/status")
@@ -159,19 +153,16 @@ class BrokerDialect:
             "broker_claims_total", "POST /claim outcomes")
 
     @staticmethod
-    def _route(method: str, path: str) -> str:
-        """Collapse the target into a bounded label set (every ``/k/...``
-        key is one route — labels must not grow with the keyspace)."""
-        if path.startswith("/k/"):
-            return "/k"
+    def _route(path: str) -> str:
+        """Collapse the target into a bounded label set (labels must not
+        grow with whatever paths clients send)."""
         if path in ("/healthz", "/list", "/batch", "/claim", "/stats"):
             return path
         return "other"
 
     # -- dispatch ----------------------------------------------------------
-    def handle(self, method: str, target: str,
-               headers: Dict[str, str], body: bytes) -> _Reply:
-        """Answer one parsed request.  ``headers`` keys are lowercase.
+    def handle(self, method: str, target: str, body: bytes) -> _Reply:
+        """Answer one parsed request.
 
         This wrapper is the metering point: per-route request counts,
         latency, in-flight level, body bytes in and out, plus the
@@ -179,13 +170,13 @@ class BrokerDialect:
         program output).
         """
         parsed = urllib.parse.urlsplit(target)
-        route = self._route(method, parsed.path)
+        route = self._route(parsed.path)
         self._inflight.inc()
         start = time.perf_counter()
         try:
             with self._lock:
                 reply = self._dispatch(method, parsed.path, parsed.query,
-                                       headers, body)
+                                       body)
         finally:
             elapsed = time.perf_counter() - start
             self._inflight.dec()
@@ -201,7 +192,7 @@ class BrokerDialect:
         return reply
 
     def _dispatch(self, method: str, path: str, query: str,
-                  headers: Dict[str, str], body: bytes) -> _Reply:
+                  body: bytes) -> _Reply:
         if method == "GET":
             if path == "/healthz":
                 return _Reply(200, json_dumps_bytes({"ok": True}))
@@ -209,11 +200,7 @@ class BrokerDialect:
                 return self._list(query)
             if path == "/stats":
                 return self._stats()
-            return self._get(path)
-        if method == "PUT":
-            return self._put(path, headers, body)
-        if method == "DELETE":
-            return self._delete(path, headers)
+            return _Reply(404)
         if method == "POST":
             if path == "/batch":
                 return self._batch(body)
@@ -242,48 +229,6 @@ class BrokerDialect:
             "metrics": self.registry.snapshot(),
         }
         return _Reply(200, json_dumps_bytes(payload))
-
-    @staticmethod
-    def _key(path: str) -> Optional[str]:
-        if not path.startswith("/k/"):
-            return None
-        return urllib.parse.unquote(path[len("/k/"):])
-
-    # -- point operations --------------------------------------------------
-    def _get(self, path: str) -> _Reply:
-        key = self._key(path)
-        if key is None:
-            return _Reply(404)
-        got = self.store.get(key)
-        if got is None:
-            return _Reply(404)
-        data, etag = got
-        return _Reply(200, data, etag=etag)
-
-    def _put(self, path: str, headers: Dict[str, str],
-             body: bytes) -> _Reply:
-        key = self._key(path)
-        if key is None:
-            return _Reply(404)
-        if_match = headers.get("if-match")
-        if headers.get("if-none-match") == "*":
-            etag = self.store.cas(key, body, if_match=None)
-        elif if_match is not None:
-            etag = self.store.cas(key, body, if_match=if_match)
-        else:
-            etag = self.store.put(key, body)
-        if etag is None:
-            return _Reply(412)
-        return _Reply(200, etag=etag)
-
-    def _delete(self, path: str, headers: Dict[str, str]) -> _Reply:
-        key = self._key(path)
-        if key is None:
-            return _Reply(404)
-        existed = self.store.get(key) is not None
-        if self.store.delete(key, if_match=headers.get("if-match")):
-            return _Reply(204)
-        return _Reply(412 if existed else 404)
 
     # -- /list -------------------------------------------------------------
     def _list(self, query_string: str) -> _Reply:
@@ -329,10 +274,10 @@ class BrokerDialect:
     def _apply(self, op: Any) -> Dict[str, Any]:
         """Execute one batch op.
 
-        Per-op statuses mirror the single-request dialect exactly:
-        ``get`` → 200 (``etag`` + base64 ``data``) / 404; ``put`` →
-        200 (``etag``) / 412; ``delete`` → 204 / 404 / 412.  A malformed
-        op is a per-op 400 — the rest of the batch still applies.
+        Per-op statuses follow HTTP conventions: ``get`` → 200
+        (``etag`` + base64 ``data``) / 404; ``put`` → 200 (``etag``) /
+        412; ``delete`` → 204 / 404 / 412.  A malformed op is a per-op
+        400 — the rest of the batch still applies.
         """
         if not isinstance(op, dict):
             return {"status": 400, "error": "op must be an object"}
@@ -492,7 +437,7 @@ async def _read_request(reader: asyncio.StreamReader
     return method, target, version, headers, body
 
 
-def _render_response(status: int, body: bytes, etag: Optional[str],
+def _render_response(status: int, body: bytes,
                      announce_close: bool) -> bytes:
     """One response as a single ``bytes`` — headers and body leave in one
     ``write`` (with TCP_NODELAY there is no Nagle stall to dodge, but one
@@ -501,8 +446,6 @@ def _render_response(status: int, body: bytes, etag: Optional[str],
     lines = [f"HTTP/1.1 {status} {reason}",
              f"Server: {SERVER_VERSION}",
              f"Content-Length: {len(body)}"]
-    if etag:
-        lines.append(f"ETag: {etag}")
     if announce_close:
         lines.append("Connection: close")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
@@ -522,7 +465,7 @@ async def _serve_connection(dialect: BrokerDialect,
                 writer.write(_render_response(
                     400,
                     json_dumps_bytes({"error": "malformed request"}),
-                    None, announce_close=True))
+                    announce_close=True))
                 await writer.drain()
             except (ConnectionError, OSError):
                 pass
@@ -534,10 +477,10 @@ async def _serve_connection(dialect: BrokerDialect,
             return  # clean EOF between requests
         method, target, version, headers, body = request
         try:
-            reply = dialect.handle(method, target, headers, body)
+            reply = dialect.handle(method, target, body)
         except Exception:  # noqa: BLE001 - a handler bug must not kill the loop
             reply = _Reply(500)
-        close = (reply.close or version == "HTTP/1.0"
+        close = (version == "HTTP/1.0"
                  or headers.get("connection", "").strip().lower() == "close")
         announce = close
         if dialect.force_close:
@@ -548,7 +491,7 @@ async def _serve_connection(dialect: BrokerDialect,
         # — verbose output never interleaves with program stdout.
         try:
             writer.write(_render_response(reply.status, reply.body,
-                                          reply.etag, announce))
+                                          announce))
             await writer.drain()
         except (ConnectionError, OSError):
             return
@@ -696,9 +639,9 @@ def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign.dist.server",
         description="HTTP broker for distributed campaign work queues "
-                    "(S3-style GET/PUT/DELETE with ETag conditional "
-                    "requests, /batch, /claim and paginated /list; see "
-                    "docs/distributed.md).")
+                    "(conditional reads and writes in POST /batch, "
+                    "server-side POST /claim and paginated GET /list; "
+                    "see docs/distributed.md).")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default 127.0.0.1; use 0.0.0.0 "
                              "to accept remote workers)")

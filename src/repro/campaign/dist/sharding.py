@@ -32,16 +32,19 @@ hard error instead of a silently split keyspace.
 Scatter-gather
 --------------
 
-``list`` k-way-merges the children's sorted listings; ``list_page``
-fetches one page per shard from the same global ``start_after``, merges,
-and returns the first ``max_keys`` keys — the continuation token stays a
-plain *keyset* token (the last key returned), valid because every key a
-shard did not ship is provably greater than the merged page's last key.
-``get_many`` / ``put_many`` / ``delete_many`` / ``mutate_many`` group
-items per shard, ride each child's native batch path, and reassemble
-outcomes in input order (same-key ops co-locate, so per-key ordering
-survives).  Batches spanning shards are *not* transactions — but they
-never were on a single broker either (per-item outcomes).
+The router implements the three contract primitives and inherits every
+derived operation (a ``get`` is a one-key ``get_many``, a ``put`` a one-op
+``mutate_many``, a full ``list`` a ``list_page`` walk), so each of them
+runs through the same breaker funnel and epoch handshake.
+``list_page`` fetches one page per shard from the same global
+``start_after``, merges, and returns the first ``max_keys`` keys — the
+continuation token stays a plain *keyset* token (the last key returned),
+valid because every key a shard did not ship is provably greater than the
+merged page's last key.  ``get_many`` / ``mutate_many`` group items per
+shard, ride each child's native batch path, and reassemble outcomes in
+input order (same-key ops co-locate, so per-key ordering survives).
+Batches spanning shards are *not* transactions — but they never were on
+a single broker either (per-item outcomes).
 
 ``claim_first`` round-robins the shards (a rotating starting offset per
 router, so idle polls spread load) and returns the first shard's claim.
@@ -71,8 +74,8 @@ The degraded-mode contract (see ``docs/robustness.md``):
   unreachable/open-circuit shards and serves the healthy ring, so
   fleet-wide longest-job-first degrades to *longest-available-first*;
   it raises only when **no** shard answers.
-* **reads are strict by default** — scatter-gather ``list`` /
-  ``list_page`` / ``get_many`` raise fast naming the dead shard
+* **reads are strict by default** — scatter-gather ``list_page`` /
+  ``get_many`` (and so ``list`` / ``get``) raise fast naming the dead shard
   (correctness-preserving: a partial listing must not masquerade as the
   whole keyspace).  Under ``degraded_reads=True`` they return partial
   results tagged as :class:`~repro.campaign.dist.transport.
@@ -446,66 +449,7 @@ class ShardedTransport(QueueTransport):
                 f"before re-pointing",
                 address=getattr(shard, "address", None))
 
-    # -- point operations --------------------------------------------------
-    def _point(self, op: str, key: str, call):
-        index = self.shard_index(key)
-        self._ops.inc(op=op, shard=self.identities[index])
-        return self._shard_call(index, op,
-                                lambda: call(self.shards[index]))
-
-    def get(self, key: str) -> Optional[Tuple[bytes, str]]:
-        return self._point("get", key, lambda shard: shard.get(key))
-
-    def put(self, key: str, data: bytes) -> str:
-        return self._point("put", key, lambda shard: shard.put(key, data))
-
-    def cas(self, key: str, data: bytes,
-            if_match: Optional[str]) -> Optional[str]:
-        return self._point(
-            "cas", key, lambda shard: shard.cas(key, data,
-                                                if_match=if_match))
-
-    def delete(self, key: str, if_match: Optional[str] = None) -> bool:
-        return self._point(
-            "delete", key, lambda shard: shard.delete(key,
-                                                      if_match=if_match))
-
-    def list(self, prefix: str) -> List[str]:
-        """Merged sorted listing across every shard.
-
-        Keys are disjoint by routing, except intentionally replicated
-        documents (``meta/epoch``), which are deduplicated here.  An
-        unreachable shard raises (naming it) unless ``degraded_reads``:
-        then the reachable shards' merge is returned as a
-        :class:`~repro.campaign.dist.transport.DegradedResult`.
-        """
-        self._ops.inc(op="list", shard="*")
-        listings: List[List[str]] = []
-        missing: List[str] = []
-        for index in range(len(self.shards)):
-            try:
-                listings.append(self._shard_call(
-                    index, "list",
-                    lambda i=index: self.shards[i].list(prefix)))
-            except EpochMismatch:
-                raise
-            except TransportError:
-                if not self.degraded_reads:
-                    raise
-                missing.append(self.identities[index])
-        if missing and not listings:
-            raise TransportError(
-                f"all {len(self.shards)} shards unreachable listing "
-                f"{prefix!r} ({', '.join(missing)})", address=self.address)
-        merged: List[str] = []
-        for key in _merge_sorted(listings):
-            if not merged or key != merged[-1]:
-                merged.append(key)
-        if missing:
-            return DegradedResult(merged, missing_shards=missing)
-        return merged
-
-    # -- batch / pagination ------------------------------------------------
+    # -- the primitives ----------------------------------------------------
     def get_many(self, keys: Sequence[str]
                  ) -> List[Optional[Tuple[bytes, str]]]:
         keys = list(keys)
@@ -537,36 +481,6 @@ class ShardedTransport(QueueTransport):
             # from absent keys except through the marker, which is why
             # correctness-critical callers must check is_degraded().
             return DegradedResult(out, missing_shards=missing)
-        return out
-
-    def put_many(self, items: Sequence[Tuple[str, bytes, Optional[str]]]
-                 ) -> List[Optional[str]]:
-        items = list(items)
-        out: List[Optional[str]] = [None] * len(items)
-        for index, positions in self._group(
-                [key for key, _, _ in items]).items():
-            self._ops.inc(op="put_many", shard=self.identities[index])
-            tags = self._shard_call(
-                index, "put_many",
-                lambda i=index, p=positions: self.shards[i].put_many(
-                    [items[q] for q in p]))
-            for position, tag in zip(positions, tags):
-                out[position] = tag
-        return out
-
-    def delete_many(self, items: Sequence[Tuple[str, Optional[str]]]
-                    ) -> List[bool]:
-        items = list(items)
-        out: List[bool] = [False] * len(items)
-        for index, positions in self._group(
-                [key for key, _ in items]).items():
-            self._ops.inc(op="delete_many", shard=self.identities[index])
-            oks = self._shard_call(
-                index, "delete_many",
-                lambda i=index, p=positions: self.shards[i].delete_many(
-                    [items[q] for q in p]))
-            for position, ok in zip(positions, oks):
-                out[position] = ok
         return out
 
     def mutate_many(self, ops: Sequence[Tuple]) -> List[object]:
@@ -603,9 +517,12 @@ class ShardedTransport(QueueTransport):
         that shard's last shipped key, which is >= the page's last key —
         so ``start_after=token`` never skips a surviving key, and keys
         deleted or inserted between pages behave exactly as on a single
-        store.  Unreachable shards raise, or under ``degraded_reads``
-        tag the page as a partial
-        :class:`~repro.campaign.dist.transport.DegradedResult`.
+        store.  Keys are disjoint by routing, except intentionally
+        replicated documents (``meta/epoch``), which the merge
+        deduplicates.  Unreachable shards raise, or under
+        ``degraded_reads`` tag the page as a partial
+        :class:`~repro.campaign.dist.transport.DegradedResult` — which
+        the derived ``list`` carries through to the whole listing.
         """
         self._ops.inc(op="list_page", shard="*")
         max_keys = max(1, int(max_keys))
@@ -632,7 +549,7 @@ class ShardedTransport(QueueTransport):
                 f"all {len(self.shards)} shards unreachable paging "
                 f"{prefix!r} ({', '.join(missing)})", address=self.address)
         merged: List[str] = []
-        for key in _merge_sorted(pages):
+        for key in heapq.merge(*pages):
             if not merged or key != merged[-1]:
                 merged.append(key)
         page = merged[:max_keys]
@@ -729,9 +646,9 @@ class ShardedTransport(QueueTransport):
     def stats(self) -> Dict[str, Optional[dict]]:
         """Per-shard ``GET /stats`` snapshots keyed by shard identity.
 
-        Shards without a ``stats`` endpoint (in-memory, filesystem, old
-        brokers) — and shards that are unreachable right now — report
-        ``None``: the caller aggregates what exists.  Deliberately
+        Shards without a ``stats`` endpoint (in-memory, filesystem) — and
+        shards that are unreachable right now — report ``None``: the
+        caller aggregates what exists.  Deliberately
         outside the breaker/epoch funnel: a telemetry probe must neither
         trip circuits nor write epoch stamps.
         """
@@ -755,11 +672,6 @@ class ShardedTransport(QueueTransport):
 
     def __repr__(self) -> str:
         return f"ShardedTransport({self.identities!r})"
-
-
-def _merge_sorted(runs: Sequence[List[str]]):
-    """K-way merge of sorted string runs."""
-    return heapq.merge(*runs)
 
 
 def split_shard_urls(address: str) -> Optional[List[str]]:

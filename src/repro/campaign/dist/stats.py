@@ -24,11 +24,10 @@ per shard.  The dashboard polls per-shard transports directly rather
 than constructing a router, because the router's epoch handshake writes
 ``meta/epoch`` — and a dashboard must never write.
 
-Against a broker that predates ``GET /stats`` the server columns degrade
-to ``-`` and the queue-depth columns keep working.  An *unreachable*
-shard renders as a ``DOWN`` row while the aggregate line keeps summing
-the reachable shards (``N/M shards``) — a dashboard watching a degraded
-fleet must show the degradation, not die of it.  Exit status: ``0``
+An *unreachable* shard — or a URL that is not a broker — renders as a
+``DOWN`` row while the aggregate line keeps summing the reachable shards
+(``N/M shards``) — a dashboard watching a degraded fleet must show the
+degradation, not die of it.  Exit status: ``0``
 after a clean run, ``2`` on usage errors, ``3`` only when **no** shard
 answers.
 """
@@ -132,24 +131,22 @@ class _ShardSample:
     def __init__(self, transport: HttpTransport):
         self.down = False
         self.error: Optional[str] = None
-        self.stats = transport.stats()       # None against an old broker
+        stats = transport.stats()
         self.depths = queue_depths(transport)
         self.workers = worker_reports(transport)
-        self.uptime: Optional[float] = None
-        self.requests: Optional[float] = None
         self.rate: Optional[float] = None
-        self.inflight: Optional[float] = None
-        self.bytes_in: Optional[float] = None
-        self.bytes_out: Optional[float] = None
-        if self.stats is not None:
-            server = self.stats.get("server") or {}
-            snapshot = self.stats.get("metrics") or {}
-            self.uptime = float(server.get("uptime_seconds", 0.0))
-            self.requests = counter_total(snapshot, "broker_requests_total")
-            self.inflight = series_value(snapshot, "gauges",
-                                         "broker_inflight_requests")
-            self.bytes_in = counter_total(snapshot, "broker_bytes_in_total")
-            self.bytes_out = counter_total(snapshot, "broker_bytes_out_total")
+        server = stats.get("server") or {}
+        snapshot = stats.get("metrics") or {}
+        self.uptime: Optional[float] = float(
+            server.get("uptime_seconds", 0.0))
+        self.requests: Optional[float] = counter_total(
+            snapshot, "broker_requests_total")
+        self.inflight: Optional[float] = series_value(
+            snapshot, "gauges", "broker_inflight_requests")
+        self.bytes_in: Optional[float] = counter_total(
+            snapshot, "broker_bytes_in_total")
+        self.bytes_out: Optional[float] = counter_total(
+            snapshot, "broker_bytes_out_total")
 
     @classmethod
     def down_sample(cls, error: BaseException) -> "_ShardSample":
@@ -157,7 +154,6 @@ class _ShardSample:
         sample = cls.__new__(cls)
         sample.down = True
         sample.error = f"{type(error).__name__}: {error}"
-        sample.stats = None
         sample.depths = {}
         sample.workers = {}
         sample.uptime = None
@@ -219,7 +215,6 @@ class FleetSampler:
             self.shards = [transport]
         if not self.shards:
             raise ValueError("FleetSampler needs at least one shard")
-        self.transport = self.shards[0]  # single-broker back-compat
         self._prev_requests: List[Optional[float]] = [None] * len(self.shards)
         self._prev_at: List[Optional[float]] = [None] * len(self.shards)
 
@@ -265,7 +260,6 @@ class FleetSampler:
         clock = time.strftime("%H:%M:%S")
         depths = _merge_depths(samples)
         workers = _merge_workers(samples)
-        any_stats = any(sample.stats is not None for sample in samples)
         rate = _sum_or_none([sample.rate for sample in samples])
         uptimes = [sample.uptime for sample in samples
                    if sample.uptime is not None]
@@ -277,8 +271,7 @@ class FleetSampler:
         throughput = sum(float(m.get("jobs_per_second", 0.0))
                          for m in workers.values())
         up_cell = f"{uptime:.0f}s" if uptime is not None else "-"
-        rate_cell = (f"{rate:.1f} req/s" if rate is not None
-                     else ("- req/s" if not any_stats else "... req/s"))
+        rate_cell = f"{rate:.1f} req/s" if rate is not None else "... req/s"
         inflight_cell = (f"{inflight:.0f}" if inflight is not None else "-")
         summary = (f"{clock} up {up_cell} | {rate_cell} "
                    f"| inflight {inflight_cell} "
@@ -298,9 +291,7 @@ class FleetSampler:
                 rows.append(f"  shard {url} | DOWN ({sample.error})")
                 continue
             shard_rate = (f"{sample.rate:.1f} req/s"
-                          if sample.rate is not None
-                          else ("- req/s" if sample.stats is None
-                                else "... req/s"))
+                          if sample.rate is not None else "... req/s")
             rows.append(
                 f"  shard {url} "
                 f"| {shard_rate} "

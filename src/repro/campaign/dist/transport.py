@@ -5,8 +5,8 @@ is a state machine over *opaque keys* holding small JSON documents, and
 the result cache (:class:`~repro.campaign.cache.TransportResultCache`) and
 persisted cost model ride the same seam — one storage contract carries a
 whole campaign's durable state.  This module defines that contract —
-point operations modelled on an S3-style object store, plus batch and
-pagination primitives for throughput — and three implementations:
+three batch-shaped primitives modelled on an S3-style object store — and
+three implementations:
 
 * :class:`FsTransport` — keys are files under a root directory (the
   original shared-filesystem queue; any number of processes/hosts sharing
@@ -14,61 +14,36 @@ pagination primitives for throughput — and three implementations:
 * :class:`MemoryTransport` — keys in a lock-protected dict (fast tests and
   single-process thread fleets; truly atomic CAS);
 * :class:`HttpTransport` — keys served by the
-  :mod:`repro.campaign.dist.server` broker over a minimal S3-style REST
-  dialect (``GET``/``PUT``/``DELETE`` plus ``?prefix=`` listing), with
-  conditional ``PUT``/``DELETE`` via ``ETag``/``If-Match`` headers, over
-  a pooled keep-alive connection per thread.
+  :mod:`repro.campaign.dist.server` broker: reads and writes travel as
+  ``POST /batch`` requests, listings as ``GET /list`` pages, over a
+  pooled keep-alive connection per thread.
 
 The contract
 ------------
 
-``get(key)``
-    Return ``(data, etag)`` or ``None`` if the key is absent.
-``put(key, data)``
-    Unconditional atomic write; returns the new ETag.
-``cas(key, data, if_match)``
-    Conditional write.  ``if_match=None`` means *create: the key must not
-    exist* (HTTP ``If-None-Match: *``) — this is the primitive every
-    mutual-exclusion decision in the queue (claiming a job, creating the
-    queue config) rests on, and all three transports implement it
-    atomically.  A string ``if_match`` means *the current ETag must equal
-    it* (HTTP ``If-Match``).  Returns the new ETag, or ``None`` on
-    conflict.
-``delete(key, if_match=None)``
-    Remove a key, optionally only if its ETag still matches.  Returns
-    ``True`` if the key was removed.
-``list(prefix)``
-    Sorted keys beginning with ``prefix``.
-
-Batch and pagination primitives (defaulted on the base class as loops
-over the point operations, so third-party transports that implement only
-those keep working; overridden where a backend has something faster —
-``MemoryTransport`` runs each batch under one lock acquisition,
-``HttpTransport`` ships each batch as one ``/batch`` request and each
-listing as bounded pages, ``FsTransport`` batches directory creation in
-``put_many`` while its point-op loops are already native for a local
-filesystem):
+A transport implements three primitives:
 
 ``get_many(keys)``
-    One ``get`` outcome per key, in order.  Over HTTP this is a single
-    ``/batch`` request instead of a round trip per key.
-``put_many(items)``
-    Each item is ``(key, data, condition)`` where ``condition`` carries
-    its own write condition: ``None`` → conditional create (the key must
-    not exist), an ETag string → conditional update, :data:`ANY` →
-    unconditional write.  Returns one ETag-or-``None`` (conflict) per
-    item, in order; items apply *in order*, so a caller's commit-point
-    sequencing survives batching.
-``delete_many(items)``
-    Each item is ``(key, if_match_or_None)``; returns one bool per item.
+    One outcome per key, in order: ``(data, etag)``, or ``None`` when the
+    key is absent.
 ``mutate_many(ops)``
-    A *mixed* ordered batch of writes and deletes: each op is
-    ``("put", key, data, condition)`` (condition as in ``put_many``) or
-    ``("delete", key, if_match_or_None)``.  Returns one outcome per op —
-    ETag-or-``None`` for puts, bool for deletes.  This is what lets the
-    queue settle a finished job (write result + done marker, delete
-    pending ticket + claim) in *one* broker round trip instead of a
-    ``put_many`` followed by a ``delete_many``.
+    An ordered batch of conditional writes and deletes.  Each op is
+    ``("put", key, data, condition)`` or ``("delete", key, if_match)``,
+    and carries its own condition:
+
+    * a put's ``condition`` is ``None`` — *create: the key must not
+      exist* (HTTP ``If-None-Match: *``), the primitive every
+      mutual-exclusion decision in the queue (claiming a job, creating
+      the queue config) rests on, atomic on all three transports — an
+      ETag string — *update: the current ETag must equal it* (HTTP
+      ``If-Match``) — or :data:`ANY` for an unconditional write;
+    * a delete's ``if_match`` is ``None`` (unconditional) or an ETag.
+
+    Returns one outcome per op, in order: the new ETag (or ``None`` on
+    conflict) for a put, ``True`` when a delete removed the key.  Ops
+    apply *in order*, which is what lets the queue settle a finished job
+    (write result + done marker, delete pending ticket + claim) in *one*
+    broker round trip with the result still its commit point.
 ``list_page(prefix, max_keys, start_after="")``
     One page of the sorted listing: ``(keys, next_token)`` with at most
     ``max_keys`` keys strictly greater than ``start_after``.
@@ -76,6 +51,13 @@ filesystem):
     as the next ``start_after``.  Continuation is *keyset*-based (the
     token is the last key returned), so keys deleted or inserted between
     pages never skip or repeat survivors.
+
+Everything else is derived once, in :class:`QueueTransport`: ``get(key)``
+is a one-key ``get_many``; ``put(key, data)``, ``cas(key, data,
+if_match)`` and ``delete(key, if_match=None)`` are one-op ``mutate_many``
+calls (condition :data:`ANY`, ``if_match`` and ``if_match``); ``list(prefix)``
+walks ``list_page`` in pages of :data:`MAX_LIST_PAGE` keys.  A server-side
+``claim_first``, a ``stats`` probe and ``close`` are optional capabilities.
 
 ETags are content-derived (:func:`etag_of`, a SHA-256 of the bytes): two
 writes of identical bytes share an ETag on every transport, and a broker
@@ -89,7 +71,7 @@ designed so that every ``If-Match`` race degrades to a re-executed job
 (results are content-derived, so re-execution is harmless), never to a
 lost one.  ``MemoryTransport`` and the HTTP broker serialize mutations
 under a lock, so for them every conditional operation is exact.
-Batches are *not* transactions: each item succeeds or conflicts
+Batches are *not* transactions: each op succeeds or conflicts
 individually.
 """
 
@@ -116,10 +98,10 @@ from repro.campaign.jsonio import (
 )
 from repro.campaign.obs import MetricsRegistry, get_registry
 
-#: ``put_many`` condition meaning *unconditional write* (no If-Match /
-#: If-None-Match).  A plain ``"*"`` so it survives JSON serialization in
-#: the ``/batch`` wire format; it can never collide with a real ETag
-#: (ETags are 32 lowercase hex characters).
+#: ``mutate_many`` put condition meaning *unconditional write* (no
+#: If-Match / If-None-Match).  A plain ``"*"`` so it survives JSON
+#: serialization in the ``/batch`` wire format; it can never collide with
+#: a real ETag (ETags are 32 lowercase hex characters).
 ANY = "*"
 
 #: Operations shipped per ``/batch`` request.  Bounds request bodies (a
@@ -127,9 +109,11 @@ ANY = "*"
 #: keeping the round-trip count two orders below per-key operations.
 _BATCH_CHUNK = 256
 
-#: Page size :meth:`HttpTransport.list` uses when reassembling a full
-#: listing from ``/list`` pages.
-_LIST_PAGE = 1000
+#: Page size of the derived :meth:`QueueTransport.list` walk, and the
+#: broker's default and cap for a ``/list`` request's ``max-keys``: a
+#: listing of up to this many keys is one sort in memory, one directory
+#: walk on disk and one ``/list`` round trip over HTTP.
+MAX_LIST_PAGE = 10000
 
 
 class TransportError(Exception):
@@ -198,116 +182,110 @@ def etag_of(data: bytes) -> str:
 class QueueTransport:
     """Abstract storage contract; see the module docstring for semantics.
 
-    Subclasses must implement the five point operations and may advertise
-    an ``address`` — a string another *process* can use to reach the same
+    Subclasses implement the three primitives — :meth:`get_many`,
+    :meth:`mutate_many` and :meth:`list_page` — and may advertise an
+    ``address`` — a string another *process* can use to reach the same
     store (a directory path, an ``http://`` URL).  ``address`` is ``None``
     for in-process-only transports, which tells
     :class:`~repro.campaign.dist.executor.DistributedExecutor` to run its
     fleet as threads instead of spawned worker processes.
 
-    The batch/pagination methods have loop-based defaults here, so a
-    third-party transport that predates them keeps working; the built-in
-    transports override them with native implementations (one lock
-    acquisition, one HTTP request, one directory walk).
+    The point operations (:meth:`get`, :meth:`put`, :meth:`cas`,
+    :meth:`delete`) and the full :meth:`list` are derived here, once, so
+    every backend answers them through its native primitives.
     """
 
     #: How a separate worker process addresses this store (``--queue`` arg);
     #: ``None`` when the store is reachable only from this process.
     address: Optional[str] = None
 
-    def get(self, key: str) -> Optional[Tuple[bytes, str]]:
-        """``(data, etag)`` for ``key``, or ``None`` if absent."""
-        raise NotImplementedError
-
-    def put(self, key: str, data: bytes) -> str:
-        """Unconditional atomic write; returns the new ETag."""
-        raise NotImplementedError
-
-    def cas(self, key: str, data: bytes,
-            if_match: Optional[str]) -> Optional[str]:
-        """Conditional write: create-if-absent (``if_match=None``) or
-        update-if-ETag-matches.  Returns the new ETag, ``None`` on
-        conflict."""
-        raise NotImplementedError
-
-    def delete(self, key: str, if_match: Optional[str] = None) -> bool:
-        """Remove ``key`` (optionally only at a matching ETag); ``True``
-        when something was removed."""
-        raise NotImplementedError
-
-    def list(self, prefix: str) -> List[str]:
-        """Sorted keys beginning with ``prefix``."""
-        raise NotImplementedError
-
-    # -- batch / pagination defaults ---------------------------------------
+    # -- the three primitives ----------------------------------------------
     def get_many(self, keys: Sequence[str]
                  ) -> List[Optional[Tuple[bytes, str]]]:
-        """One :meth:`get` outcome per key, in order."""
-        return [self.get(key) for key in keys]
-
-    def put_many(self, items: Sequence[Tuple[str, bytes, Optional[str]]]
-                 ) -> List[Optional[str]]:
-        """Apply ``(key, data, condition)`` writes *in order*; one
-        ETag-or-``None`` per item.  ``condition`` is ``None`` (create),
-        an ETag (update) or :data:`ANY` (unconditional)."""
-        out: List[Optional[str]] = []
-        for key, data, condition in items:
-            if condition == ANY:
-                out.append(self.put(key, data))
-            else:
-                out.append(self.cas(key, data, if_match=condition))
-        return out
-
-    def delete_many(self, items: Sequence[Tuple[str, Optional[str]]]
-                    ) -> List[bool]:
-        """Apply ``(key, if_match)`` deletes in order; one bool per item."""
-        return [self.delete(key, if_match=if_match)
-                for key, if_match in items]
+        """One ``(data, etag)``-or-``None`` outcome per key, in order."""
+        raise NotImplementedError
 
     def mutate_many(self, ops: Sequence[Tuple]) -> List[object]:
         """Apply a mixed ordered batch of writes and deletes.
 
-        Each op is ``("put", key, data, condition)`` — condition as in
-        :meth:`put_many` — or ``("delete", key, if_match)``.  Returns one
-        outcome per op, in order: ETag-or-``None`` for puts, bool for
-        deletes.  Like the other batches this is not a transaction; each
-        op succeeds or conflicts individually, in order.
+        Each op is ``("put", key, data, condition)`` — condition ``None``
+        (create), an ETag (update) or :data:`ANY` (unconditional) — or
+        ``("delete", key, if_match)``.  Returns one outcome per op, in
+        order: ETag-or-``None`` for puts, bool for deletes.  Not a
+        transaction; each op succeeds or conflicts individually, in
+        order.
         """
-        out: List[object] = []
-        for op in ops:
-            if op[0] == "put":
-                _, key, data, condition = op
-                if condition == ANY:
-                    out.append(self.put(key, data))
-                else:
-                    out.append(self.cas(key, data, if_match=condition))
-            elif op[0] == "delete":
-                _, key, if_match = op
-                out.append(self.delete(key, if_match=if_match))
-            else:
-                raise ValueError(f"unknown mutate_many op: {op[0]!r}")
-        return out
+        raise NotImplementedError
 
     def list_page(self, prefix: str, max_keys: int,
                   start_after: str = "") -> Tuple[List[str], Optional[str]]:
         """One sorted page of at most ``max_keys`` keys after
         ``start_after``; ``(keys, next_token)`` with ``next_token=None``
         on the final page."""
-        max_keys = max(1, int(max_keys))
-        keys = [key for key in self.list(prefix) if key > start_after]
-        page = keys[:max_keys]
-        if len(keys) > max_keys:
-            return page, page[-1]
-        return page, None
+        raise NotImplementedError
+
+    # -- derived operations ------------------------------------------------
+    def get(self, key: str) -> Optional[Tuple[bytes, str]]:
+        """``(data, etag)`` for ``key``, or ``None`` if absent."""
+        return self.get_many([key])[0]
+
+    def put(self, key: str, data: bytes) -> str:
+        """Unconditional atomic write; returns the new ETag."""
+        return self.mutate_many([("put", key, data, ANY)])[0]
+
+    def cas(self, key: str, data: bytes,
+            if_match: Optional[str]) -> Optional[str]:
+        """Conditional write: create-if-absent (``if_match=None``) or
+        update-if-ETag-matches.  Returns the new ETag, ``None`` on
+        conflict."""
+        return self.mutate_many([("put", key, data, if_match)])[0]
+
+    def delete(self, key: str, if_match: Optional[str] = None) -> bool:
+        """Remove ``key`` (optionally only at a matching ETag); ``True``
+        when something was removed."""
+        return self.mutate_many([("delete", key, if_match)])[0]
+
+    def list(self, prefix: str) -> List[str]:
+        """Sorted keys beginning with ``prefix``, walked in pages of
+        :data:`MAX_LIST_PAGE` keys.
+
+        A degraded page (a sharded listing with unreachable shards) makes
+        the whole listing a :class:`DegradedResult` naming every shard
+        any page was missing.
+        """
+        keys: List[str] = []
+        missing: List[str] = []
+        start_after = ""
+        while True:
+            page, token = self.list_page(prefix, MAX_LIST_PAGE,
+                                         start_after=start_after)
+            keys.extend(page)
+            for shard in getattr(page, "missing_shards", ()):
+                if shard not in missing:
+                    missing.append(shard)
+            if token is None:
+                break
+            start_after = token
+        if missing:
+            return DegradedResult(keys, missing_shards=missing)
+        return keys
+
+
+def _page_of(keys: List[str], max_keys: int
+             ) -> Tuple[List[str], Optional[str]]:
+    """The first ``max_keys`` of the sorted ``keys`` plus the keyset
+    continuation token (``None`` when nothing is left)."""
+    page = keys[:max_keys]
+    return page, (page[-1] if len(keys) > max_keys else None)
 
 
 class MemoryTransport(QueueTransport):
     """In-process store: a dict under a lock.
 
     The reference implementation of the contract — every conditional
-    operation is exact, and every batch runs under *one* lock acquisition
-    — and the fastest one, for unit tests and single-process thread
-    fleets (``DistributedExecutor`` runs worker threads when the
+    operation is exact, and every primitive runs under *one* lock
+    acquisition — and the fastest one, for unit tests and single-process
+    thread fleets (``DistributedExecutor`` runs worker threads when the
     transport has no ``address``).
 
     >>> t = MemoryTransport()
@@ -325,13 +303,15 @@ class MemoryTransport(QueueTransport):
     >>> t.delete("a/1")
     True
 
-    Batch primitives carry a per-item condition (``None`` create, ETag
+    ``mutate_many`` ops carry their own condition (``None`` create, ETag
     update, :data:`ANY` unconditional) and apply in order:
 
-    >>> tags = t.put_many([("b/1", b"x", None), ("b/1", b"y", None),
-    ...                    ("b/2", b"z", ANY)])
-    >>> [tag is not None for tag in tags]
-    [True, False, True]
+    >>> out = t.mutate_many([("put", "b/1", b"x", None),
+    ...                      ("put", "b/1", b"y", None),
+    ...                      ("put", "b/2", b"z", ANY),
+    ...                      ("delete", "b/1", "stale")])
+    >>> out == [etag_of(b"x"), None, etag_of(b"z"), False]
+    True
     >>> t.get_many(["b/1", "b/2", "b/3"]) == [
     ...     (b"x", etag_of(b"x")), (b"z", etag_of(b"z")), None]
     True
@@ -339,15 +319,6 @@ class MemoryTransport(QueueTransport):
     (['b/1'], 'b/1')
     >>> t.list_page("b/", max_keys=1, start_after="b/1")
     (['b/2'], None)
-    >>> t.delete_many([("b/1", "stale"), ("b/2", None)])
-    [False, True]
-
-    ``mutate_many`` mixes writes and deletes in one ordered batch:
-
-    >>> out = t.mutate_many([("put", "c/1", b"r", ANY),
-    ...                      ("delete", "b/1", None)])
-    >>> out == [etag_of(b"r"), True]
-    True
     """
 
     address = None
@@ -355,21 +326,6 @@ class MemoryTransport(QueueTransport):
     def __init__(self):
         self._data: Dict[str, bytes] = {}
         self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[Tuple[bytes, str]]:
-        with self._lock:
-            data = self._data.get(key)
-        return None if data is None else (data, etag_of(data))
-
-    def put(self, key: str, data: bytes) -> str:
-        with self._lock:
-            self._data[key] = data
-        return etag_of(data)
-
-    def cas(self, key: str, data: bytes,
-            if_match: Optional[str]) -> Optional[str]:
-        with self._lock:
-            return self._cas_locked(key, data, if_match)
 
     def _cas_locked(self, key: str, data: bytes,
                     if_match: Optional[str]) -> Optional[str]:
@@ -382,10 +338,6 @@ class MemoryTransport(QueueTransport):
         self._data[key] = data
         return etag_of(data)
 
-    def delete(self, key: str, if_match: Optional[str] = None) -> bool:
-        with self._lock:
-            return self._delete_locked(key, if_match)
-
     def _delete_locked(self, key: str, if_match: Optional[str]) -> bool:
         current = self._data.get(key)
         if current is None:
@@ -395,35 +347,13 @@ class MemoryTransport(QueueTransport):
         del self._data[key]
         return True
 
-    def list(self, prefix: str) -> List[str]:
-        with self._lock:
-            return sorted(k for k in self._data if k.startswith(prefix))
-
-    # -- native batches: one lock acquisition each -------------------------
+    # -- the primitives: one lock acquisition each -------------------------
     def get_many(self, keys: Sequence[str]
                  ) -> List[Optional[Tuple[bytes, str]]]:
         with self._lock:
             found = [self._data.get(key) for key in keys]
         return [None if data is None else (data, etag_of(data))
                 for data in found]
-
-    def put_many(self, items: Sequence[Tuple[str, bytes, Optional[str]]]
-                 ) -> List[Optional[str]]:
-        out: List[Optional[str]] = []
-        with self._lock:
-            for key, data, condition in items:
-                if condition == ANY:
-                    self._data[key] = data
-                    out.append(etag_of(data))
-                else:
-                    out.append(self._cas_locked(key, data, condition))
-        return out
-
-    def delete_many(self, items: Sequence[Tuple[str, Optional[str]]]
-                    ) -> List[bool]:
-        with self._lock:
-            return [self._delete_locked(key, if_match)
-                    for key, if_match in items]
 
     def mutate_many(self, ops: Sequence[Tuple]) -> List[object]:
         out: List[object] = []
@@ -445,14 +375,10 @@ class MemoryTransport(QueueTransport):
 
     def list_page(self, prefix: str, max_keys: int,
                   start_after: str = "") -> Tuple[List[str], Optional[str]]:
-        max_keys = max(1, int(max_keys))
         with self._lock:
             keys = sorted(k for k in self._data
                           if k.startswith(prefix) and k > start_after)
-        page = keys[:max_keys]
-        if len(keys) > max_keys:
-            return page, page[-1]
-        return page, None
+        return _page_of(keys, max(1, int(max_keys)))
 
     def __repr__(self) -> str:
         return f"MemoryTransport(keys={len(self._data)})"
@@ -488,35 +414,48 @@ class FsTransport(QueueTransport):
     def _path(self, key: str) -> Path:
         return self.root / key
 
-    def get(self, key: str) -> Optional[Tuple[bytes, str]]:
-        data = read_bytes_or_none(self._path(key))
-        return None if data is None else (data, etag_of(data))
+    def get_many(self, keys: Sequence[str]
+                 ) -> List[Optional[Tuple[bytes, str]]]:
+        out: List[Optional[Tuple[bytes, str]]] = []
+        for key in keys:
+            data = read_bytes_or_none(self._path(key))
+            out.append(None if data is None else (data, etag_of(data)))
+        return out
 
-    def put(self, key: str, data: bytes) -> str:
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(path, data)
-        except OSError as exc:
-            raise TransportError(f"cannot write {path}: {exc}",
-                                 address=self.address) from exc
-        return etag_of(data)
-
-    def cas(self, key: str, data: bytes,
-            if_match: Optional[str]) -> Optional[str]:
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if if_match is None:
-                return self._create_exclusive(path, data)
-            current = read_bytes_or_none(path)
-            if current is None or etag_of(current) != if_match:
-                return None
-            atomic_write_bytes(path, data)
-        except OSError as exc:
-            raise TransportError(f"cannot write {path}: {exc}",
-                                 address=self.address) from exc
-        return etag_of(data)
+    def mutate_many(self, ops: Sequence[Tuple]) -> List[object]:
+        out: List[object] = []
+        made_dirs = set()
+        for op in ops:
+            if op[0] == "delete":
+                _, key, if_match = op
+                out.append(self._delete(self._path(key), if_match))
+                continue
+            if op[0] != "put":
+                raise ValueError(f"unknown mutate_many op: {op[0]!r}")
+            _, key, data, condition = op
+            path = self._path(key)
+            try:
+                # Each parent directory is created once per batch, not
+                # once per op.
+                if path.parent not in made_dirs:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    made_dirs.add(path.parent)
+                if condition == ANY:
+                    atomic_write_bytes(path, data)
+                    out.append(etag_of(data))
+                elif condition is None:
+                    out.append(self._create_exclusive(path, data))
+                else:
+                    current = read_bytes_or_none(path)
+                    if current is None or etag_of(current) != condition:
+                        out.append(None)
+                    else:
+                        atomic_write_bytes(path, data)
+                        out.append(etag_of(data))
+            except OSError as exc:
+                raise TransportError(f"cannot write {path}: {exc}",
+                                     address=self.address) from exc
+        return out
 
     def _create_exclusive(self, path: Path, data: bytes) -> Optional[str]:
         # Stage the full content, then hard-link into place: creation is
@@ -552,8 +491,8 @@ class FsTransport(QueueTransport):
             handle.write(data)
         return etag_of(data)
 
-    def delete(self, key: str, if_match: Optional[str] = None) -> bool:
-        path = self._path(key)
+    @staticmethod
+    def _delete(path: Path, if_match: Optional[str]) -> bool:
         if if_match is not None:
             current = read_bytes_or_none(path)
             if current is None or etag_of(current) != if_match:
@@ -564,13 +503,14 @@ class FsTransport(QueueTransport):
         except OSError:
             return False
 
-    def list(self, prefix: str) -> List[str]:
+    def list_page(self, prefix: str, max_keys: int,
+                  start_after: str = "") -> Tuple[List[str], Optional[str]]:
         # A true recursive prefix scan, like the in-memory and broker
         # stores: queue listings are directory-shaped ("pending/") and see
         # one level, while cache listings (prefix "") see the two-level
         # entry fan-out.  Hidden names are staging files (atomic_write /
         # _create_exclusive temps), never keys.
-        directory, _, stem = prefix.rpartition("/")
+        directory, _, _ = prefix.rpartition("/")
         base = self.root / directory if directory else self.root
         head = f"{directory}/" if directory else ""
         keys: List[str] = []
@@ -582,41 +522,10 @@ class FsTransport(QueueTransport):
                 if name.startswith("."):
                     continue
                 key = head + rel_head + name
-                if key.startswith(prefix):
+                if key.startswith(prefix) and key > start_after:
                     keys.append(key)
-        return sorted(keys)
-
-    # -- batches -----------------------------------------------------------
-    # There is no syscall-level batching to exploit: the base-class loops
-    # over get/delete *are* the native filesystem implementation.  Only
-    # put_many is overridden, to create each parent directory once per
-    # batch instead of once per op.
-    def put_many(self, items: Sequence[Tuple[str, bytes, Optional[str]]]
-                 ) -> List[Optional[str]]:
-        out: List[Optional[str]] = []
-        made_dirs = set()
-        for key, data, condition in items:
-            path = self._path(key)
-            try:
-                if path.parent not in made_dirs:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    made_dirs.add(path.parent)
-                if condition == ANY:
-                    atomic_write_bytes(path, data)
-                    out.append(etag_of(data))
-                elif condition is None:
-                    out.append(self._create_exclusive(path, data))
-                else:
-                    current = read_bytes_or_none(path)
-                    if current is None or etag_of(current) != condition:
-                        out.append(None)
-                    else:
-                        atomic_write_bytes(path, data)
-                        out.append(etag_of(data))
-            except OSError as exc:
-                raise TransportError(f"cannot write {path}: {exc}",
-                                     address=self.address) from exc
-        return out
+        keys.sort()
+        return _page_of(keys, max(1, int(max_keys)))
 
     def __repr__(self) -> str:
         return f"FsTransport({str(self.root)!r})"
@@ -639,27 +548,28 @@ class _ConnectionDropped(Exception):
 class HttpTransport(QueueTransport):
     """Client of the :mod:`repro.campaign.dist.server` broker.
 
-    Speaks a minimal S3-style REST dialect over a **pooled keep-alive**
+    Speaks the broker's dialect over a **pooled keep-alive**
     ``http.client.HTTPConnection`` (one per thread, reconnected
     transparently when it goes stale — the broker speaks HTTP/1.1, so the
     same TCP connection carries the whole campaign instead of paying a
     connect/teardown per request):
 
-    * ``GET /k/<key>`` → body + ``ETag`` header (404 when absent);
-    * ``PUT /k/<key>`` with ``If-None-Match: *`` (create) or
-      ``If-Match: <etag>`` (update) → 412 on conflict;
-    * ``DELETE /k/<key>`` with optional ``If-Match``;
+    * ``POST /batch`` → per-op statuses, one round trip for up to
+      ``_BATCH_CHUNK`` conditional operations: :meth:`get_many` and
+      :meth:`mutate_many`, and through them every derived point op (a
+      ``get`` is a one-key batch);
     * ``GET /list?prefix=<p>[&max-keys=<n>&start-after=<k>]`` → JSON
-      ``{"keys": [...], "truncated": bool, "next": <token>}``;
-    * ``POST /batch`` → per-op statuses (see :meth:`get_many` /
-      :meth:`put_many` / :meth:`delete_many`), one round trip for up to
-      ``_BATCH_CHUNK`` conditional operations.
+      ``{"keys": [...], "truncated": bool, "next": <token>}``
+      (:meth:`list_page`);
+    * ``POST /claim`` (:meth:`claim_first`) and ``GET /stats``
+      (:meth:`stats`).
 
-    A request that fails on a *reused* pooled socket (the server closed
-    an idle keep-alive connection — e.g. a broker restart between
-    requests) is retried once on a fresh connection without consuming a
-    retry attempt; transient connection failures beyond that are retried
-    with exponential backoff, and once ``retries`` are exhausted a
+    A read — a ``GET``, or a batch of nothing but gets — that fails on a
+    *reused* pooled socket (the server closed an idle keep-alive
+    connection — e.g. a broker restart between requests) is retried once
+    on a fresh connection without consuming a retry attempt; transient
+    connection failures beyond that are retried with exponential
+    backoff, and once ``retries`` are exhausted a
     :class:`TransportError` is raised, which workers turn into a clean
     exit code.  Because ETags are content hashes, leases held across a
     broker restart remain valid — the broker's disk-backed store restores
@@ -709,7 +619,7 @@ class HttpTransport(QueueTransport):
                      else http.client.HTTPConnection)
             conn = maker(self._host, self._port, timeout=self.timeout)
             conn.connect()
-            # TCP_NODELAY: a PUT's headers and body leave as two writes;
+            # TCP_NODELAY: a POST's headers and body leave as two writes;
             # under Nagle the body would stall behind the peer's delayed
             # ACK (~40ms), erasing everything connection reuse buys.
             conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -734,8 +644,8 @@ class HttpTransport(QueueTransport):
                   headers: Optional[Dict[str, str]]):
         """One request/response on the pooled connection.
 
-        Returns ``(status, body, etag)``; raises :class:`_ConnectionDropped`
-        on any connection-level failure (the connection is discarded)."""
+        Returns ``(status, body)``; raises :class:`_ConnectionDropped` on
+        any connection-level failure (the connection is discarded)."""
         reused = getattr(self._local, "conn", None) is not None \
             and bool(getattr(self._local, "used", False))
         try:
@@ -748,26 +658,25 @@ class HttpTransport(QueueTransport):
             self._discard_connection()
             raise _ConnectionDropped(exc, reused) from exc
         self._local.used = True
-        etag = response.headers.get("ETag", "") or ""
         if response.will_close:
             # The server announced Connection: close — do not pool a
             # connection the peer is about to tear down.
             self._discard_connection()
-        return response.status, body, etag
+        return response.status, body
 
     def _request(self, method: str, path: str, data: Optional[bytes] = None,
                  headers: Optional[Dict[str, str]] = None,
                  idempotent: Optional[bool] = None):
         """One HTTP exchange with stale-socket reconnect and retries.
 
-        Returns ``(status, body, etag)``.  4xx responses are returned (the
-        caller maps 404/412 to contract results).  An *idempotent* request
-        (GET/LIST, or a ``/batch`` of gets — defaulting to "method is
-        GET", overridable per call) that fails on a reused keep-alive
+        Returns ``(status, body)``.  4xx responses are returned (the
+        caller maps them to contract results or errors).  An *idempotent*
+        request (GET/LIST, or a ``/batch`` of gets — defaulting to "method
+        is GET", overridable per call) that fails on a reused keep-alive
         socket gets one immediate free retry on a fresh connection: the
         server closing an idle pooled connection is the normal hazard of
         reuse, not a down broker.  Non-idempotent requests never get the
-        free retry — a conditional PUT whose response was lost may have
+        free retry — a conditional write whose response was lost may have
         been applied, and silently re-sending it would misreport the
         outcome as a conflict; they (like all remaining connection-level
         failures) consume backoff retries, whose semantics callers
@@ -777,7 +686,7 @@ class HttpTransport(QueueTransport):
         """
         if idempotent is None:
             idempotent = method == "GET"
-        op = self._op_of(method, path)
+        op = self._op_of(path)
         self._ops.inc(op=op)
         start = time.perf_counter()
         try:
@@ -810,11 +719,9 @@ class HttpTransport(QueueTransport):
             self._op_seconds.observe(time.perf_counter() - start, op=op)
 
     @staticmethod
-    def _op_of(method: str, path: str) -> str:
-        """Bounded op label for a request path (keys collapse to one
-        label — metric cardinality must not grow with the keyspace)."""
-        if "/k/" in path:
-            return method.lower()
+    def _op_of(path: str) -> str:
+        """Bounded op label for a request path (the route, never a key —
+        metric cardinality must not grow with the keyspace)."""
         for route in ("batch", "claim", "list", "stats"):
             if f"/{route}" in path:
                 return route
@@ -836,69 +743,13 @@ class HttpTransport(QueueTransport):
                       self.retry_delay * (2 ** attempt))
         return random.uniform(0.0, max(0.0, ceiling))
 
-    def _key_path(self, key: str) -> str:
-        return f"{self._prefix}/k/{urllib.parse.quote(key)}"
-
-    # -- the contract ------------------------------------------------------
-    def get(self, key: str) -> Optional[Tuple[bytes, str]]:
-        status, body, etag = self._request("GET", self._key_path(key))
-        if status == 404:
-            return None
-        if status != 200:
-            raise TransportError(f"GET {key}: unexpected status {status}",
-                                 address=self.base_url)
-        return body, etag
-
-    def put(self, key: str, data: bytes) -> str:
-        status, _, etag = self._request("PUT", self._key_path(key), data=data)
-        if status not in (200, 201):
-            raise TransportError(f"PUT {key}: unexpected status {status}",
-                                 address=self.base_url)
-        return etag
-
-    def cas(self, key: str, data: bytes,
-            if_match: Optional[str]) -> Optional[str]:
-        headers = ({"If-None-Match": "*"} if if_match is None
-                   else {"If-Match": if_match})
-        status, _, etag = self._request("PUT", self._key_path(key), data=data,
-                                        headers=headers)
-        if status == 412:
-            return None
-        if status not in (200, 201):
-            raise TransportError(f"PUT {key}: unexpected status {status}",
-                                 address=self.base_url)
-        return etag
-
-    def delete(self, key: str, if_match: Optional[str] = None) -> bool:
-        headers = {} if if_match is None else {"If-Match": if_match}
-        status, _, _ = self._request("DELETE", self._key_path(key),
-                                     headers=headers)
-        if status in (404, 412):
-            return False
-        if status not in (200, 204):
-            raise TransportError(f"DELETE {key}: unexpected status {status}",
-                                 address=self.base_url)
-        return True
-
-    def list(self, prefix: str) -> List[str]:
-        """Full listing, reassembled from bounded ``/list`` pages so one
-        giant keyspace never ships as one giant response."""
-        keys: List[str] = []
-        start_after = ""
-        while True:
-            page, token = self.list_page(prefix, _LIST_PAGE,
-                                         start_after=start_after)
-            keys.extend(page)
-            if token is None:
-                return keys
-            start_after = token
-
+    # -- the primitives ----------------------------------------------------
     def list_page(self, prefix: str, max_keys: int,
                   start_after: str = "") -> Tuple[List[str], Optional[str]]:
         query = {"prefix": prefix, "max-keys": max(1, int(max_keys))}
         if start_after:
             query["start-after"] = start_after
-        status, body, _ = self._request(
+        status, body = self._request(
             "GET", f"{self._prefix}/list?{urllib.parse.urlencode(query)}")
         if status != 200:
             raise TransportError(f"LIST {prefix}: unexpected status {status}",
@@ -910,16 +761,19 @@ class HttpTransport(QueueTransport):
         token = payload.get("next") or (keys[-1] if keys else None)
         return keys, (str(token) if token is not None else None)
 
-    # -- native batches: one /batch request per _BATCH_CHUNK ops -----------
     def _batch(self, ops: List[Dict[str, object]]) -> List[Dict[str, object]]:
-        # A batch of nothing but gets is idempotent and earns the free
-        # stale-socket retry (get_many is the claim scan's hot probe);
-        # any mutation in the batch forfeits it.
+        """Ship ``ops`` as ``/batch`` requests of ``_BATCH_CHUNK`` ops.
+
+        A batch of nothing but gets is idempotent and earns the free
+        stale-socket retry (``get_many`` is the claim scan's hot probe,
+        and every ``get`` is a one-key batch); any mutation in the batch
+        forfeits it.
+        """
         reads_only = all(op.get("op") == "get" for op in ops)
         results: List[Dict[str, object]] = []
         for start in range(0, len(ops), _BATCH_CHUNK):
             chunk = ops[start:start + _BATCH_CHUNK]
-            status, body, _ = self._request(
+            status, body = self._request(
                 "POST", f"{self._prefix}/batch",
                 data=json_dumps_bytes({"ops": chunk}),
                 headers={"Content-Type": "application/json"},
@@ -940,8 +794,6 @@ class HttpTransport(QueueTransport):
     def get_many(self, keys: Sequence[str]
                  ) -> List[Optional[Tuple[bytes, str]]]:
         keys = list(keys)
-        if not keys:
-            return []
         outcomes = self._batch([{"op": "get", "key": key} for key in keys])
         out: List[Optional[Tuple[bytes, str]]] = []
         for key, res in zip(keys, outcomes):
@@ -962,64 +814,8 @@ class HttpTransport(QueueTransport):
                     address=self.base_url)
         return out
 
-    def put_many(self, items: Sequence[Tuple[str, bytes, Optional[str]]]
-                 ) -> List[Optional[str]]:
-        items = list(items)
-        if not items:
-            return []
-        ops: List[Dict[str, object]] = []
-        for key, data, condition in items:
-            op: Dict[str, object] = {
-                "op": "put", "key": key,
-                "data": base64.b64encode(data).decode("ascii")}
-            if condition is None:
-                op["if_none_match"] = "*"
-            elif condition != ANY:
-                op["if_match"] = condition
-            ops.append(op)
-        outcomes = self._batch(ops)
-        out: List[Optional[str]] = []
-        for (key, _, _), res in zip(items, outcomes):
-            status = res.get("status") if isinstance(res, dict) else None
-            if status == 412:
-                out.append(None)
-            elif status in (200, 201):
-                out.append(str(res.get("etag", "")))
-            else:
-                raise TransportError(
-                    f"batch PUT {key}: unexpected status {status}",
-                    address=self.base_url)
-        return out
-
-    def delete_many(self, items: Sequence[Tuple[str, Optional[str]]]
-                    ) -> List[bool]:
-        items = list(items)
-        if not items:
-            return []
-        ops = []
-        for key, if_match in items:
-            op: Dict[str, object] = {"op": "delete", "key": key}
-            if if_match is not None:
-                op["if_match"] = if_match
-            ops.append(op)
-        outcomes = self._batch(ops)
-        out: List[bool] = []
-        for (key, _), res in zip(items, outcomes):
-            status = res.get("status") if isinstance(res, dict) else None
-            if status in (200, 204):
-                out.append(True)
-            elif status in (404, 412):
-                out.append(False)
-            else:
-                raise TransportError(
-                    f"batch DELETE {key}: unexpected status {status}",
-                    address=self.base_url)
-        return out
-
     def mutate_many(self, ops: Sequence[Tuple]) -> List[object]:
         ops = list(ops)
-        if not ops:
-            return []
         wire: List[Dict[str, object]] = []
         for op in ops:
             if op[0] == "put":
@@ -1092,7 +888,7 @@ class HttpTransport(QueueTransport):
             query["now"] = repr(float(now))
         if lease_seconds is not None:
             query["lease"] = repr(float(lease_seconds))
-        status, body, _ = self._request(
+        status, body = self._request(
             "POST", f"{self._prefix}/claim?{urllib.parse.urlencode(query)}",
             idempotent=False)
         if status == 204:
@@ -1107,22 +903,21 @@ class HttpTransport(QueueTransport):
                 "CLAIM: malformed response body", address=self.base_url)
         return outcome
 
-    def stats(self) -> Optional[dict]:
-        """The broker's ``GET /stats`` telemetry snapshot.
-
-        Returns the decoded ``{"server": ..., "metrics": ...}`` document,
-        or ``None`` against a broker that predates the endpoint (404) —
-        the ``dist.stats`` dashboard degrades to queue-state-only output
-        rather than failing.
+    def stats(self) -> dict:
+        """The broker's ``GET /stats`` telemetry snapshot: the decoded
+        ``{"server": ..., "metrics": ...}`` document.  Every broker
+        serves the endpoint, so any other status — a 404 means the URL is
+        not a broker — or a malformed body raises :class:`TransportError`.
         """
-        status, body, _ = self._request("GET", f"{self._prefix}/stats")
-        if status == 404:
-            return None
+        status, body = self._request("GET", f"{self._prefix}/stats")
         if status != 200:
             raise TransportError(
                 f"STATS: unexpected status {status}", address=self.base_url)
         payload = json_loads_or_none(body)
-        return payload if isinstance(payload, dict) else None
+        if not isinstance(payload, dict):
+            raise TransportError(
+                "STATS: malformed response body", address=self.base_url)
+        return payload
 
     def close(self) -> None:
         """Release this thread's pooled connection (other threads' pooled

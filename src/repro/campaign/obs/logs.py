@@ -16,9 +16,10 @@ quoted only when they contain spaces).
 >>> import io
 >>> out = io.StringIO()
 >>> log = StructLogger("broker", stream=out)
->>> log.event("request", method="GET", target="/k/a b", status=200)
+>>> log.event("request", method="GET", target="/list?prefix=a b",
+...           status=200)
 >>> out.getvalue()
-"[broker] request method=GET target='/k/a b' status=200\\n"
+"[broker] request method=GET target='/list?prefix=a b' status=200\\n"
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Design constraints, in order:
   throughput floors in ``BENCH_transport.json`` (the ``BENCH_obs.json``
   benchmark pins the overhead down).
 * **Label-aware.**  Every metric is a *family* of series keyed by label
-  values (``requests.inc(route="/k", status=200)``), mirroring the
+  values (``requests.inc(route="/batch", status=200)``), mirroring the
   Prometheus data model so the snapshot shape stays future-proof.
 
 Three metric kinds:
@@ -40,7 +40,7 @@ broker's dialect) construct their own private registry.
 
 >>> registry = MetricsRegistry()
 >>> requests = registry.counter("requests_total")
->>> requests.inc(route="/k")
+>>> requests.inc(route="/batch")
 >>> requests.inc(2, route="/list")
 >>> requests.value(route="/list")
 2.0

@@ -12,7 +12,7 @@ The robustness claim of the sharded transport stack, tested bottom-up:
   never a silent partial view), claims skip dead shards;
 * the worker loop and the ``dist.stats`` dashboard riding out outages;
 * the acceptance property: a 2-shard broker fleet with one shard
-  partitioned mid-campaign *and* tearing its settle batches still
+  partitioned mid-campaign *and* tearing its post-enqueue writes still
   completes the full grid with exactly one execution per job key and a
   serial-identical aggregate, while the flapping shard's breaker shows
   trip -> half-open -> reclose.
@@ -158,7 +158,7 @@ def test_breaker_threshold_clamped_to_at_least_one():
 def test_fault_plan_is_deterministic_for_seed_and_op_sequence():
     def verdicts(seed):
         plan = FaultPlan(seed=seed).error_rate(0.3)
-        return [plan.decide("get") for _ in range(100)]
+        return [plan.decide("get_many") for _ in range(100)]
 
     assert verdicts(7) == verdicts(7)
     assert verdicts(7) != verdicts(8)
@@ -167,19 +167,35 @@ def test_fault_plan_is_deterministic_for_seed_and_op_sequence():
 
 
 def test_fault_plan_rates_are_op_scoped_and_clamped():
-    plan = FaultPlan(seed=0).error_rate(5.0, "put")  # clamped to 1.0
+    plan = FaultPlan(seed=0).error_rate(5.0, "mutate_many")  # clamped to 1
     for _ in range(20):
-        assert plan.decide("put", mutating=True) == "error"
-        assert plan.decide("get") is None
+        assert plan.decide("mutate_many", mutating=True) == "error"
+        assert plan.decide("get_many") is None
+
+
+def test_fault_plan_rejects_unknown_op_kinds():
+    """Point ops are derived from the primitives, so a plan scoped to
+    ``"put"`` or ``"get"`` would never fire — and a chaos test built on
+    it would pass while injecting nothing.  Every scoping method refuses
+    names outside OP_KINDS (and "*")."""
+    with pytest.raises(ValueError, match="unknown op kind 'put'"):
+        FaultPlan().error_rate(0.1, "put")
+    with pytest.raises(ValueError, match="unknown op kind 'get'"):
+        FaultPlan().torn_writes(0.1, "get")
+    with pytest.raises(ValueError, match="unknown op kind 'list'"):
+        FaultPlan().add_latency(0.1, "list")
+    with pytest.raises(ValueError, match="unknown op kind 'cas'"):
+        FaultPlan().fail_next(1, "cas")
+    FaultPlan().error_rate(0.1, "*").fail_next(1, "claim_first")
 
 
 def test_fault_plan_fail_next_is_one_shot_and_op_scoped():
-    plan = FaultPlan(seed=0).fail_next(2, "put").fail_next(1)
-    assert plan.decide("put", mutating=True) == "error"   # put #1
-    assert plan.decide("put", mutating=True) == "error"   # put #2
-    assert plan.decide("get") == "error"                  # the "*" one
-    assert plan.decide("put", mutating=True) is None
-    assert plan.decide("get") is None
+    plan = FaultPlan(seed=0).fail_next(2, "mutate_many").fail_next(1)
+    assert plan.decide("mutate_many", mutating=True) == "error"  # write #1
+    assert plan.decide("mutate_many", mutating=True) == "error"  # write #2
+    assert plan.decide("get_many") == "error"            # the "*" one
+    assert plan.decide("mutate_many", mutating=True) is None
+    assert plan.decide("get_many") is None
 
 
 def test_fault_plan_partition_windows_stack_on_an_injectable_clock():
@@ -187,24 +203,24 @@ def test_fault_plan_partition_windows_stack_on_an_injectable_clock():
     plan = (FaultPlan(seed=0, clock=clock)
             .fail_between(1.0, 2.0)
             .fail_between(5.0, 6.0))
-    assert plan.decide("get") is None
+    assert plan.decide("get_many") is None
     clock.t = 1.5
     assert plan.partitioned()
-    assert plan.decide("get") == "error"
-    assert plan.decide("put", mutating=True) == "error"
+    assert plan.decide("get_many") == "error"
+    assert plan.decide("mutate_many", mutating=True) == "error"
     clock.t = 3.0
-    assert plan.decide("get") is None
+    assert plan.decide("get_many") is None
     clock.t = 5.0                            # second window, inclusive start
-    assert plan.decide("get") == "error"
+    assert plan.decide("get_many") == "error"
     clock.t = 6.0                            # exclusive stop
-    assert plan.decide("get") is None
+    assert plan.decide("get_many") is None
 
 
 def test_fault_plan_torn_verdicts_only_for_mutating_ops():
     plan = FaultPlan(seed=0).torn_writes(1.0)
     for _ in range(10):
-        assert plan.decide("put", mutating=True) == "torn"
-        assert plan.decide("get", mutating=False) is None
+        assert plan.decide("mutate_many", mutating=True) == "torn"
+        assert plan.decide("get_many", mutating=False) is None
 
 
 # -- ChaosTransport: the injector itself -------------------------------------
@@ -239,34 +255,37 @@ def test_chaos_transport_mirrors_optional_capabilities():
 def test_chaos_error_faults_raise_before_touching_the_store():
     inner = MemoryTransport()
     registry = MetricsRegistry()
-    chaos = ChaosTransport(inner, FaultPlan(seed=0).fail_next(1, "put"),
+    chaos = ChaosTransport(inner,
+                           FaultPlan(seed=0).fail_next(1, "mutate_many"),
                            registry=registry)
-    with pytest.raises(TransportError, match="chaos: injected put fault"):
+    with pytest.raises(TransportError,
+                       match="chaos: injected mutate_many fault"):
         chaos.put("jobs/a.json", b"{}")
     assert inner.get("jobs/a.json") is None          # never applied
     assert chaos.put("jobs/a.json", b"{}")           # one-shot spent
     snapshot = registry.snapshot()
     assert series_value(snapshot, "counters", "chaos_faults_total",
-                        op="put", kind="error") == 1.0
+                        op="mutate_many", kind="error") == 1.0
 
 
 def test_chaos_torn_write_applies_then_reports_failure():
     inner = MemoryTransport()
     registry = MetricsRegistry()
-    chaos = ChaosTransport(inner, FaultPlan(seed=0).torn_writes(1.0, "put"),
+    chaos = ChaosTransport(inner,
+                           FaultPlan(seed=0).torn_writes(1.0, "mutate_many"),
                            registry=registry)
-    with pytest.raises(TransportError, match="torn put"):
+    with pytest.raises(TransportError, match="torn mutate_many"):
         chaos.put("jobs/a.json", b"{}")
     # The nastiest failure mode: the write landed, the caller was lied to.
     assert inner.get("jobs/a.json") is not None
     snapshot = registry.snapshot()
     assert series_value(snapshot, "counters", "chaos_faults_total",
-                        op="put", kind="torn") == 1.0
+                        op="mutate_many", kind="torn") == 1.0
 
 
 def test_chaos_added_latency_delays_the_op():
     chaos = ChaosTransport(MemoryTransport(),
-                           FaultPlan(seed=0).add_latency(0.05, "get"))
+                           FaultPlan(seed=0).add_latency(0.05, "get_many"))
     chaos.put("jobs/a.json", b"{}")          # puts not slowed
     start = time.perf_counter()
     chaos.get("jobs/a.json")
@@ -326,7 +345,7 @@ def test_sharded_breaker_trips_sheds_and_recloses_after_probe():
         router.put(key, b"{}")
     snapshot = registry.snapshot()
     assert series_value(snapshot, "counters", "shard_ops_shed_total",
-                        op="put", shard="shard-1") == 1.0
+                        op="mutate_many", shard="shard-1") == 1.0
     assert series_value(snapshot, "gauges", "shard_breaker_state",
                         shard="shard-1") == 2.0
 
@@ -381,7 +400,11 @@ def test_sharded_epoch_mismatch_is_config_error_never_breaker_counted():
 
 # -- ShardedTransport under chaos: degraded reads ----------------------------
 
-def test_sharded_degraded_reads_tag_partials_strict_reads_raise():
+def test_sharded_degraded_reads_tag_partials_strict_reads_raise(
+        monkeypatch):
+    # Small pages: the derived list() must carry missing_shards across
+    # every page of its list_page walk, not just report the last one.
+    monkeypatch.setattr("repro.campaign.dist.transport.MAX_LIST_PAGE", 3)
     clock = _Clock()
     plan = FaultPlan(seed=0)
     router, _ = _chaotic_pair(plan, clock, degraded_reads=True)
@@ -389,7 +412,7 @@ def test_sharded_degraded_reads_tag_partials_strict_reads_raise():
     for key in keys:
         router.put(key, b"{}")
     shard0_keys = [key for key in keys if router.shard_index(key) == 0]
-    assert shard0_keys and len(shard0_keys) < len(keys)
+    assert len(keys) > len(shard0_keys) > 3
 
     plan.error_rate(1.0)
     listing = router.list("p/")
@@ -677,7 +700,8 @@ def test_chaos_partitioned_shard_fleet_completes_grid_exactly_once(
         monkeypatch):
     """The headline chaos acceptance: a 2-broker sharded fleet where one
     shard disappears behind a partition window mid-campaign *and* tears
-    half its settle batches (applied, then reported failed).  The fleet
+    half its post-enqueue writes — settles, requeues, heartbeats
+    (applied, then reported failed).  The fleet
     must still complete the full grid with exactly one execution per job
     key and a serial-identical aggregate, no job lost or dead-lettered —
     and the flapping shard's breaker must show the full trip ->
@@ -705,9 +729,19 @@ def test_chaos_partitioned_shard_fleet_completes_grid_exactly_once(
     chaos_registry = MetricsRegistry()
     try:
         start = time.monotonic()
-        plan = (FaultPlan(seed=17)
-                .fail_between(start + 0.3, start + 1.5)
-                .torn_writes(0.5, "mutate_many"))
+        plan = FaultPlan(seed=17).fail_between(start + 0.3, start + 1.5)
+        # Every write on shard 1 is a mutate_many, and neither the enqueue
+        # nor the queue.json create ever tolerated a torn write: tearing
+        # starts once enqueue_grid returns.  Settles, requeues and
+        # heartbeats still tear.
+        real_enqueue_grid = WorkQueue.enqueue_grid
+
+        def enqueue_then_tear(queue, *args, **kwargs):
+            names = real_enqueue_grid(queue, *args, **kwargs)
+            plan.torn_writes(0.5, "mutate_many")
+            return names
+
+        monkeypatch.setattr(WorkQueue, "enqueue_grid", enqueue_then_tear)
         shard0 = HttpTransport(brokers[0].url, retries=2, retry_delay=0.05)
         shard1 = ChaosTransport(
             HttpTransport(brokers[1].url, retries=2, retry_delay=0.05),

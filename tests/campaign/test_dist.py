@@ -67,22 +67,27 @@ def platform_serial():
 
 @pytest.fixture(params=["fs", "memory", "http"])
 def crash_fleet(request, tmp_path):
-    """Executor kwargs for a 2-worker fleet whose worker #1 crashes after
-    its second claim, per transport: process fleets hard-exit
+    """Executor kwargs for a 2-worker fleet whose worker #1 crashes on
+    its first claim, per transport: process fleets hard-exit
     (``os._exit`` via the worker CLI), the in-process thread fleet
-    abandons its claim (``WorkerCrash``) — both leave a dangling lease."""
+    abandons its claim (``WorkerCrash``) — both leave a dangling lease.
+
+    The first claim, not a later one: each job after a worker's cold
+    first job takes ~10 ms, so a sibling whose first job ends ~0.1 s
+    sooner can drain the grid before a later crash threshold is ever
+    reached, and the crash would never happen."""
     if request.param == "fs":
         yield dict(queue_dir=tmp_path / "queue",
-                   worker_extra_args=[(), ("--crash-after-claims", "2")])
+                   worker_extra_args=[(), ("--crash-after-claims", "1")])
     elif request.param == "memory":
         yield dict(transport=MemoryTransport(),
-                   worker_options=[{}, {"crash_after_claims": 2,
+                   worker_options=[{}, {"crash_after_claims": 1,
                                         "crash_mode": "abandon"}])
     else:
         broker = Broker(data_dir=tmp_path / "broker").start()
         try:
             yield dict(transport=broker.url,
-                       worker_extra_args=[(), ("--crash-after-claims", "2")])
+                       worker_extra_args=[(), ("--crash-after-claims", "1")])
         finally:
             broker.stop()
 
@@ -142,7 +147,7 @@ def test_broker_fleet_dedups_through_broker_cache_under_crash(platform_serial):
         executor = DistributedExecutor(
             workers=2, transport=broker.url, cache=cache,
             lease_seconds=1.0, poll_interval=0.05, timeout=300.0,
-            worker_extra_args=[(), ("--crash-after-claims", "2")])
+            worker_extra_args=[(), ("--crash-after-claims", "1")])
         distributed = run_campaign(PLATFORM_SPEC, executor=executor,
                                    cache=cache)
         assert distributed.ok, distributed.failures
@@ -248,8 +253,8 @@ def test_sharded_fleet_with_worker_crashes_matches_serial(tmp_path,
             lease_seconds=1.0,      # short lease => fast crash recovery
             poll_interval=0.05,
             timeout=300.0,
-            worker_extra_args=[(), ("--crash-after-claims", "2"),
-                               ("--crash-after-claims", "3")],
+            worker_extra_args=[(), ("--crash-after-claims", "1"),
+                               ("--crash-after-claims", "2")],
         )
         distributed = run_campaign(PLATFORM_SPEC, executor=executor)
 

@@ -55,10 +55,10 @@ def _spec(**overrides):
 def test_counter_labels_and_helpers():
     registry = MetricsRegistry()
     requests = registry.counter("requests_total", "requests by route")
-    requests.inc(route="/k", method="GET")
-    requests.inc(2.0, route="/k", method="GET")
+    requests.inc(route="/batch", method="POST")
+    requests.inc(2.0, route="/batch", method="POST")
     requests.inc(route="/list", method="GET")
-    assert requests.value(route="/k", method="GET") == 3.0
+    assert requests.value(route="/batch", method="POST") == 3.0
     assert requests.total() == 4.0
     snapshot = registry.snapshot()
     assert counter_total(snapshot, "requests_total") == 4.0
@@ -66,7 +66,7 @@ def test_counter_labels_and_helpers():
                         route="/list", method="GET") == 1.0
     # label order must not matter: same series either way round
     assert series_value(snapshot, "counters", "requests_total",
-                        method="GET", route="/k") == 3.0
+                        method="POST", route="/batch") == 3.0
     assert series_value(snapshot, "counters", "requests_total",
                         route="/nope") is None
 
@@ -204,7 +204,7 @@ def test_structlogger_renders_greppable_lines():
     stream = io.StringIO()
     log = StructLogger("broker", stream=stream)
     log.event("request", method="GET", ms=1.23456, ok=True,
-              target="/k/a b")
+              target="/list?prefix=a b")
     log.event("shutdown")
     disabled = StructLogger("quiet", stream=stream, enabled=False)
     disabled.event("never")
@@ -213,7 +213,7 @@ def test_structlogger_renders_greppable_lines():
     assert "method=GET" in lines[0]
     assert "ms=1.235" in lines[0]          # floats compact, not 17 digits
     assert "ok=true" in lines[0]
-    assert "target='/k/a b'" in lines[0]   # spaces get quoted
+    assert "target='/list?prefix=a b'" in lines[0]   # spaces get quoted
     assert lines[1] == "[broker] shutdown"
     assert len(lines) == 2                 # disabled logger wrote nothing
 
@@ -293,13 +293,14 @@ def test_stats_counters_monotonic_and_labelled(broker):
         second = transport.stats()["metrics"]
     finally:
         transport.close()
-    # per-key URLs collapse to one "/k" route label — bounded cardinality
-    puts = series_value(first, "counters", "broker_requests_total",
-                        route="/k", method="PUT", status="200")
-    assert puts == 1.0
-    misses = series_value(first, "counters", "broker_requests_total",
-                          route="/k", method="GET", status="404")
-    assert misses == 1.0
+    # point ops are one-op batches: one route label however many keys,
+    # and a miss is a per-op 404 inside a 200 batch reply
+    batches = series_value(first, "counters", "broker_requests_total",
+                           route="/batch", method="POST", status="200")
+    assert batches == 3.0
+    listings = series_value(first, "counters", "broker_requests_total",
+                            route="/list", method="GET", status="200")
+    assert listings == 1.0
     assert (counter_total(second, "broker_requests_total")
             > counter_total(first, "broker_requests_total"))
     assert counter_total(second, "broker_bytes_in_total") >= 2.0
@@ -339,9 +340,7 @@ def test_transport_meters_ops_into_private_registry(broker):
         transport.close()
     snapshot = registry.snapshot()
     assert series_value(snapshot, "counters", "transport_ops_total",
-                        op="get") == 2.0
-    assert series_value(snapshot, "counters", "transport_ops_total",
-                        op="put") == 1.0
+                        op="batch") == 3.0
     # keep-alive: first op opens the pooled connection, the rest reuse it
     assert series_value(snapshot, "counters", "transport_connections_total",
                         event="opened") == 1.0

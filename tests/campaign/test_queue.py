@@ -31,6 +31,7 @@ from repro.campaign.dist import (
 )
 from repro.campaign.dist.server import Broker
 from repro.campaign.jobs import JobResult, execute_job
+from repro.campaign.jsonio import json_dumps_bytes
 
 TRANSPORTS = ("fs", "memory", "http", "sharded-memory", "sharded-http")
 
@@ -297,6 +298,51 @@ def test_retry_dead_revives_buried_jobs(queue):
     assert queue.retry_dead() == []  # idempotent on an empty dead set
 
 
+class _CountingTransport(MemoryTransport):
+    """Counts ``mutate_many`` calls: recovery paths must batch writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.mutations = 0
+
+    def mutate_many(self, ops):
+        self.mutations += 1
+        return super().mutate_many(ops)
+
+
+def test_requeue_expired_releases_each_claim_in_one_batch(clock):
+    """Releasing an expired claim is one ``mutate_many`` — ticket put,
+    then the ETag-guarded claim delete — not a round trip per document."""
+    transport = _CountingTransport()
+    queue = WorkQueue(transport=transport, lease_seconds=10.0, clock=clock)
+    jobs = _jobs()
+    queue.enqueue_grid(jobs)
+    for _ in jobs:
+        assert queue.claim("doomed") is not None
+    clock.advance(11.0)
+    transport.mutations = 0
+    assert sorted(queue.requeue_expired()) == sorted(
+        job.job_id for job in jobs)
+    assert transport.mutations == len(jobs)
+    assert queue.counts()["pending"] == len(jobs)
+
+
+def test_retry_dead_revives_every_key_in_one_batch():
+    """``retry_dead`` writes every fresh ticket, then every dead-record
+    delete, in a single ``mutate_many`` however many keys it revives."""
+    transport = _CountingTransport()
+    queue = WorkQueue(transport=transport, max_attempts=1)
+    jobs = _jobs()
+    queue.enqueue_grid(jobs)
+    for _ in jobs:
+        assert queue.fail(queue.claim("w0"), "breakage") == "dead"
+    transport.mutations = 0
+    assert sorted(queue.retry_dead()) == sorted(job.job_id for job in jobs)
+    assert transport.mutations == 1
+    assert queue.counts() == {"pending": len(jobs), "claimed": 0,
+                              "done": 0, "dead": 0}
+
+
 def test_completion_after_expiry_requeue_is_harmless(queue, clock):
     """The double-execution race: worker A's lease expires, B re-runs the
     job, then A (alive all along, just slow) completes too.  Results are
@@ -340,8 +386,6 @@ def test_claim_adopts_its_own_lost_response_write(queue, clock):
     are exactly the claimer's own payload, the claim is adopted instead
     of skipped — skipping would strand the worker's own lease and burn a
     retry attempt the job never used."""
-    from repro.campaign.jsonio import json_dumps_bytes
-
     job = _jobs()[0]
     queue.enqueue(job)
     # Simulate the lost response: the claim-create lands in the store but
@@ -446,9 +490,9 @@ def test_crashed_settle_is_healed_from_the_result(queue, clock):
     item = queue.claim("w0")
     # Simulate the crash window inside complete(): result written, ticket
     # and claim still standing.
-    queue._put_json(f"results/{item.key}.json", {
+    queue.transport.put(f"results/{item.key}.json", json_dumps_bytes({
         "result": execute_job(job).to_record(), "cached": False,
-        "worker": "w0", "attempts": 1})
+        "worker": "w0", "attempts": 1}))
     assert queue.counts()["claimed"] == 1
     clock.advance(11.0)
     assert queue.requeue_expired() == []  # retired, not requeued
@@ -464,8 +508,8 @@ def test_crashed_bury_is_healed_from_the_dead_record(queue, clock):
     job = _jobs()[0]
     name = queue.enqueue(job)
     assert queue.claim("w0") is not None
-    queue._put_json(f"dead/{job.job_id}.json",
-                    {"job": job.to_record(), "error": "x", "attempts": 3})
+    queue.transport.put(f"dead/{job.job_id}.json", json_dumps_bytes(
+        {"job": job.to_record(), "error": "x", "attempts": 3}))
     clock.advance(11.0)
     assert queue.requeue_expired() == []
     assert queue.drained()

@@ -80,10 +80,31 @@ def test_wire_dialect_smoke(broker):
 
 
 def test_unknown_method_and_path(broker):
-    request = urllib.request.Request(f"{broker.url}/nope", method="GET")
-    with pytest.raises(urllib.error.HTTPError) as caught:
-        urllib.request.urlopen(request, timeout=5.0)
-    assert caught.value.code == 404
+    # Keys are reachable only inside POST /batch: a per-key path is 404.
+    for path in ("/nope", "/k/x.json"):
+        request = urllib.request.Request(f"{broker.url}{path}", method="GET")
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert caught.value.code == 404, path
+
+
+def test_point_ops_ride_the_batch_route(broker):
+    """get/put/cas/delete are one-op batches: a live broker sees nothing
+    but ``POST /batch`` for them."""
+    transport = HttpTransport(broker.url, retries=0)
+    try:
+        assert transport.get("p.json") is None
+        tag = transport.put("p.json", b"v1")
+        assert transport.get("p.json") == (b"v1", tag)
+        assert transport.cas("p.json", b"v2", if_match=tag) is not None
+        assert transport.delete("p.json")
+    finally:
+        transport.close()
+    series = broker.dialect.registry.snapshot()["counters"][
+        "broker_requests_total"]
+    assert {(entry["labels"]["route"], entry["labels"]["method"])
+            for entry in series} == {("/batch", "POST")}
+    assert sum(entry["value"] for entry in series) == 5.0
 
 
 # -- keep-alive desync hardening ---------------------------------------------
@@ -95,7 +116,7 @@ def test_malformed_content_length_gets_400_and_announced_close(broker):
     answer 400, announce ``Connection: close``, and actually close."""
     with socket.create_connection((broker.host, broker.port),
                                   timeout=5.0) as sock:
-        sock.sendall(b"PUT /k/x.json HTTP/1.1\r\n"
+        sock.sendall(b"POST /batch HTTP/1.1\r\n"
                      b"Host: h\r\n"
                      b"Content-Length: banana\r\n\r\n")
         stream = sock.makefile("rb")
@@ -113,7 +134,7 @@ def test_malformed_content_length_gets_400_and_announced_close(broker):
 def test_negative_content_length_gets_400_and_announced_close(broker):
     with socket.create_connection((broker.host, broker.port),
                                   timeout=5.0) as sock:
-        sock.sendall(b"PUT /k/x.json HTTP/1.1\r\n"
+        sock.sendall(b"POST /batch HTTP/1.1\r\n"
                      b"Host: h\r\n"
                      b"Content-Length: -7\r\n\r\n")
         stream = sock.makefile("rb")
@@ -140,21 +161,22 @@ def test_bodies_on_get_and_delete_do_not_desync_keepalive(broker):
     """Satellite regression: GET/DELETE handlers never drained request
     bodies, so a client that sent one desynced the keep-alive stream —
     the leftover bytes parsed as the next request line.  All three
-    pipelined requests below must parse and answer in order."""
+    pipelined requests below must parse and answer in order (DELETE is
+    not a route: 501, with its body drained all the same)."""
     transport = HttpTransport(broker.url, retries=0)
     transport.put("k.json", b"v")
     with socket.create_connection((broker.host, broker.port),
                                   timeout=5.0) as sock:
         sock.sendall(
-            b"GET /k/k.json HTTP/1.1\r\nHost: h\r\n"
+            b"GET /list?prefix=k HTTP/1.1\r\nHost: h\r\n"
             b"Content-Length: 7\r\n\r\npayload"
-            b"DELETE /k/k.json HTTP/1.1\r\nHost: h\r\n"
+            b"DELETE /k.json HTTP/1.1\r\nHost: h\r\n"
             b"Content-Length: 5\r\n\r\nhello"
             b"GET /healthz HTTP/1.1\r\nHost: h\r\n\r\n")
         stream = sock.makefile("rb")
         responses = _read_responses(stream, 3)
-        assert [r[0] for r in responses] == [200, 204, 200]
-        assert responses[0][2] == b"v"
+        assert [r[0] for r in responses] == [200, 501, 200]
+        assert json.loads(responses[0][2])["keys"] == ["k.json"]
         assert json.loads(responses[2][2]) == {"ok": True}
 
 
@@ -306,11 +328,14 @@ def test_claim_endpoint_buries_corrupt_job_record_and_scans_on(broker):
 
 
 def test_claim_404_is_a_transport_error(broker):
-    """Every broker serves ``POST /claim``, so a 404 means the URL is
-    not a broker: it must raise, never silently fall back to a scan."""
+    """Every broker serves ``POST /claim`` and ``GET /stats``, so a 404
+    means the URL is not a broker: it must raise, never silently fall
+    back to a client-side scan or an empty dashboard."""
     transport = HttpTransport(broker.url + "/not-a-broker", retries=0)
     with pytest.raises(TransportError, match="CLAIM"):
         transport.claim_first()
+    with pytest.raises(TransportError, match="STATS"):
+        transport.stats()
 
 
 def test_fake_clock_and_lease_ride_the_claim_endpoint(broker):

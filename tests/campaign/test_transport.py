@@ -109,6 +109,17 @@ def test_list_is_sorted_and_prefix_scoped(transport):
     assert transport.list("nope/") == []
 
 
+def test_list_walks_every_page(transport, monkeypatch):
+    """The derived ``list`` is a ``list_page`` walk: shrink the page so
+    the walk spans several pages and must reassemble them in order."""
+    monkeypatch.setattr("repro.campaign.dist.transport.MAX_LIST_PAGE", 2)
+    keys = [f"w/{i}.json" for i in range(5)]
+    for key in reversed(keys):
+        transport.put(key, b"{}")
+    transport.put("x/outside.json", b"{}")
+    assert transport.list("w/") == keys
+
+
 def test_etags_are_content_derived_across_transports(transport):
     """Identical bytes get identical ETags on every backend — the property
     that keeps leases valid across a broker restart."""
@@ -116,7 +127,7 @@ def test_etags_are_content_derived_across_transports(transport):
     assert transport.put("claims/x.json", data) == etag_of(data)
 
 
-# -- batch primitives --------------------------------------------------------
+# -- the primitives ----------------------------------------------------------
 
 def test_get_many_preserves_order_and_absence(transport):
     tag_a = transport.put("b/a.json", b"A")
@@ -127,15 +138,17 @@ def test_get_many_preserves_order_and_absence(transport):
 
 
 def test_put_many_applies_per_item_conditions_in_order(transport):
+    """An all-put ``mutate_many`` batch (what ``enqueue_grid`` sends)
+    honors each item's own condition, in order."""
     from repro.campaign.dist.transport import ANY
 
     tag = transport.put("c/k.json", b"v1")
-    outcomes = transport.put_many([
-        ("c/new.json", b"n", None),      # create: key absent -> wins
-        ("c/new.json", b"x", None),      # create: now present -> conflict
-        ("c/k.json", b"v2", tag),        # update at the current etag
-        ("c/k.json", b"v3", "stale"),    # update at a stale etag
-        ("c/any.json", b"a", ANY),       # unconditional
+    outcomes = transport.mutate_many([
+        ("put", "c/new.json", b"n", None),      # create: key absent -> wins
+        ("put", "c/new.json", b"x", None),      # create: now present -> conflict
+        ("put", "c/k.json", b"v2", tag),        # update at the current etag
+        ("put", "c/k.json", b"v3", "stale"),    # update at a stale etag
+        ("put", "c/any.json", b"a", ANY),       # unconditional
     ])
     assert outcomes[0] == etag_of(b"n")
     assert outcomes[1] is None
@@ -147,13 +160,14 @@ def test_put_many_applies_per_item_conditions_in_order(transport):
 
 
 def test_delete_many_is_conditional_per_item(transport):
+    """An all-delete ``mutate_many`` batch is conditional per item."""
     tag = transport.put("d/a.json", b"A")
     transport.put("d/b.json", b"B")
-    assert transport.delete_many([
-        ("d/a.json", "stale"),   # condition fails, key survives
-        ("d/b.json", None),      # unconditional
-        ("d/missing.json", None),
-        ("d/a.json", tag),       # right etag now
+    assert transport.mutate_many([
+        ("delete", "d/a.json", "stale"),   # condition fails, key survives
+        ("delete", "d/b.json", None),      # unconditional
+        ("delete", "d/missing.json", None),
+        ("delete", "d/a.json", tag),       # right etag now
     ]) == [False, True, False, True]
     assert transport.list("d/") == []
 
@@ -170,12 +184,15 @@ def test_mutate_many_mixes_writes_and_deletes_in_order(transport):
         ("put", "m/result.json", b"R", ANY),       # unconditional write
         ("put", "m/done.json", b"{}", None),       # conditional create
         ("put", "m/done.json", b"x", None),        # create again -> conflict
+        ("put", "m/k.json", b"v2", tag),           # update at current etag
+        ("put", "m/k.json", b"v3", "stale"),       # update at stale etag
         ("delete", "m/old.json", None),            # unconditional delete
         ("delete", "m/k.json", "stale"),           # conditional miss
-        ("delete", "m/k.json", tag),               # conditional hit
+        ("delete", "m/k.json", etag_of(b"v2")),    # conditional hit
         ("delete", "m/missing.json", None),        # absent key
     ])
     assert outcomes == [etag_of(b"R"), etag_of(b"{}"), None,
+                        etag_of(b"v2"), None,
                         True, False, True, False]
     assert transport.get("m/result.json")[0] == b"R"
     assert transport.get("m/done.json")[0] == b"{}"
