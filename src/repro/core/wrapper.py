@@ -14,19 +14,26 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
 from repro.darshan.dxt import DxtRecord, DxtSegment
-from repro.darshan.extraction import (
-    get_dxt_records,
+# get_module_records is not called here, but perfbench/probes.py patches it
+# on this module by name.
+from repro.darshan.extraction import (  # noqa: F401
+    copy_records,
     get_module_records,
     get_runtime_info,
 )
 from repro.darshan.records import CounterRecord
+from repro.darshan.runtime import DarshanCore
 from repro.core.attach import RuntimeAttachment
 from repro.core.config import TfDarshanCosts
 
 
 @dataclass
 class Snapshot:
-    """Copy of the Darshan module buffers at one instant."""
+    """Copy of the Darshan module buffers at one instant.
+
+    Its records are read-only: a record that did not change between two
+    snapshots of one :class:`DarshanMiddleman` is the same object in both.
+    """
 
     time: float
     posix: Dict[int, CounterRecord] = field(default_factory=dict)
@@ -88,6 +95,11 @@ class DarshanMiddleman:
         self.attachment = attachment
         self.env = attachment.env
         self.costs = costs or attachment.options.costs
+        # The last snapshot and the core it was read from: the next snapshot
+        # of the same core copies only the records that changed since.  A
+        # re-attached process has a fresh core whose stamps mean nothing here.
+        self._last: Optional[Snapshot] = None
+        self._last_core: Optional[DarshanCore] = None
 
     # -- snapshots ------------------------------------------------------------
     def take_snapshot(self) -> Generator:
@@ -95,11 +107,15 @@ class DarshanMiddleman:
         core = self.attachment.core
         snapshot = Snapshot(time=self.env.now)
         if core is not None:
-            snapshot.posix = get_module_records(core, "POSIX")
-            snapshot.stdio = get_module_records(core, "STDIO")
+            base = self._last if core is self._last_core else Snapshot(0.0)
+            snapshot.posix = copy_records(core, "POSIX", reuse=base.posix)
+            snapshot.stdio = copy_records(core, "STDIO", reuse=base.stdio)
             if self.attachment.options.enable_dxt:
-                snapshot.dxt_posix = get_dxt_records(core, "POSIX")
-                snapshot.dxt_stdio = get_dxt_records(core, "STDIO")
+                snapshot.dxt_posix = copy_records(core, "POSIX", dxt=True,
+                                                  reuse=base.dxt_posix)
+                snapshot.dxt_stdio = copy_records(core, "STDIO", dxt=True,
+                                                  reuse=base.dxt_stdio)
+            self._last, self._last_core = snapshot, core
         cost = self.costs.snapshot_per_record * snapshot.record_count
         if cost > 0:
             yield self.env.timeout(cost)
@@ -133,6 +149,8 @@ class DarshanMiddleman:
         deltas: List[RecordDelta] = []
         for record_id, end_rec in after.items():
             start_rec = before.get(record_id)
+            if start_rec is end_rec:
+                continue
             counters: Dict[str, int] = {}
             fcounters: Dict[str, float] = {}
             changed = False
@@ -168,6 +186,8 @@ class DarshanMiddleman:
         out: Dict[int, List[DxtSegment]] = {}
         for record_id, end_rec in after.items():
             start_rec = before.get(record_id)
+            if start_rec is end_rec:
+                continue
             skip_reads = len(start_rec.read_segments) if start_rec else 0
             skip_writes = len(start_rec.write_segments) if start_rec else 0
             segments = (end_rec.read_segments[skip_reads:]

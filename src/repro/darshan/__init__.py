@@ -14,6 +14,7 @@ from repro.darshan.dxt import DxtRecord, DxtSegment
 from repro.darshan.extraction import (
     EXTRACTABLE_MODULES,
     RuntimeInfo,
+    copy_records,
     get_dxt_records,
     get_module_records,
     get_runtime_info,
@@ -49,6 +50,7 @@ __all__ = [
     "STDIO_F_COUNTERS",
     "StdioModule",
     "build_heatmap",
+    "copy_records",
     "darshan_record_id",
     "get_dxt_records",
     "get_module_records",

@@ -13,7 +13,7 @@ the difference while the application keeps running.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.darshan.dxt import DxtRecord
 from repro.darshan.records import CounterRecord
@@ -21,6 +21,8 @@ from repro.darshan.runtime import DarshanCore
 
 #: Module names whose records can be extracted.
 EXTRACTABLE_MODULES = ("POSIX", "STDIO", "DXT_POSIX", "DXT_STDIO")
+
+Record = Union[CounterRecord, DxtRecord]
 
 
 @dataclass
@@ -38,22 +40,39 @@ class RuntimeInfo:
         return max(self.file_counts.values()) if self.file_counts else 0
 
 
+def copy_records(core: DarshanCore, module_name: str, dxt: bool = False,
+                 reuse: Optional[Mapping[int, Record]] = None
+                 ) -> Dict[int, Record]:
+    """Copies of a module's counter records, or of its DXT records if ``dxt``.
+
+    ``reuse`` is an earlier result of this function for the same ``core``.
+    A copy in it whose stamp still equals the live record's is returned
+    as is instead of copying the record again, so the two results share
+    it and neither may modify it.  Every other copy is fresh.
+    """
+    module = core.get_module(module_name)
+    live = getattr(module, "dxt_records" if dxt else "records", None)
+    if not live:
+        return {}
+    reuse = reuse or {}
+    copies: Dict[int, Record] = {}
+    for rec_id, rec in live.items():
+        old = reuse.get(rec_id)
+        copies[rec_id] = (old if old is not None and old.stamp == rec.stamp
+                          else rec.copy())
+    return copies
+
+
 def get_module_records(core: DarshanCore, module_name: str
                        ) -> Dict[int, CounterRecord]:
     """Deep copy of the counter records of a module ("POSIX" or "STDIO")."""
-    module = core.get_module(module_name)
-    if module is None:
-        return {}
-    return {rec_id: rec.copy() for rec_id, rec in module.records.items()}
+    return copy_records(core, module_name)
 
 
 def get_dxt_records(core: DarshanCore, module_name: str = "POSIX"
                     ) -> Dict[int, DxtRecord]:
     """Deep copy of the DXT segment records attached to a counter module."""
-    module = core.get_module(module_name)
-    if module is None or not getattr(module, "dxt_records", None):
-        return {}
-    return {rec_id: rec.copy() for rec_id, rec in module.dxt_records.items()}
+    return copy_records(core, module_name, dxt=True)
 
 
 def lookup_record_name(core: DarshanCore, record_id: int) -> Optional[str]:

@@ -30,9 +30,15 @@ class NameRecord:
 
 
 class CounterRecord:
-    """A generic Darshan record: integer and floating-point counters."""
+    """A generic Darshan record: integer and floating-point counters.
 
-    __slots__ = ("record_id", "rank", "counters", "fcounters", "_access_sizes")
+    ``stamp`` counts the calls to the mutators below.  A copy carries the
+    stamp of its source, so a copy whose stamp still equals its source's
+    holds the same values.  The stamp is not serialized.
+    """
+
+    __slots__ = ("record_id", "rank", "counters", "fcounters", "_access_sizes",
+                 "stamp")
 
     def __init__(self, record_id: int, rank: int,
                  counter_names: Iterable[str], fcounter_names: Iterable[str]):
@@ -41,40 +47,50 @@ class CounterRecord:
         self.counters: Dict[str, int] = {name: 0 for name in counter_names}
         self.fcounters: Dict[str, float] = {name: 0.0 for name in fcounter_names}
         # Frequency of access sizes, used to fill the ACCESSx counters the
-        # way darshan_common_val_counter does.
-        self._access_sizes: Counter = Counter()
+        # way darshan_common_val_counter does.  A plain dict: snapshots copy
+        # it, and copying a Counter costs several times more.
+        self._access_sizes: Dict[int, int] = {}
+        self.stamp = 0
 
     # -- counter updates ----------------------------------------------------
     def inc(self, name: str, amount: int = 1) -> None:
         """Increment an integer counter."""
+        self.stamp += 1
         self.counters[name] += amount
 
     def maximum(self, name: str, value: int) -> None:
         """Raise an integer counter to at least ``value``."""
+        self.stamp += 1
         if value > self.counters[name]:
             self.counters[name] = value
 
     def fset_first(self, name: str, value: float) -> None:
         """Set a float counter if it has never been set (first timestamp)."""
+        self.stamp += 1
         if self.fcounters[name] == 0.0:
             self.fcounters[name] = value
 
     def fset_max(self, name: str, value: float) -> None:
         """Raise a float counter to at least ``value`` (last timestamp)."""
+        self.stamp += 1
         if value > self.fcounters[name]:
             self.fcounters[name] = value
 
     def fadd(self, name: str, value: float) -> None:
         """Accumulate elapsed time into a float counter."""
+        self.stamp += 1
         self.fcounters[name] += value
 
     def note_access_size(self, nbytes: int) -> None:
         """Track a common access size (feeds the ACCESSx_ACCESS counters)."""
-        self._access_sizes[int(nbytes)] += 1
+        self.stamp += 1
+        size = int(nbytes)
+        self._access_sizes[size] = self._access_sizes.get(size, 0) + 1
 
     def finalize_common_accesses(self, prefix: str) -> None:
         """Fill the top-4 common access size counters from the tracked sizes."""
-        top = self._access_sizes.most_common(4)
+        self.stamp += 1
+        top = Counter(self._access_sizes).most_common(4)
         for i in range(4):
             access_key = f"{prefix}_ACCESS{i + 1}_ACCESS"
             count_key = f"{prefix}_ACCESS{i + 1}_COUNT"
@@ -94,7 +110,8 @@ class CounterRecord:
         clone = CounterRecord(self.record_id, self.rank, (), ())
         clone.counters = dict(self.counters)
         clone.fcounters = dict(self.fcounters)
-        clone._access_sizes = Counter(self._access_sizes)
+        clone._access_sizes = dict(self._access_sizes)
+        clone.stamp = self.stamp
         return clone
 
     def as_dict(self) -> Dict[str, object]:

@@ -109,10 +109,32 @@ class DeviceMetrics:
         t_end = until if until is not None else max(iv.end for iv in self.intervals)
         n_bins = max(1, int(np.ceil(t_end / bin_seconds)))
         edges = np.arange(n_bins + 1) * bin_seconds
-        values = np.zeros(n_bins)
-        for i in range(n_bins):
-            values[i] = self.bytes_between(edges[i], edges[i + 1], writes=writes)
-        return edges[:-1], values / bin_seconds
+        bounds = edges.tolist()
+        values = [0.0] * n_bins
+        # One pass over the intervals, in list order, visiting only the bins
+        # each one can reach.  Every bin then adds the same terms in the same
+        # order as bytes_between(bounds[i], bounds[i + 1]), so the sums are
+        # bit-identical to it; a prefix sum would round differently.
+        for iv in self.intervals:
+            if writes is not None and iv.is_write is not writes:
+                continue
+            start, end, nbytes = iv.start, iv.end, iv.nbytes
+            duration = end - start
+            first = max(0, bisect.bisect_right(bounds, start) - 1)
+            stop = min(n_bins, max(first + 1, bisect.bisect_left(bounds, end)))
+            for i in range(first, stop):
+                t0, t1 = bounds[i], bounds[i + 1]
+                lo = max(t0, start)
+                hi = min(t1, end)
+                if hi <= lo:
+                    # instantaneous transfer exactly at a bin edge
+                    if duration == 0.0 and t0 <= start < t1:
+                        values[i] += nbytes
+                elif duration == 0.0:
+                    values[i] += nbytes
+                else:
+                    values[i] += nbytes * (hi - lo) / duration
+        return edges[:-1], np.array(values) / bin_seconds
 
     def reset(self) -> None:
         """Clear all recorded activity (used between benchmark repetitions)."""

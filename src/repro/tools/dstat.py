@@ -27,14 +27,12 @@ class DstatSeries:
     times: np.ndarray
     read_rates: np.ndarray
     write_rates: np.ndarray
+    #: Width of one bin in seconds (the monitor's sampling interval).
+    interval: float = 1.0
 
     @property
     def total_read_bytes(self) -> float:
-        if len(self.times) < 2:
-            width = 1.0
-        else:
-            width = float(self.times[1] - self.times[0])
-        return float(self.read_rates.sum() * width)
+        return float(self.read_rates.sum() * self.interval)
 
     @property
     def peak_read_rate(self) -> float:
@@ -108,7 +106,8 @@ class DstatMonitor:
             times = np.array([start])
             reads = np.zeros(1)
             writes = np.zeros(1)
-        return DstatSeries(times=times, read_rates=reads, write_rates=writes)
+        return DstatSeries(times=times, read_rates=reads, write_rates=writes,
+                           interval=self.interval)
 
     def _device_series(self, device: StorageDevice, start: float, end: float
                        ) -> DstatSeries:
@@ -118,10 +117,11 @@ class DstatMonitor:
             bin_seconds=self.interval, until=end, writes=True)
         if not len(times):
             return DstatSeries(times=np.array([]), read_rates=np.array([]),
-                               write_rates=np.array([]))
+                               write_rates=np.array([]),
+                               interval=self.interval)
         mask = times >= (start - 1e-9)
         return DstatSeries(times=times[mask], read_rates=reads[mask],
-                           write_rates=writes[mask])
+                           write_rates=writes[mask], interval=self.interval)
 
     # -- text output ------------------------------------------------------------
     def render(self, max_rows: int = 20) -> str:

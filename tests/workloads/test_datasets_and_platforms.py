@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sim import Environment
 from repro.posix import SimulatedOS
-from repro.storage import LocalFilesystem, hdd
+from repro.storage import LocalFilesystem, StreamingDevice, hdd
 from repro.tools import DstatMonitor, format_table, within_factor
 from repro.workloads import (
     build_imagenet_dataset,
@@ -128,6 +128,20 @@ def test_dstat_monitor_observes_device_traffic():
     assert series.total_read_bytes == pytest.approx(250 * MIB, rel=0.01)
     assert series.peak_read_rate > 0
     assert "read(MiB/s)" in monitor.render()
+
+
+def test_dstat_single_bin_total_uses_the_monitor_interval():
+    env = Environment()
+    device = StreamingDevice(env, "ssd", read_bandwidth=100e6, latency=0.0)
+    monitor = DstatMonitor(env, [device], interval=0.5)
+    monitor.start()
+    device.metrics.record_transfer(0.125, 0.375, 1000)
+    env.run(until=0.4)
+    monitor.stop()
+    series = monitor.series()
+    assert len(series.times) == 1
+    assert series.total_read_bytes == 1000.0
+    assert monitor.series(per_device=True)["ssd"].total_read_bytes == 1000.0
 
 
 def test_dstat_interval_validation():
