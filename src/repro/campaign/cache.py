@@ -290,22 +290,16 @@ def open_cache(location: Any,
     """Build the right cache for a ``--cache``-style argument.
 
     The cache twin of ``transport_from_address``: ``http://`` /
-    ``https://`` URLs get a :class:`TransportResultCache` over the broker
-    (a comma-separated list of such URLs deduplicates across a sharded
-    broker fleet), a :class:`~repro.campaign.dist.transport.
-    QueueTransport` instance is wrapped directly (e.g. a
-    ``MemoryTransport`` shared with a thread fleet), an existing cache
-    passes through unchanged, and anything else is treated as a cache
-    directory.
+    ``https://`` URLs get a :class:`TransportResultCache` over the
+    broker, a :class:`~repro.campaign.dist.transport.QueueTransport`
+    instance is wrapped directly (e.g. a ``MemoryTransport`` shared with
+    a thread fleet), an existing cache passes through unchanged, and
+    anything else is treated as a cache directory.
 
     >>> open_cache("http://broker:8123")
     TransportResultCache(HttpTransport('http://broker:8123'))
     """
-    from repro.campaign.dist.transport import (
-        HttpTransport,
-        QueueTransport,
-        transport_from_address,
-    )
+    from repro.campaign.dist.transport import HttpTransport, QueueTransport
 
     if isinstance(location, TransportResultCache):
         return location
@@ -314,11 +308,8 @@ def open_cache(location: Any,
                                     physics_version=physics_version)
     text = str(location)
     if text.startswith("http://") or text.startswith("https://"):
-        # Single broker or a comma-separated shard list — dispatch the
-        # same way the queue does, so ``--queue``/``--cache`` accept the
-        # same address syntax.
-        transport = transport_from_address(text, retries=retries,
-                                           retry_delay=retry_delay)
+        transport = HttpTransport(text, retries=retries,
+                                  retry_delay=retry_delay)
         return TransportResultCache(transport,
                                     physics_version=physics_version)
     return ResultCache(location, physics_version=physics_version)

@@ -20,18 +20,8 @@ that any mix of threads, processes and hosts can participate in:
   run the same scan client-side.  The result cache and the persisted cost
   model ride the same contract
   (:func:`~repro.campaign.cache.open_cache`), so broker fleets
-  deduplicate without any shared filesystem.
-  :class:`~repro.campaign.dist.sharding.ShardedTransport` scales the
-  seam horizontally: a comma-separated broker list
-  (``--queue http://b1:8123,http://b2:8123``) consistent-hash-routes
-  each job's document family to one shard, scatter-gathers listings and
-  batches, and guards resharding with a per-shard ``meta/epoch``
-  handshake.  Each shard sits behind a
-  :class:`~repro.campaign.dist.breaker.CircuitBreaker`, so a dead broker
-  is shed fast instead of stalling every call, and ``degraded_reads=True``
-  turns scatter-gather reads into
-  :class:`~repro.campaign.dist.transport.DegradedResult`-tagged partials
-  ("N of M shards reporting").
+  deduplicate without any shared filesystem.  One broker serves a whole
+  fleet.
   :class:`~repro.campaign.dist.chaos.ChaosTransport` wraps any transport
   with a deterministic :class:`~repro.campaign.dist.chaos.FaultPlan`
   (seeded error rates, latency, partition windows, torn writes) for
@@ -68,7 +58,6 @@ machine, transports and operational recipes in ``docs/distributed.md``,
 ``docs/cookbook.md`` and ``docs/observability.md``.
 """
 
-from repro.campaign.dist.breaker import CircuitBreaker
 from repro.campaign.dist.chaos import ChaosTransport, FaultPlan
 from repro.campaign.dist.costmodel import AutoscalePolicy, CostModel
 from repro.campaign.dist.executor import DistributedExecutor
@@ -79,15 +68,12 @@ from repro.campaign.dist.queue import (
     cost_for_priority,
     priority_for_cost,
 )
-from repro.campaign.dist.sharding import EpochMismatch, ShardedTransport
 from repro.campaign.dist.transport import (
-    DegradedResult,
     FsTransport,
     HttpTransport,
     MemoryTransport,
     QueueTransport,
     TransportError,
-    is_degraded,
     transport_from_address,
 )
 
@@ -112,23 +98,18 @@ __all__ = [
     "Broker",
     "CampaignSnapshot",
     "ChaosTransport",
-    "CircuitBreaker",
     "CostModel",
-    "DegradedResult",
     "DistributedExecutor",
-    "EpochMismatch",
     "FaultPlan",
     "FsTransport",
     "HttpTransport",
     "MemoryTransport",
     "QueueTransport",
-    "ShardedTransport",
     "TransportError",
     "WorkItem",
     "WorkQueue",
     "Worker",
     "cost_for_priority",
-    "is_degraded",
     "priority_for_cost",
     "snapshot_campaign",
     "transport_from_address",

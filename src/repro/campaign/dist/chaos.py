@@ -12,13 +12,12 @@ is reproducible: same plan, same op sequence, same faults.
 The wrapper intercepts the three contract primitives (``get_many`` /
 ``mutate_many`` / ``list_page``) — so every derived operation faults as
 the primitive it rides: a ``put`` is a one-op ``mutate_many``, a ``get``
-a one-key ``get_many`` — plus the optional ``claim_first`` / ``stats``
-probes (exposed only when the inner transport has them, so capability
-detection by callers keeps working).  It composes under
-:class:`~repro.campaign.dist.sharding.ShardedTransport`, which is the
-point: wrap one shard of a fleet and the router's circuit breakers,
-degraded reads and claim failover can be exercised without killing a
-real broker.
+a one-key ``get_many`` — plus the optional server-side ``claim_first``
+(exposed only when the inner transport has it, so the queue's capability
+detection keeps working).  Wrap a broker's transport and a
+fleet's outage handling — worker outage budgets, replay-safe settles,
+the executor's drain poll, a cache that degrades mid-run — can be
+exercised without killing a real broker.
 
 ``ChaosTransport.address`` is always ``None``: the faults live in *this
 process*, so handing the inner store's address to a freshly spawned
@@ -193,14 +192,11 @@ class ChaosTransport(QueueTransport):
         self._faults = registry.counter(
             "chaos_faults_total", "faults injected by ChaosTransport, "
             "by op and kind (error/torn)")
-        # Capability mirroring: callers probe `callable(t.claim_first)` /
-        # `callable(t.stats)` — a wrapper must not advertise endpoints
-        # its inner store lacks.  Instance attributes shadow the class
-        # methods.
+        # Capability mirroring: WorkQueue probes `t.claim_first` — a
+        # wrapper must not advertise an endpoint its inner store lacks.
+        # The instance attribute shadows the class method.
         if not callable(getattr(inner, "claim_first", None)):
             self.claim_first = None  # type: ignore[assignment]
-        if not callable(getattr(inner, "stats", None)):
-            self.stats = None  # type: ignore[assignment]
 
     # -- fault funnel ------------------------------------------------------
     def _apply(self, op: str, call):
@@ -236,7 +232,7 @@ class ChaosTransport(QueueTransport):
             "list_page", lambda: self.inner.list_page(
                 prefix, max_keys, start_after=start_after))
 
-    # -- optional endpoints (shadowed to None when the inner lacks them) ---
+    # -- optional endpoint (shadowed to None when the inner lacks it) ------
     def claim_first(self, prefix: str = "pending/", worker: str = "",
                     now: Optional[float] = None,
                     lease_seconds: Optional[float] = None) -> Optional[dict]:
@@ -244,12 +240,6 @@ class ChaosTransport(QueueTransport):
             "claim_first", lambda: self.inner.claim_first(
                 prefix=prefix, worker=worker, now=now,
                 lease_seconds=lease_seconds))
-
-    def stats(self) -> Optional[dict]:
-        """Pass-through, fault-free: chaos targets the data path, and a
-        dashboard that cannot see a store *because of the injector* would
-        report the wrong failure."""
-        return self.inner.stats()
 
     def close(self) -> None:
         closer = getattr(self.inner, "close", None)

@@ -447,10 +447,10 @@ class DistributedExecutor:
                 if keys <= queue.terminal_keys():
                     return
             except (OSError, TransportError) as exc:
-                # A partition window (or a tripped shard breaker) must not
-                # kill the orchestrator while workers are riding out the
-                # same outage — keep polling until the drain deadline,
-                # which remains the outage budget of last resort.
+                # A partition window or a broker restart must not kill
+                # the orchestrator while workers are riding out the same
+                # outage — keep polling until the drain deadline, which
+                # remains the outage budget of last resort.
                 self._events.event(
                     "drain-poll-error",
                     error=f"{type(exc).__name__}: {exc}")

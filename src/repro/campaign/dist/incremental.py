@@ -14,7 +14,7 @@ with explicit accounting of what is still ``pending``, currently
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.campaign.aggregate import CampaignResult
 from repro.campaign.dist.queue import WorkQueue
@@ -38,11 +38,6 @@ class CampaignSnapshot:
     * ``failed``: terminally failed — dead-lettered after exhausting retry
       attempts, or completed with a workload error (those also appear in
       ``result`` so their error strings stay queryable).
-
-    ``shards_reporting`` is ``(reporting, total)`` for sharded fleets —
-    ``(1, 2)`` means one of two shards has a tripped circuit breaker and
-    the snapshot may undercount its keys — and ``None`` for single-shard
-    queues, where the question does not arise.
     """
 
     spec: SweepSpec
@@ -51,7 +46,6 @@ class CampaignSnapshot:
     running: List[str] = field(default_factory=list)
     failed: List[str] = field(default_factory=list)
     total: int = 0
-    shards_reporting: Optional[Tuple[int, int]] = None
 
     @property
     def done(self) -> int:
@@ -74,15 +68,10 @@ class CampaignSnapshot:
 
     def summary(self) -> str:
         """One human-readable progress line for status displays."""
-        line = (f"campaign {self.spec.name!r}: {self.done}/{self.total} done, "
+        return (f"campaign {self.spec.name!r}: {self.done}/{self.total} done, "
                 f"{len(self.running)} running, {len(self.pending)} pending, "
                 f"{len(self.failed)} failed "
                 f"({100.0 * self.progress:.0f}% terminal)")
-        if self.shards_reporting is not None:
-            up, shards = self.shards_reporting
-            if up < shards:
-                line += f" [{up} of {shards} shards reporting]"
-        return line
 
 
 def snapshot_campaign(spec: SweepSpec, queue: WorkQueue) -> CampaignSnapshot:
@@ -92,13 +81,6 @@ def snapshot_campaign(spec: SweepSpec, queue: WorkQueue) -> CampaignSnapshot:
     before (or halfway through) enqueueing is still truthful.
     """
     jobs = spec.expand()
-    # Sharded fleets know how many of their shards are answering; a
-    # snapshot taken while a breaker is open must say so rather than
-    # pass a partial census off as the whole campaign.
-    reporting: Optional[Tuple[int, int]] = None
-    probe = getattr(queue.transport, "shards_reporting", None)
-    if callable(probe):
-        reporting = probe()
     results = queue.results()
     dead = queue.dead()
     # Live leases only: a claim whose worker stopped heartbeating is
@@ -134,10 +116,7 @@ def snapshot_campaign(spec: SweepSpec, queue: WorkQueue) -> CampaignSnapshot:
             "pending": len(pending),
             "running": len(running),
             "failed": len(failed),
-            "shards_reporting": (list(reporting)
-                                 if reporting is not None else None),
         }},
     )
     return CampaignSnapshot(spec=spec, result=result, pending=pending,
-                            running=running, failed=failed, total=len(jobs),
-                            shards_reporting=reporting)
+                            running=running, failed=failed, total=len(jobs))

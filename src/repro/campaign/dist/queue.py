@@ -57,13 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.campaign.dist.transport import (
-    ANY,
-    DegradedResult,
-    FsTransport,
-    QueueTransport,
-    is_degraded,
-)
+from repro.campaign.dist.transport import ANY, FsTransport, QueueTransport
 from repro.campaign.jobs import JobResult, result_from_record_or_none
 from repro.campaign.jsonio import json_dumps_bytes, json_loads_or_none
 from repro.campaign.obs import MetricsRegistry, get_registry
@@ -434,21 +428,11 @@ class WorkQueue:
         return _ticket_key_of(name)
 
     def _names(self, state: str) -> List[str]:
-        """Sorted document stems under a state prefix (foreign keys skipped).
-
-        A partial listing from a degraded sharded transport keeps its
-        :class:`~repro.campaign.dist.transport.DegradedResult` tag, so
-        status surfaces built on top (``counts``, ``snapshot_campaign``)
-        can report *N of M shards* instead of silently presenting a
-        partial view as the whole queue.
-        """
+        """Sorted document stems under a state prefix (foreign keys
+        skipped)."""
         head = len(state) + 1
-        listing = self.transport.list(f"{state}/")
-        names = [key[head:-5] for key in listing if key.endswith(".json")]
-        if is_degraded(listing):
-            return DegradedResult(names,
-                                  missing_shards=listing.missing_shards)
-        return names
+        return [key[head:-5] for key in self.transport.list(f"{state}/")
+                if key.endswith(".json")]
 
     # -- enqueue -----------------------------------------------------------
     def enqueue(self, job: JobSpec, cost: float = 0.0) -> str:
@@ -591,12 +575,12 @@ class WorkQueue:
         documents in one round trip, CAS-create the claim document.
 
         When the transport advertises a server-side claim (a callable
-        ``claim_first`` — the HTTP transport, or a shard router whose
-        every shard has one), the whole pass runs broker-side as one
-        ``POST /claim`` round trip instead of four; the claimant's clock
-        and adopted lease policy ride along, so the semantics (including
-        fake-clock tests) are identical.  Transports whose
-        ``claim_first`` is absent or ``None`` run the pass client-side.
+        ``claim_first`` — the HTTP transport), the whole pass runs
+        broker-side as one ``POST /claim`` round trip instead of four; the
+        claimant's clock and adopted lease policy ride along, so the
+        semantics (including fake-clock tests) are identical.  Transports
+        whose ``claim_first`` is absent or ``None`` run the pass
+        client-side.
         """
         claim_first = (getattr(self.transport, "claim_first", None)
                        or functools.partial(claim_first_over, self.transport,
@@ -914,10 +898,6 @@ class WorkQueue:
 
         Emptiness is probed with one-page listings (a drain poll must not
         ship the whole pending keyspace just to learn it is non-empty).
-        A *degraded* page (an unreachable shard under a sharded
-        transport's ``degraded_reads``) can never prove emptiness — the
-        dead shard may still hold tickets — so it reports not-drained
-        rather than letting a fleet shut down over a partial view.
         """
         return self._state_empty("pending") and self._state_empty("claims")
 
@@ -927,8 +907,6 @@ class WorkQueue:
         while True:
             page, token = self.transport.list_page(f"{state}/", 16,
                                                    start_after=start_after)
-            if is_degraded(page):
-                return False  # an unreadable shard may hold tickets
             if any(key.endswith(".json") for key in page):
                 return False
             if token is None:

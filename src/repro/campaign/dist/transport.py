@@ -132,42 +132,6 @@ class TransportError(Exception):
         self.address = address
 
 
-class DegradedResult(list):
-    """A partial scatter-gather result: a plain ``list`` tagged with the
-    shards that could not answer.
-
-    Returned by :class:`~repro.campaign.dist.sharding.ShardedTransport`
-    reads under ``degraded_reads=True`` instead of raising on the first
-    unreachable shard.  Being a ``list`` subclass, every existing
-    consumer keeps working unchanged; callers that must *not* act on a
-    partial view (e.g. ``WorkQueue.drained``) check
-    :func:`is_degraded` and refuse.  ``missing_shards`` lists the
-    identities of the shards whose data is absent.
-    """
-
-    def __init__(self, items: Sequence = (),
-                 missing_shards: Sequence[str] = ()):
-        super().__init__(items)
-        self.missing_shards = list(missing_shards)
-
-    def __repr__(self) -> str:
-        return (f"DegradedResult({list(self)!r}, "
-                f"missing_shards={self.missing_shards!r})")
-
-
-def is_degraded(value) -> bool:
-    """True when ``value`` is a partial (degraded) scatter-gather result.
-
-    >>> is_degraded([1, 2])
-    False
-    >>> is_degraded(DegradedResult([1], missing_shards=["http://b2"]))
-    True
-    >>> is_degraded(DegradedResult([1], missing_shards=[]))
-    False
-    """
-    return bool(getattr(value, "missing_shards", None))
-
-
 def etag_of(data: bytes) -> str:
     """Content-derived ETag shared by every transport.
 
@@ -247,28 +211,16 @@ class QueueTransport:
 
     def list(self, prefix: str) -> List[str]:
         """Sorted keys beginning with ``prefix``, walked in pages of
-        :data:`MAX_LIST_PAGE` keys.
-
-        A degraded page (a sharded listing with unreachable shards) makes
-        the whole listing a :class:`DegradedResult` naming every shard
-        any page was missing.
-        """
+        :data:`MAX_LIST_PAGE` keys."""
         keys: List[str] = []
-        missing: List[str] = []
         start_after = ""
         while True:
             page, token = self.list_page(prefix, MAX_LIST_PAGE,
                                          start_after=start_after)
             keys.extend(page)
-            for shard in getattr(page, "missing_shards", ()):
-                if shard not in missing:
-                    missing.append(shard)
             if token is None:
-                break
+                return keys
             start_after = token
-        if missing:
-            return DegradedResult(keys, missing_shards=missing)
-        return keys
 
 
 def _page_of(keys: List[str], max_keys: int
@@ -933,26 +885,12 @@ def transport_from_address(address: os.PathLike, retries: int = 5,
     """Build the right transport for an address string.
 
     ``http://`` / ``https://`` URLs get an :class:`HttpTransport` pointed
-    at a broker; a comma-separated list of such URLs gets a
-    :class:`~repro.campaign.dist.sharding.ShardedTransport` routing
-    across all of them (``--queue http://b1:8123,http://b2:8123``);
-    anything else is treated as a queue directory on a (possibly shared)
-    filesystem.  This is how the worker CLI's ``--queue`` argument
-    accepts all three.
+    at a broker; anything else is treated as a queue directory on a
+    (possibly shared) filesystem.  This is how the worker CLI's
+    ``--queue`` argument accepts both.  A malformed URL (say, a port that
+    is not a number) raises ``ValueError``.
     """
     text = str(address)
-    if "," in text:
-        # Imported lazily: sharding builds on this module.
-        from repro.campaign.dist.sharding import (
-            ShardedTransport,
-            split_shard_urls,
-        )
-
-        urls = split_shard_urls(text)
-        if urls is not None:
-            return ShardedTransport(
-                [HttpTransport(url, retries=retries,
-                               retry_delay=retry_delay) for url in urls])
     if text.startswith("http://") or text.startswith("https://"):
         return HttpTransport(text, retries=retries, retry_delay=retry_delay)
     return FsTransport(Path(text))

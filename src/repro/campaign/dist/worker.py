@@ -26,10 +26,10 @@ same contract as the in-process executors); only infrastructure failures —
 the job could not be run at all — consume a retry attempt.
 
 A *transient* transport failure mid-loop (a broker restarting, one
-dropped request, a sharded fleet's partition window) does **not** kill
-the worker: the loop retries with bounded, jittered backoff until the
-outage has lasted ``--max-outage`` seconds (default 30; ``0`` fails
-fast), mirroring the per-beat tolerance of the lease-heartbeat thread.
+dropped request, a partition window) does **not** kill the worker: the
+loop retries with bounded, jittered backoff until the outage has lasted
+``--max-outage`` seconds (default 30; ``0`` fails fast), mirroring the
+per-beat tolerance of the lease-heartbeat thread.
 A settle interrupted by such a failure is retried in place (the settle
 batch is conditional, so replaying it is safe) rather than abandoning
 the executed result to a lease expiry.  A *cache* transport that dies
@@ -41,9 +41,10 @@ surfaces as exit code 3.
 
 Exit codes (documented in ``docs/distributed.md``): **0** — clean exit
 (drained, idle timeout, or job budget reached); **2** — bad command line
-(argparse); **3** — the queue or cache transport is unreachable for
-longer than the outage budget (broker down, unwritable directory),
-reported as a one-line message rather than a traceback.
+(argparse, or a malformed ``--queue``/``--cache`` URL); **3** — the queue
+or cache transport is unreachable for longer than the outage budget
+(broker down, unwritable directory), reported as a one-line message
+rather than a traceback.
 
 Workers with custom (non-built-in) cases set ``REPRO_CASE_PROVIDERS`` to a
 colon-separated list of modules to import before execution (see
@@ -70,6 +71,9 @@ from repro.campaign.jobs import (
     result_from_record_or_none,
 )
 from repro.campaign.obs import StructLogger, get_registry
+
+#: Exit code for a bad command line (see module docstring).
+EXIT_USAGE = 2
 
 #: Exit code for an unreachable queue transport (see module docstring).
 EXIT_TRANSPORT_ERROR = 3
@@ -233,10 +237,10 @@ class Worker:
         Transient :class:`TransportError` / ``OSError`` anywhere in the
         scavenge-claim-settle loop is absorbed with bounded jittered
         backoff (see ``max_outage``) — a worker must ride out a broker
-        restart or a sharded fleet's partition window rather than dying
-        on the first dropped request.  A job whose settle was interrupted
-        is *safe either way*: its lease expires and the ticket requeues,
-        and the result cache deduplicates any re-execution.
+        restart or a partition window rather than dying on the first
+        dropped request.  A job whose settle was interrupted is *safe
+        either way*: its lease expires and the ticket requeues, and the
+        result cache deduplicates any re-execution.
 
         Raises
         ------
@@ -489,7 +493,7 @@ def main(argv: Optional[list] = None) -> int:
             "exit codes:\n"
             "  0  clean exit (queue drained, idle timeout, or --max-jobs "
             "reached)\n"
-            "  2  bad command line\n"
+            "  2  bad command line (including a malformed broker URL)\n"
             "  3  queue or cache transport unreachable at startup, or "
             "unreachable\n"
             "     mid-loop for longer than --max-outage seconds\n"))
@@ -539,12 +543,21 @@ def main(argv: Optional[list] = None) -> int:
     events = StructLogger("worker", enabled=not args.quiet)
     log = (lambda _line: None) if args.quiet else (
         lambda line: events.event("progress", detail=line))
-    queue = cache = None
+    transport = cache = None
     try:
-        queue = WorkQueue(transport=transport_from_address(
-            args.queue, retries=args.transport_retries))
-        cache = (open_cache(args.cache, retries=args.transport_retries)
-                 if args.cache else None)
+        try:
+            transport = transport_from_address(
+                args.queue, retries=args.transport_retries)
+            cache = (open_cache(args.cache, retries=args.transport_retries)
+                     if args.cache else None)
+        except ValueError as exc:
+            # A malformed broker URL (say, a port that is not a number)
+            # is a bad command line, not a traceback.
+            flag = "--queue" if transport is None else "--cache"
+            print(f"worker: bad {flag} address: {exc}",
+                  file=sys.stderr, flush=True)
+            return EXIT_USAGE
+        queue = WorkQueue(transport=transport)
         if cache is not None:
             # Probe the cache once up front: pointing a fleet at a dead
             # cache broker is a config error and fails fast (exit 3),
@@ -566,23 +579,17 @@ def main(argv: Optional[list] = None) -> int:
         # One clean line blaming the store that actually failed.  The
         # exception carries the failing transport's own address, compared
         # *exactly* against the constructed transports' addresses (never
-        # substring-matched — nested paths would misblame).  A sharded
-        # store's address is a comma-joined URL list while the error
-        # names the one failing shard, so membership in the split list
-        # is the exact comparison.  The queue is the default: it is
-        # built first, so with the queue up the only other store a
-        # TransportError can name is the cache — whether the cache was
-        # still being opened or already serving probes.
-        def _addresses(address):
-            return set(str(address).split(",")) if address else set()
-
+        # substring-matched — nested paths would misblame).  The queue is
+        # the default: its transport is built first, so with it built the
+        # only other store a TransportError can name is the cache —
+        # whether the cache was still being opened or already serving
+        # probes.
         where = f"queue {args.queue!r}"
         failed = getattr(exc, "address", None)
-        if (args.cache and queue is not None
+        if (args.cache and transport is not None
                 and failed is not None
-                and failed not in _addresses(queue.address)
-                and (cache is None
-                     or failed in _addresses(cache.address))):
+                and failed != transport.address
+                and (cache is None or failed == cache.address)):
             where = f"cache {args.cache!r}"
         print(f"worker: cannot reach {where}: {exc}",
               file=sys.stderr, flush=True)

@@ -63,9 +63,9 @@ def run_campaign(spec: SweepSpec,
     pending: List[JobSpec] = []
     pending_slots: List[int] = []
     hits = 0
-    # One batched probe (shard listings + fetches of present keys), not a
-    # blocking round trip per job: over a broker-backed cache a cold grid
-    # costs O(shards) requests instead of O(jobs).
+    # One batched probe, not a blocking round trip per job: over a
+    # broker-backed cache a cold grid costs a handful of ``/batch``
+    # requests instead of O(jobs).
     records = (cache.get_many(jobs) if cache is not None
                else [None] * len(jobs))
     for slot, (job, record) in enumerate(zip(jobs, records)):

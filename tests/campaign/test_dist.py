@@ -31,12 +31,7 @@ from repro.campaign import (
     run_campaign,
     snapshot_campaign,
 )
-from repro.campaign.dist import (
-    Broker,
-    CostModel,
-    WorkQueue,
-    transport_from_address,
-)
+from repro.campaign.dist import Broker, CostModel, WorkQueue
 from repro.campaign.jobs import execute_job
 from repro.workloads import platform_grid_spec
 
@@ -184,102 +179,6 @@ def test_broker_fleet_dedups_through_broker_cache_under_crash(platform_serial):
         broker.stop()
 
 
-def test_sharded_fleet_survives_shard_broker_restart_mid_lease(tmp_path):
-    """The acceptance property on a 2-shard broker fleet with a shard
-    dying mid-campaign: a claim is held through one shard's kill and
-    restart (``--data-dir`` persistence, same port), its lease survives
-    (content-derived ETags restore identically), and a worker-process
-    fleet addressed by the comma-separated URL list drains the rest —
-    serial == distributed, every job key settled exactly once."""
-    spec = _synthetic_spec()
-    jobs = spec.expand()
-    serial = run_campaign(spec, executor=SerialExecutor())
-
-    brokers = [Broker(data_dir=tmp_path / "shard-0").start(),
-               Broker(data_dir=tmp_path / "shard-1").start()]
-    try:
-        fleet_address = ",".join(b.url for b in brokers)
-        router = transport_from_address(fleet_address, retries=3,
-                                        retry_delay=0.1)
-        queue = WorkQueue(transport=router, lease_seconds=60.0)
-        queue.enqueue_grid(jobs)
-        held = queue.claim("survivor")
-        assert held is not None
-
-        # Kill exactly the shard that owns the held claim, then bring it
-        # back on the same port over the same data dir.
-        owner = router.shard_index(f"jobs/{held.key}.json")
-        port = brokers[owner].port
-        brokers[owner].stop()
-        brokers[owner] = Broker(port=port,
-                                data_dir=tmp_path / f"shard-{owner}").start()
-
-        assert queue.counts()["claimed"] == 1  # the lease survived
-        assert queue.heartbeat(held)           # same etag after restart
-        queue.complete(held, execute_job(held.job))
-
-        # A process fleet over the sharded address finishes the grid.
-        executor = DistributedExecutor(transport=fleet_address, workers=2,
-                                       lease_seconds=5.0, poll_interval=0.05,
-                                       timeout=300.0)
-        results = executor.map(execute_job, jobs)
-        assert [r.metrics for r in results] == [r.metrics for r in serial]
-
-        records = executor.last_queue.result_records()
-        assert len(records) == len(jobs)  # one settled record per key
-        assert executor.last_queue.counts() == {
-            "pending": 0, "claimed": 0, "done": len(jobs), "dead": 0}
-        assert records[held.job.job_id]["worker"] == "survivor"
-        router.close()
-    finally:
-        for broker in brokers:
-            broker.stop()
-
-
-def test_sharded_fleet_with_worker_crashes_matches_serial(tmp_path,
-                                                          platform_serial):
-    """12 real-workload jobs over two brokers, three worker processes of
-    which two crash mid-job (so crashed leases dangle on both shards):
-    the survivors finish the grid and the aggregate equals the serial
-    run bit-for-bit — no job lost, no job dead-lettered, crashed claims
-    re-executed (attempts >= 2) rather than doubled."""
-    brokers = [Broker(data_dir=tmp_path / "shard-a").start(),
-               Broker(data_dir=tmp_path / "shard-b").start()]
-    try:
-        fleet_address = ",".join(b.url for b in brokers)
-        executor = DistributedExecutor(
-            workers=3,
-            transport=fleet_address,
-            lease_seconds=1.0,      # short lease => fast crash recovery
-            poll_interval=0.05,
-            timeout=300.0,
-            worker_extra_args=[(), ("--crash-after-claims", "1"),
-                               ("--crash-after-claims", "2")],
-        )
-        distributed = run_campaign(PLATFORM_SPEC, executor=executor)
-
-        assert distributed.ok, distributed.failures
-        assert (platform_serial.aggregate_fingerprint()
-                == distributed.aggregate_fingerprint())
-        assert platform_serial.rows() == distributed.rows()
-
-        queue = executor.last_queue
-        counts = queue.counts()
-        assert counts["done"] == 12
-        assert counts["dead"] == 0
-        records = list(queue.result_records().values())
-        assert len(records) == 12
-        assert max(record["attempts"] for record in records) >= 2
-        # Both shards carried real queue traffic: each broker's store
-        # holds some of the campaign's settled documents.
-        for broker in brokers:
-            shard = transport_from_address(broker.url)
-            assert shard.list("done/"), f"no settled work on {broker.url}"
-    finally:
-        for broker in brokers:
-            broker.stop()
-
-
 def test_thread_fleet_executes_each_job_exactly_once_without_any_fs(
         monkeypatch):
     """Property: N thread-fleet workers × one grid over MemoryTransport
@@ -405,7 +304,7 @@ def test_incremental_aggregation_over_half_drained_queue(tmp_path):
     assert snap.progress == pytest.approx(4 / 8)
     meta = snap.result.meta["incremental"]
     assert meta == {"total": 8, "done": 3, "pending": 3, "running": 1,
-                    "failed": 1, "shards_reporting": None}
+                    "failed": 1}
 
     # The partial aggregate matches the serial run on the completed subset.
     serial_by_id = {r.job_id: r for r in serial}

@@ -385,8 +385,15 @@ def test_stats_cli_one_shot_and_watch(broker, capsys):
     assert len(lines) == 2
 
 
-def test_stats_cli_exit_codes():
+def test_stats_cli_exit_codes(capsys):
     assert stats_main(["not-a-url"]) == 2
+    # A URL that does not parse is a bad command line too, not a
+    # traceback: a non-numeric port, or a comma-separated broker list.
+    for bad in ("http://127.0.0.1:notaport", "http://b1:8123,http://b2:8123"):
+        capsys.readouterr()
+        assert stats_main([bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad broker URL") and err.count("\n") == 1
     broker = Broker().start()
     url = broker.url
     broker.stop()

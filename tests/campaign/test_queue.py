@@ -7,14 +7,19 @@ bookkeeping reads as "requeueable", and only exhausting ``max_attempts``
 parks a job in the dead-letter state.  Time is injected so lease expiry
 is tested without sleeping.
 
-Every test here runs three times — over the filesystem, in-memory and
-HTTP-broker transports — because the queue's whole claim to a *pluggable*
-storage seam is that these properties are transport-independent.
-Corruption is injected through the transport (``transport.put`` of
-garbage bytes), which reaches all three backends identically.
+Every test here runs over the filesystem, in-memory and HTTP-broker
+transports — because the queue's whole claim to a *pluggable* storage seam
+is that these properties are transport-independent — and again over a
+:class:`SplitStore` of two in-memory stores and of two brokers, where no
+single store sees the whole queue.  Corruption is injected through the
+transport (``transport.put`` of garbage bytes), which reaches every
+backend identically.
 """
 
+import heapq
+import itertools
 import json
+import zlib
 
 import pytest
 
@@ -24,7 +29,7 @@ from repro.campaign.dist import (
     FsTransport,
     HttpTransport,
     MemoryTransport,
-    ShardedTransport,
+    QueueTransport,
     WorkQueue,
     cost_for_priority,
     priority_for_cost,
@@ -58,6 +63,53 @@ class FakeClock:
         self.now += seconds
 
 
+class SplitStore(QueueTransport):
+    """A store split across child transports by a hash of each key.
+
+    A job's documents land on different children, and the store offers no
+    server-side claim, so :meth:`WorkQueue.claim` runs its client-side
+    scan over the merged listing.  The queue may rely only on per-key
+    conditional writes and sorted listings, never on one store holding
+    every key.
+    """
+
+    def __init__(self, children):
+        self.children = list(children)
+
+    def _child_of(self, key):
+        return zlib.crc32(key.encode("utf-8")) % len(self.children)
+
+    def get_many(self, keys):
+        out = []
+        for child, run in itertools.groupby(keys, key=self._child_of):
+            out.extend(self.children[child].get_many(list(run)))
+        return out
+
+    def mutate_many(self, ops):
+        # Consecutive ops on one child ride one batch, so the input order
+        # of the whole batch is kept.
+        out = []
+        for child, run in itertools.groupby(
+                ops, key=lambda op: self._child_of(op[1])):
+            out.extend(self.children[child].mutate_many(list(run)))
+        return out
+
+    def list_page(self, prefix, max_keys, start_after=""):
+        # A key a child did not ship sorts after that child's last shipped
+        # key, hence after the merged page's last key: a safe keyset token.
+        pages, more = [], False
+        for child in self.children:
+            page, token = child.list_page(prefix, max_keys,
+                                          start_after=start_after)
+            pages.append(page)
+            more = more or token is not None
+        merged = list(heapq.merge(*pages))
+        page = merged[:max_keys]
+        if page and (more or len(merged) > max_keys):
+            return page, page[-1]
+        return page, None
+
+
 @pytest.fixture
 def clock():
     return FakeClock()
@@ -67,21 +119,20 @@ def clock():
 def make_transport(request, tmp_path):
     """Factory yielding transports that all address the *same* store, so
     tests can model a second process opening an existing queue.  The
-    sharded params return a *fresh* 2-shard router per call over the same
-    backing shards — exactly how a second worker process joins a sharded
-    fleet — so every queue property is also enforced cross-shard."""
+    sharded params return a fresh :class:`SplitStore` per call over the
+    same two children."""
     if request.param == "fs":
         yield lambda: FsTransport(tmp_path / "q")
     elif request.param == "memory":
         shared = MemoryTransport()
         yield lambda: shared
     elif request.param == "sharded-memory":
-        shards = [MemoryTransport(), MemoryTransport()]
-        yield lambda: ShardedTransport(shards)
+        children = [MemoryTransport(), MemoryTransport()]
+        yield lambda: SplitStore(children)
     elif request.param == "sharded-http":
         brokers = [Broker().start(), Broker().start()]
         try:
-            yield lambda: ShardedTransport(
+            yield lambda: SplitStore(
                 [HttpTransport(b.url, retries=2, retry_delay=0.05)
                  for b in brokers])
         finally:

@@ -18,7 +18,6 @@ from repro.campaign.dist import (
     FsTransport,
     HttpTransport,
     MemoryTransport,
-    ShardedTransport,
     TransportError,
     WorkQueue,
     transport_from_address,
@@ -36,28 +35,12 @@ def _spec(**overrides):
     return SweepSpec(**kwargs)
 
 
-@pytest.fixture(params=["fs", "memory", "http", "sharded-memory",
-                        "sharded-http"])
+@pytest.fixture(params=["fs", "memory", "http"])
 def transport(request, tmp_path):
-    """Every storage contract invariant below also runs over a 2-shard
-    ``ShardedTransport`` (in-memory shards and live-broker shards): the
-    router's scatter-gather and per-shard fan-out must be observationally
-    identical to a single store."""
     if request.param == "fs":
         yield FsTransport(tmp_path / "store")
     elif request.param == "memory":
         yield MemoryTransport()
-    elif request.param == "sharded-memory":
-        yield ShardedTransport([MemoryTransport(), MemoryTransport()])
-    elif request.param == "sharded-http":
-        brokers = [Broker().start(), Broker().start()]
-        try:
-            yield ShardedTransport(
-                [HttpTransport(b.url, retries=2, retry_delay=0.05)
-                 for b in brokers])
-        finally:
-            for b in brokers:
-                b.stop()
     else:
         broker = Broker().start()
         try:
@@ -546,6 +529,25 @@ def test_worker_cli_exits_cleanly_on_unreachable_broker(capsys):
     err = capsys.readouterr().err
     assert "cannot reach queue" in err
     assert "Traceback" not in err
+
+
+def test_worker_cli_rejects_malformed_broker_urls_with_exit_2(tmp_path,
+                                                              capsys):
+    """A broker URL that does not parse — a port that is not a number, or
+    a comma-separated list of brokers — is a bad command line: exit 2
+    and one stderr line naming the flag, never a traceback."""
+    from repro.campaign.dist import worker as worker_cli
+
+    for argv, flag in (
+            (["--queue", "http://127.0.0.1:notaport"], "--queue"),
+            (["--queue", "http://b1:8123,http://b2:8123"], "--queue"),
+            (["--queue", str(tmp_path / "q"),
+              "--cache", "http://127.0.0.1:notaport"], "--cache")):
+        code = worker_cli.main(argv + ["--quiet"])
+        assert code == worker_cli.EXIT_USAGE == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"worker: bad {flag} address: ")
+        assert err.count("\n") == 1
 
 
 def test_transport_from_address_dispatch(tmp_path):
