@@ -2,20 +2,22 @@
 
 Storage devices and CPU pools are modelled as *fluid* resources: every
 active flow receives an equal share of the aggregate rate, optionally capped
-per flow and degraded as a function of the number of concurrent flows (an
-``efficiency`` curve — this is how HDD seek-thrashing under concurrent
-streams is expressed).  Whenever the set of active flows changes, the
-remaining work of every flow is re-evaluated and the next completion is
-rescheduled.  The model is the standard progress-based flow model used by
-network/storage simulators and gives deterministic, closed-form sharing
-without simulating individual requests.
+per flow (one Lustre OST stream, one CPU core).  A device whose throughput
+drops under concurrency is not modelled here: an HDD serializes its requests
+on :class:`~repro.storage.device.RotationalDevice`'s capacity-one head
+:class:`~repro.sim.resources.Resource` and pays a seek between streams.
+Whenever the set of active flows changes, the remaining work of every flow
+is re-evaluated and the next completion is rescheduled.  The model is the
+standard progress-based flow model used by network/storage simulators and
+gives deterministic, closed-form sharing without simulating individual
+requests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.sim.environment import Environment
 from repro.sim.events import Event
@@ -31,7 +33,6 @@ class TransferRecord:
     amount: float
     start: float
     end: float
-    tag: Any = None
 
     @property
     def duration(self) -> float:
@@ -52,8 +53,6 @@ class _Flow:
     remaining: float
     amount: float
     start: float
-    tag: Any = None
-    weight: float = 1.0
 
 
 class SharedBandwidth:
@@ -69,10 +68,6 @@ class SharedBandwidth:
     per_flow_rate:
         Optional cap on the rate a single flow may receive (e.g. the
         single-stream bandwidth of one Lustre OST, or 1.0 core for a CPU).
-    efficiency:
-        Optional callable ``n_flows -> factor`` in ``(0, 1]`` scaling the
-        aggregate rate when ``n_flows`` flows are active.  Used to express
-        devices whose total throughput *drops* under concurrency (HDDs).
     name:
         Label used in repr/debugging output.
     """
@@ -82,7 +77,6 @@ class SharedBandwidth:
         env: Environment,
         rate: float,
         per_flow_rate: Optional[float] = None,
-        efficiency: Optional[Callable[[int], float]] = None,
         name: str = "",
     ):
         if rate <= 0:
@@ -92,11 +86,14 @@ class SharedBandwidth:
         self.env = env
         self.rate = float(rate)
         self.per_flow_rate = per_flow_rate
-        self.efficiency = efficiency
         self.name = name
         self._flows: List[_Flow] = []
+        #: The rate every active flow receives, set whenever the flow set
+        #: changes (equal shares, so one float serves every flow).
+        self._flow_rate = 0.0
         self._last_update = env.now
-        self._wake_generation = 0
+        #: The latest wake; an earlier one still pending is stale.
+        self._wake: Optional[Event] = None
         #: total units completed through this resource (monotonic)
         self.total_transferred = 0.0
 
@@ -106,50 +103,24 @@ class SharedBandwidth:
         """Number of flows currently in progress."""
         return len(self._flows)
 
-    def current_per_flow_rate(self) -> float:
-        """Rate each active flow currently receives (0 if no flows)."""
-        return self._share(len(self._flows))
-
-    def transfer(self, amount: float, tag: Any = None, weight: float = 1.0) -> Event:
+    def transfer(self, amount: float) -> Event:
         """Start a transfer of ``amount`` units.
 
         Returns an event whose value is a :class:`TransferRecord` once the
         transfer completes.  A zero/negative ``amount`` completes
-        immediately.
+        immediately; a non-finite one raises :class:`ValueError`.
         """
+        if not math.isfinite(amount):
+            raise ValueError(f"transfer amount must be finite, got {amount!r}")
         event = Event(self.env)
         if amount <= 0:
-            event.succeed(TransferRecord(0.0, self.env.now, self.env.now, tag))
+            event.succeed(TransferRecord(0.0, self.env.now, self.env.now))
             return event
-        if weight <= 0:
-            raise ValueError("weight must be positive")
         self._advance()
         self._flows.append(_Flow(event, float(amount), float(amount),
-                                 self.env.now, tag, weight))
+                                 self.env.now))
         self._reschedule()
         return event
-
-    # -- sharing model -----------------------------------------------------
-    def _share(self, n_flows: int, weight: float = 1.0, total_weight: Optional[float] = None) -> float:
-        if n_flows <= 0:
-            return 0.0
-        aggregate = self.rate
-        if self.efficiency is not None:
-            factor = self.efficiency(n_flows)
-            if factor <= 0:
-                raise ValueError("efficiency() must return a positive factor")
-            aggregate *= factor
-        if total_weight is None:
-            total_weight = float(n_flows) * weight
-        share = aggregate * (weight / total_weight)
-        if self.per_flow_rate is not None:
-            share = min(share, self.per_flow_rate)
-        return share
-
-    def _flow_rates(self) -> List[float]:
-        n = len(self._flows)
-        total_weight = sum(f.weight for f in self._flows)
-        return [self._share(n, f.weight, total_weight) for f in self._flows]
 
     # -- internal bookkeeping ---------------------------------------------
     def _time_quantum(self) -> float:
@@ -169,46 +140,50 @@ class SharedBandwidth:
         self._last_update = now
         if elapsed <= 0 or not self._flows:
             return
-        rates = self._flow_rates()
-        for flow, rate in zip(self._flows, rates):
-            flow.remaining = max(0.0, flow.remaining - rate * elapsed)
+        done = self._flow_rate * elapsed
+        for flow in self._flows:
+            flow.remaining = max(0.0, flow.remaining - done)
 
     def _complete_finished(self) -> None:
         # A flow counts as finished when its remainder could be moved within
-        # one time quantum at the aggregate rate (sub-nanosecond error) or is
-        # a pure floating-point residue of its own size.
+        # one time quantum at the aggregate rate or is a pure floating-point
+        # residue of its own size.  A flow capped below the aggregate rate
+        # needs up to rate / per_flow_rate quanta for that remainder, so it
+        # may end that much early.
         threshold = self.rate * self._time_quantum()
-        finished = [
-            f for f in self._flows
-            if f.remaining <= max(threshold, _EPS * max(1.0, f.amount))
-        ]
+        finished = []
+        active = []
+        for f in self._flows:
+            if f.remaining <= max(threshold, _EPS * max(1.0, f.amount)):
+                finished.append(f)
+            else:
+                active.append(f)
         if not finished:
             return
-        self._flows = [f for f in self._flows if f not in finished]
+        self._flows = active
         now = self.env.now
         for flow in finished:
             self.total_transferred += flow.amount
-            flow.event.succeed(
-                TransferRecord(flow.amount, flow.start, now, flow.tag))
+            flow.event.succeed(TransferRecord(flow.amount, flow.start, now))
 
     def _reschedule(self) -> None:
-        self._wake_generation += 1
-        generation = self._wake_generation
-        if not self._flows:
+        flows = self._flows
+        if not flows:
             return
-        rates = self._flow_rates()
-        time_to_next = min(
-            flow.remaining / rate if rate > 0 else math.inf
-            for flow, rate in zip(self._flows, rates)
-        )
-        if math.isinf(time_to_next):  # pragma: no cover - defensive
-            return
-        time_to_next = max(time_to_next, self._time_quantum())
-        wake = self.env.timeout(time_to_next)
-        wake.callbacks.append(lambda _ev, gen=generation: self._on_wake(gen))
+        rate = self.rate * (1.0 / len(flows))
+        cap = self.per_flow_rate
+        if cap is not None and cap < rate:
+            rate = cap
+        self._flow_rate = rate
+        # Division by one positive rate is monotonic, so this is the
+        # smallest per-flow time to completion.
+        time_to_next = min(flow.remaining for flow in flows) / rate
+        self._wake = wake = self.env.timeout(
+            max(time_to_next, self._time_quantum()))
+        wake.callbacks.append(self._on_wake)
 
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._wake_generation:
+    def _on_wake(self, wake: Event) -> None:
+        if wake is not self._wake:
             return  # superseded by a newer flow-set change
         self._advance()
         self._complete_finished()
@@ -234,6 +209,6 @@ class CPUPool(SharedBandwidth):
         super().__init__(env, rate=float(cores), per_flow_rate=1.0, name=name)
         self.cores = int(cores)
 
-    def compute(self, seconds: float, tag: Any = None) -> Event:
+    def compute(self, seconds: float) -> Event:
         """Perform ``seconds`` of single-threaded CPU work."""
-        return self.transfer(seconds, tag=tag)
+        return self.transfer(seconds)

@@ -10,28 +10,27 @@ event)`` tuples.  The optimized environment splits scheduling three ways:
   with no tuple comparisons.
 * ``_wheel`` — a :class:`~repro.sim.timerwheel.TimerWheel` (calendar
   queue) for *near-future* NORMAL events: fire times are bucketed into
-  power-of-two ticks (``2**-tick_bits`` seconds), an accepted event is an
-  O(1) append into its tick's slot, and a slot is sorted once when the
-  clock reaches it.  Strictly-future timeouts — the simulated I/O
-  latencies, device service times and profiler sampling intervals that
-  dominate campaign jobs — stop paying the heap's O(log n) sift.
+  power-of-two ticks (``2**-10`` seconds), an accepted event is an O(1)
+  append into its tick's slot, and a slot is sorted once when the clock
+  reaches it.  A strictly-future timeout the wheel accepts skips the
+  heap's O(log n) sift.
 * ``_queue`` — a binary heap of ``(time, key, event)`` for everything
   else: URGENT events, events beyond the wheel horizon, and events
   landing on the tick currently being drained.  ``key`` folds the
   priority and a monotonic sequence number into one integer
   (``priority << 52 | seq``).
 
-The merge rule in :meth:`step`/:meth:`run` preserves the seed order
-exactly.  Three invariants make it cheap:
+The merge rule in :meth:`run` preserves the seed order exactly.  Three
+invariants make it cheap:
 
 1. every entry in ``_imm`` was scheduled *at* the current time, and the
    clock only advances when ``_imm`` is empty — so ``_imm`` always holds
    events for ``now`` in FIFO (= ascending key) order;
 2. wheel and heap entries are never in the past (``schedule`` rejects
-   negative and NaN delays), so the head of ``_imm`` loses only to a
-   scheduled entry at exactly ``now`` with a smaller key (an URGENT event
-   such as a process initializer or an interrupt, or a timeout whose float
-   fire-time collapsed onto ``now``);
+   negative, infinite and NaN delays), so the head of ``_imm`` loses only
+   to a scheduled entry at exactly ``now`` with a smaller key (an URGENT
+   event such as a process initializer or an interrupt, or a timeout whose
+   float fire-time collapsed onto ``now``);
 3. the wheel serves entries in ``(time, key)`` order and the heap top is
    compared against the wheel head on every pop, so the earlier of the
    two is always the global minimum of the strictly-future schedule.
@@ -48,7 +47,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, Optional, Union
 
-from repro.sim.errors import EmptySchedule, SimulationError, StopSimulation
+from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import (
     NORMAL,
     PRIORITY_STRIDE,
@@ -64,6 +63,10 @@ from repro.sim.timerwheel import TimerWheel
 #: :meth:`Environment.timeout` (skips one class-attribute lookup per event).
 _new_timeout = Timeout.__new__
 
+#: Upper bound (exclusive) of a legal delay: one chained comparison against
+#: it rejects negative, infinite and NaN delays alike.
+_INF = float("inf")
+
 
 class Environment:
     """Execution environment of a simulation.
@@ -75,23 +78,18 @@ class Environment:
     timestamps shared between Darshan and the TensorFlow runtime in the
     paper.
 
-    ``tick_bits`` and ``wheel_slots`` size the timer wheel: the tick is
-    ``2**-tick_bits`` seconds (default ~0.98 ms) and the wheel covers
-    ``wheel_slots`` ticks (default 1024, i.e. a 1 s horizon); events beyond
-    the horizon spill to the heap.  The knobs change only *where* an event
-    waits, never the order it fires in — the differential tests run with
-    deliberately tiny wheels to prove it.
+    The timer wheel takes :class:`~repro.sim.timerwheel.TimerWheel`'s
+    default geometry: a ~0.98 ms tick and a 1 s horizon, beyond which
+    events spill to the heap.
     """
 
     __slots__ = ("_now", "_queue", "_imm", "_wheel", "_eid", "_active_process")
 
-    def __init__(self, initial_time: float = 0.0, tick_bits: int = 10,
-                 wheel_slots: int = 1024):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list = []
         self._imm: deque = deque()
-        self._wheel = TimerWheel(self._now, tick_bits=tick_bits,
-                                 nslots=wheel_slots)
+        self._wheel = TimerWheel(self._now)
         self._eid = 0
         self._active_process: Optional[Process] = None
 
@@ -115,15 +113,13 @@ class Environment:
         """Create an event that fires ``delay`` seconds from now.
 
         This is the hottest constructor in the kernel — every simulated
-        latency of every campaign job passes through here — so the body of
-        :class:`Timeout.__init__ <repro.sim.events.Timeout>` is fused in
-        via ``__new__`` (no type-call dispatch, no second frame).  The two
-        bodies must stay behaviourally identical; the differential tests
-        exercise both (``env.timeout`` here, ``Timeout(env, ...)``
-        directly).
+        latency of every campaign job passes through here — so it is the
+        only one: it allocates the :class:`~repro.sim.events.Timeout` via
+        ``__new__``, assigns every slot inline and schedules it without a
+        second frame.  ``delay`` must be finite and non-negative.
         """
-        if not delay >= 0:
-            raise ValueError(f"negative or NaN delay {delay!r}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"negative, infinite or NaN delay {delay!r}")
         event = _new_timeout(Timeout)
         event.env = self
         event.callbacks = []
@@ -138,6 +134,9 @@ class Environment:
         else:
             t = self._now + delay
             key = PRIORITY_STRIDE + eid
+            # Inlined TimerWheel.push fast path: in-horizon ticks append
+            # straight into their slot; everything else goes through the
+            # canonical push() for the idle-resync, then the heap.
             wheel = self._wheel
             tn = int(t * wheel.tick_inv)
             d = tn - wheel.cur_tick
@@ -164,14 +163,15 @@ class Environment:
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Schedule ``event`` to be processed after ``delay`` seconds.
 
-        ``delay`` must be a non-negative number: a negative delay would
-        plant an entry in the *past*, silently violating the merge
+        ``delay`` must be a finite, non-negative number: a negative delay
+        would plant an entry in the *past*, silently violating the merge
         invariant that ``_imm`` always beats the schedule at strictly
-        earlier times (and NaN, which compares false against everything,
-        would corrupt the heap ordering outright).
+        earlier times; NaN, which compares false against everything, would
+        corrupt the heap ordering outright; and infinity has no wheel tick.
         """
-        if not delay >= 0.0:
-            raise ValueError(f"delay must be non-negative, not NaN (got {delay!r})")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(
+                f"delay must be finite and non-negative (got {delay!r})")
         self._eid = eid = self._eid + 1
         key = priority * PRIORITY_STRIDE + eid
         if delay == 0.0 and priority == NORMAL:
@@ -181,55 +181,6 @@ class Environment:
             t = self._now + delay
             if not self._wheel.push(t, key, event, self._now):
                 heappush(self._queue, (t, key, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event (``inf`` if the queue is empty)."""
-        if self._imm:
-            return self._now
-        head = self._wheel.head()
-        t = head[0] if head is not None else float("inf")
-        if self._queue and self._queue[0][0] < t:
-            t = self._queue[0][0]
-        return t
-
-    def _pop(self) -> Event:
-        """Remove and return the next event in seed-scheduler order."""
-        imm = self._imm
-        queue = self._queue
-        wheel = self._wheel
-        entry = wheel.head()
-        from_wheel = True
-        if queue and (entry is None or queue[0] < entry):
-            entry = queue[0]
-            from_wheel = False
-        if entry is None:
-            if imm:
-                return imm.popleft()
-            raise EmptySchedule("no scheduled events")
-        if imm and (entry[0] > self._now or entry[1] > imm[0]._key):
-            return imm.popleft()
-        if from_wheel:
-            wheel.ci += 1
-        else:
-            heappop(queue)
-        self._now = entry[0]
-        return entry[2]
-
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises :class:`EmptySchedule` if no events are queued, and re-raises
-        the exception of any failed event that nobody waited on (mirroring
-        SimPy's behaviour so programming errors inside processes surface).
-        """
-        event = self._pop()
-
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if event._ok is False and not event.defused:
-            raise event._value
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -264,14 +215,14 @@ class Environment:
                 stop.callbacks.append(self._stop_on)
                 self.schedule(stop, delay=at - self._now)
 
-        # Inlined event loop: identical to repeated step() calls, but with
-        # the queue bookkeeping in local variables.  This loop dispatches
-        # every event of every simulation, so each saved attribute lookup
-        # is worth its weight.  ``cur``/``ci`` shadow the wheel's sorted
-        # slot buffer; only step()/run() consume it, and push() never
-        # touches it, so the locals stay valid across callbacks — they are
-        # written back in the ``finally`` so step()/peek() stay correct
-        # after an exception or a StopSimulation unwind.
+        # The one dispatch loop, with the queue bookkeeping in local
+        # variables: it dispatches every event of every simulation, so each
+        # saved attribute lookup is worth its weight.  ``cur``/``ci`` shadow
+        # the wheel's sorted slot buffer; only this loop consumes it, and
+        # push() never touches it, so the locals stay valid across
+        # callbacks.  They are written back in the ``finally`` so the next
+        # run() and push()'s idle resync see the cursor after an exception
+        # or a StopSimulation unwind.
         queue = self._queue
         imm = self._imm
         pop_imm = imm.popleft

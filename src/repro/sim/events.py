@@ -14,9 +14,11 @@ flows through these classes, so they are written for the interpreter
 rather than for elegance:
 
 * every event class declares ``__slots__`` — no per-instance ``__dict__``;
-* constructors of hot event types (:class:`Timeout`, the internal process
-  initializer) assign all slots inline instead of chaining ``__init__``
-  calls, and schedule themselves directly onto the environment's queues;
+* hot event types assign all slots inline instead of chaining
+  ``__init__`` calls and go straight onto the environment's queues: the
+  internal process initializer in its constructor, and :class:`Timeout`
+  in :meth:`Environment.timeout
+  <repro.sim.environment.Environment.timeout>`, its only constructor;
 * events that fire *now* at NORMAL priority are appended to a FIFO deque
   (O(1)) and strictly-future timeouts land in a calendar-queue timer wheel
   (:mod:`repro.sim.timerwheel`, O(1) slot append) instead of the binary
@@ -154,43 +156,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after ``delay`` units of simulated time."""
+    """An event that fires after ``delay`` units of simulated time.
+
+    Create it with :meth:`Environment.timeout
+    <repro.sim.environment.Environment.timeout>`, which fills every slot.
+    """
 
     __slots__ = ("delay",)
-
-    def __init__(self, env, delay: float, value: Any = None):
-        if not delay >= 0:
-            # One comparison rejects both negative delays and NaN (which
-            # compares false against everything and would otherwise corrupt
-            # the heap/wheel ordering instead of failing loudly).
-            raise ValueError(f"negative or NaN delay {delay!r}")
-        # Inlined Event.__init__ + Environment.schedule: a Timeout is
-        # created for every simulated latency in every job of a campaign.
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self.defused = False
-        self.delay = delay
-        env._eid = eid = env._eid + 1
-        if delay == 0.0:
-            self._key = PRIORITY_STRIDE + eid
-            env._imm.append(self)
-        else:
-            t = env._now + delay
-            key = PRIORITY_STRIDE + eid
-            # Inlined TimerWheel.push fast path (one method call per
-            # simulated latency is measurable): in-horizon ticks append
-            # straight into their slot; everything else goes through the
-            # canonical push() for the idle-resync, then the heap.
-            wheel = env._wheel
-            tn = int(t * wheel.tick_inv)
-            d = tn - wheel.cur_tick
-            if 0 < d < wheel.nslots:
-                wheel.slots[tn & wheel.mask].append((t, key, self))
-                wheel.count += 1
-            elif not wheel.push(t, key, self, env._now):
-                heappush(env._queue, (t, key, self))
 
 
 class Initialize(Event):

@@ -1,21 +1,19 @@
 """Countable resources with waiting queues.
 
-Two classic resource types are provided:
-
 :class:`Resource`
     A resource with a fixed number of slots (e.g. a metadata server that can
-    serve a bounded number of RPCs concurrently, a GPU, a CPU core pool used
-    for exclusive sections).
+    serve a bounded number of RPCs concurrently, a device's request queue,
+    a GPU, or a hard disk's single head).
 
-:class:`Container`
-    A homogeneous bulk resource with a level between 0 and a capacity (used
-    for modelling bounded byte budgets such as the page-cache size).
+:class:`Store`
+    A bounded FIFO buffer of Python objects (the tf.data pipeline's
+    prefetch buffer and inter-stage handoff queues).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List
 
 from repro.sim.environment import Environment
 from repro.sim.errors import SimulationError
@@ -85,63 +83,6 @@ class Resource:
             request = self.queue.popleft()
             self.users.append(request)
             request.succeed(request)
-
-
-class Container:
-    """A bulk resource holding an amount between ``0`` and ``capacity``."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._get_waiters: Deque[tuple] = deque()
-        self._put_waiters: Deque[tuple] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current amount stored in the container."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; the event fires when it fits under the capacity."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        event = Event(self.env)
-        self._put_waiters.append((event, amount))
-        self._trigger()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; the event fires when that much is available."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        event = Event(self.env)
-        self._get_waiters.append((event, amount))
-        self._trigger()
-        return event
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._put_waiters:
-                event, amount = self._put_waiters[0]
-                if self._level + amount <= self.capacity:
-                    self._put_waiters.popleft()
-                    self._level += amount
-                    event.succeed(amount)
-                    progress = True
-            if self._get_waiters:
-                event, amount = self._get_waiters[0]
-                if self._level >= amount:
-                    self._get_waiters.popleft()
-                    self._level -= amount
-                    event.succeed(amount)
-                    progress = True
 
 
 class Store:

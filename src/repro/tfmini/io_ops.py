@@ -60,7 +60,7 @@ def _charge(runtime, seconds: float, name: str, **metadata) -> Generator:
     """Charge CPU work to the pool and trace it."""
     start = runtime.env.now
     if seconds > 0:
-        yield runtime.cpu.compute(seconds, tag=name)
+        yield runtime.cpu.compute(seconds)
     runtime.traceme.record(name, start, runtime.env.now, thread="input_pipeline",
                            **metadata)
 

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, Timeout
-from repro.sim.errors import EmptySchedule
+from repro.sim import Environment, Interrupt, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -34,11 +33,11 @@ def test_timeout_negative_delay_rejected():
 def test_timeout_nan_delay_rejected():
     # NaN compares false against everything: a `delay < 0` check lets it
     # through and the un-orderable fire time then corrupts the schedule.
+    # Infinity has no wheel tick and would never fire.
     env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout(math.nan)
-    with pytest.raises(ValueError):
-        Timeout(env, math.nan)
+    for delay in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            env.timeout(delay)
 
 
 def test_schedule_negative_delay_rejected():
@@ -52,8 +51,12 @@ def test_schedule_negative_delay_rejected():
 
 def test_schedule_nan_delay_rejected():
     env = Environment()
+    for delay in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            env.schedule(env.event(), delay=delay)
+    # run(until=t) schedules its stop event through the same check.
     with pytest.raises(ValueError):
-        env.schedule(env.event(), delay=math.nan)
+        env.run(until=math.inf)
 
 
 def test_run_until_time_stops_early():
@@ -69,12 +72,6 @@ def test_run_until_past_time_rejected():
     env.run()
     with pytest.raises(ValueError):
         env.run(until=1.0)
-
-
-def test_step_on_empty_schedule_raises():
-    env = Environment()
-    with pytest.raises(EmptySchedule):
-        env.step()
 
 
 def test_process_return_value():

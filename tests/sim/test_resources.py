@@ -1,9 +1,8 @@
-"""Tests for Resource, Container and Store."""
+"""Tests for Resource and Store."""
 
 import pytest
 
 from repro.sim import Environment, Resource, Store
-from repro.sim.resources import Container
 
 
 def test_resource_capacity_positive():
@@ -147,47 +146,3 @@ def test_store_len_reflects_queued_items():
 
     env.process(proc())
     env.run()
-
-
-def test_container_put_get_levels():
-    env = Environment()
-    box = Container(env, capacity=10, init=5)
-
-    def proc():
-        yield box.get(3)
-        assert box.level == 2
-        yield box.put(8)
-        assert box.level == 10
-
-    env.process(proc())
-    env.run()
-
-
-def test_container_get_blocks_until_level_sufficient():
-    env = Environment()
-    box = Container(env, capacity=100, init=0)
-    times = {}
-
-    def consumer():
-        yield box.get(10)
-        times["got"] = env.now
-
-    def producer():
-        yield env.timeout(4.0)
-        yield box.put(10)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert times["got"] == 4.0
-
-
-def test_container_rejects_invalid_amounts():
-    env = Environment()
-    box = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        box.put(0)
-    with pytest.raises(ValueError):
-        box.get(-1)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)

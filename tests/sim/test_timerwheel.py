@@ -12,7 +12,6 @@ against the frozen seed scheduler.
 import pytest
 
 from repro.sim import Environment
-from repro.sim.errors import EmptySchedule
 from repro.sim.timerwheel import TimerWheel
 
 
@@ -116,47 +115,14 @@ def test_pending_entries_pin_the_cursor():
 # The wheel inside the Environment
 # ---------------------------------------------------------------------------
 
-def test_peek_merges_wheel_and_heap_heads():
-    env = Environment()
-    env.timeout(5.0)  # beyond the 1 s horizon -> heap
-    assert env.peek() == 5.0
-    env.timeout(0.5)  # in-horizon -> wheel
-    assert env.peek() == 0.5
-    env.timeout(0.0)  # immediate deque beats both
-    assert env.peek() == env.now
-
-
-def test_step_drains_in_the_same_order_as_run():
-    """step() uses the un-inlined _pop(); it must agree with the run loop."""
-    def schedule(env, log):
-        def proc(i, d):
-            yield env.timeout(d)
-            log.append((env.now, i))
-        for i, d in enumerate([0.5, 0.0, 5.0, 0.5, 2.0 ** -11, 70.0]):
-            env.process(proc(i, d))
-
-    env_run = Environment()
-    log_run = []
-    schedule(env_run, log_run)
-    env_run.run()
-
-    env_step = Environment()
-    log_step = []
-    schedule(env_step, log_step)
-    while True:
-        try:
-            env_step.step()
-        except EmptySchedule:
-            break
-    assert log_step == log_run
-    assert env_step.now == env_run.now
-
-
 def test_tick_knobs_change_the_container_not_the_order():
-    """Every (tick_bits, wheel_slots) sizing must produce the identical
-    schedule — the knobs only move events between wheel and heap."""
-    def run(**kwargs):
-        env = Environment(**kwargs)
+    """Every (tick_bits, nslots) wheel geometry must produce the identical
+    schedule — the geometry only moves events between wheel and heap."""
+    def run(geometry=None):
+        env = Environment()
+        if geometry is not None:
+            tick_bits, nslots = geometry
+            env._wheel = TimerWheel(env.now, tick_bits=tick_bits, nslots=nslots)
         log = []
 
         def proc(i, d1, d2):
@@ -172,11 +138,6 @@ def test_tick_knobs_change_the_container_not_the_order():
         return env.now, log
 
     baseline = run()
-    assert run(tick_bits=2, wheel_slots=8) == baseline
-    assert run(tick_bits=0, wheel_slots=2) == baseline
-    assert run(tick_bits=16, wheel_slots=4096) == baseline
-
-
-def test_environment_rejects_non_power_of_two_wheel():
-    with pytest.raises(ValueError):
-        Environment(wheel_slots=1000)
+    assert run((2, 8)) == baseline
+    assert run((0, 2)) == baseline
+    assert run((16, 4096)) == baseline
