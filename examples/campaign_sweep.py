@@ -8,10 +8,9 @@ figure-shaped aggregates the benchmark harnesses consume.
 
 Part 2 farms a *platform-parameter* grid — OST counts × page-cache sizes ×
 device bandwidths — out to a fleet of distributed worker processes through
-the durable work queue (`repro.campaign.dist`): jobs are scheduled
-longest-estimated-first by the learned cost model, workers deduplicate
-against the shared cache, and the aggregate is bit-identical to a serial
-run.  Pass ``--full`` to widen the grid to 105 jobs (the ROADMAP's
+the durable work queue (`repro.campaign.dist`): workers claim jobs in
+grid order, deduplicate against the shared cache, and the aggregate is
+bit-identical to a serial run.  Pass ``--full`` to widen the grid to 105 jobs (the ROADMAP's
 "100+-job grids are cheap to express" demonstration), ``--workers N`` to
 size the fleet.
 
@@ -27,7 +26,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro.campaign import (
-    AutoscalePolicy,
     DistributedExecutor,
     MultiprocessingExecutor,
     ResultCache,
@@ -77,8 +75,8 @@ def imagenet_sweep(cache: ResultCache) -> None:
           f"({best.metrics['fit_time']:.0f} simulated seconds)")
 
 
-def platform_fleet_sweep(cache: ResultCache, workers: int, full: bool,
-                         autoscale: bool = False) -> None:
+def platform_fleet_sweep(cache: ResultCache, workers: int,
+                         full: bool) -> None:
     if full:
         spec = platform_grid_spec(
             osts=(1, 2, 4, 8, 16),
@@ -87,16 +85,10 @@ def platform_fleet_sweep(cache: ResultCache, workers: int, full: bool,
             seed=7)
     else:
         spec = platform_grid_spec(seed=7)
-    fleet = (f"autoscaled fleet (<= {workers} workers)" if autoscale
-             else f"{workers} workers")
     print(f"\nsweep {spec.name!r}: {spec.job_count} jobs over axes "
-          f"{spec.axes()} — distributing across {fleet}")
+          f"{spec.axes()} — distributing across {workers} workers")
 
-    policy = (AutoscalePolicy(min_workers=1, max_workers=workers,
-                              jobs_per_worker=4.0, backlog_seconds=30.0)
-              if autoscale else None)
     executor = DistributedExecutor(workers=workers, cache=cache,
-                                   autoscale=policy,
                                    progress=lambda line: print(f"  {line}"))
     sweep = run_campaign(spec, executor=executor, cache=cache,
                          progress=lambda line: print(f"  {line}"))
@@ -128,11 +120,7 @@ def main() -> None:
     parser.add_argument("--full", action="store_true",
                         help="widen the platform grid to 105 jobs")
     parser.add_argument("--workers", type=int, default=3,
-                        help="distributed worker processes (default 3); "
-                             "the autoscale ceiling with --autoscale")
-    parser.add_argument("--autoscale", action="store_true",
-                        help="size the fleet from queue depth and cost "
-                             "backlog instead of spawning a fixed count")
+                        help="distributed worker processes (default 3)")
     parser.add_argument("--skip-imagenet", action="store_true",
                         help="run only the distributed platform grid")
     args = parser.parse_args()
@@ -140,8 +128,7 @@ def main() -> None:
     cache = ResultCache(CACHE_DIR)
     if not args.skip_imagenet:
         imagenet_sweep(cache)
-    platform_fleet_sweep(cache, workers=args.workers, full=args.full,
-                         autoscale=args.autoscale)
+    platform_fleet_sweep(cache, workers=args.workers, full=args.full)
     print(f"cache: {cache.stats()}")
     print("see examples/http_fleet.py for the HTTP-broker topology "
           "(workers without a shared filesystem)")

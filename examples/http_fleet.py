@@ -6,8 +6,8 @@ from docs/cookbook.md:
 
 1. an HTTP queue broker (`repro.campaign.dist.server`) with a disk-backed
    store, as you would run on a queue host;
-2. an autoscaled `DistributedExecutor` pointed at the broker *URL* — the
-   worker processes it spawns talk to the queue **and the result cache**
+2. a fixed-size `DistributedExecutor` fleet pointed at the broker *URL* —
+   the worker processes it spawns talk to the queue **and the result cache**
    purely over HTTP (`--queue`/`--cache` the same broker), exactly like
    workers on other machines would: no shared filesystem anywhere;
 3. a mid-flight `snapshot_campaign` poll over the same URL, showing a
@@ -16,7 +16,7 @@ from docs/cookbook.md:
    changed nothing about the results — plus a warm re-run served entirely
    from the broker-hosted cache.
 
-Run with:  python examples/http_fleet.py [--jobs {12,36}] [--max-workers N]
+Run with:  python examples/http_fleet.py [--jobs {12,36}] [--workers N]
 """
 
 import argparse
@@ -30,7 +30,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro.campaign import (
-    AutoscalePolicy,
     DistributedExecutor,
     HttpTransport,
     SerialExecutor,
@@ -47,8 +46,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, choices=(12, 36), default=12,
                         help="platform-grid size (default 12)")
-    parser.add_argument("--max-workers", type=int, default=3,
-                        help="autoscale ceiling (default 3)")
+    parser.add_argument("--workers", type=int, default=3,
+                        help="worker processes in the fleet (default 3)")
     args = parser.parse_args()
 
     if args.jobs == 12:
@@ -73,23 +72,19 @@ def main() -> None:
                     snap = snapshot_campaign(spec, queue)
                     print(f"  [snapshot] {snap.summary()}")
 
-            policy = AutoscalePolicy(min_workers=1,
-                                     max_workers=args.max_workers,
-                                     jobs_per_worker=4.0,
-                                     backlog_seconds=30.0,
-                                     idle_timeout=1.0)
             # The result cache lives behind the same broker URL as the
             # queue: spawned workers get `--cache http://...` and
             # deduplicate with no shared filesystem at all.
             cache = open_cache(broker.url)
             executor = DistributedExecutor(transport=broker.url,
-                                           autoscale=policy,
+                                           workers=args.workers,
                                            cache=cache,
                                            lease_seconds=10.0,
                                            poll_interval=0.05,
                                            progress=lambda line: print(
                                                f"  {line}"))
-            print(f"running {spec.job_count}-job grid through {policy!r}")
+            print(f"running {spec.job_count}-job grid through "
+                  f"{args.workers} workers")
             watcher = threading.Thread(target=poll_progress, daemon=True)
             watcher.start()
             start = time.perf_counter()
@@ -99,7 +94,7 @@ def main() -> None:
             watcher.join(timeout=2.0)
             assert distributed.ok, distributed.failures
             print(f"fleet drained {len(distributed)} jobs in {elapsed:.1f}s "
-                  f"({executor.spawned_total} workers spawned)")
+                  f"({executor.respawns} respawns)")
 
             start = time.perf_counter()
             warm = run_campaign(spec, cache=cache)

@@ -36,9 +36,7 @@ from repro.campaign.cache import (
     open_cache,
 )
 from repro.campaign.dist import (
-    AutoscalePolicy,
     CampaignSnapshot,
-    CostModel,
     DistributedExecutor,
     FsTransport,
     HttpTransport,
@@ -52,7 +50,6 @@ from repro.campaign.executors import (
     AsyncExecutor,
     MultiprocessingExecutor,
     SerialExecutor,
-    default_executor,
 )
 from repro.campaign.jobs import (
     JobResult,
@@ -62,15 +59,13 @@ from repro.campaign.jobs import (
     get_case,
     register_case,
 )
-from repro.campaign.runner import run_campaign, run_grid
+from repro.campaign.runner import run_campaign
 from repro.campaign.spec import JobSpec, SpecError, SweepSpec, canonical_json
 
 __all__ = [
     "AsyncExecutor",
-    "AutoscalePolicy",
     "CampaignResult",
     "CampaignSnapshot",
-    "CostModel",
     "DistributedExecutor",
     "FsTransport",
     "HttpTransport",
@@ -92,11 +87,9 @@ __all__ = [
     "available_cases",
     "canonical_json",
     "default_cache_dir",
-    "default_executor",
     "execute_job",
     "get_case",
     "open_cache",
     "register_case",
     "run_campaign",
-    "run_grid",
 ]

@@ -135,10 +135,10 @@ class TransportResultCache:
         """True for keys shaped like cache entries (``ab/<40 hex>.json``).
 
         The filter that keeps :meth:`__len__`/:meth:`clear` honest when
-        the transport's keyspace is shared with other documents — the
-        cost model persisted beside the entries, or a work queue living
-        on the same broker (queue states are word-prefixed, cache entries
-        are two-hex-prefixed; they can never collide).
+        the transport's keyspace is shared with other documents — a work
+        queue living on the same broker (queue states are word-prefixed,
+        cache entries are two-hex-prefixed; they can never collide), or
+        files older versions left beside the entries.
         """
         stem, _, name = key.partition("/")
         return (len(stem) == 2 and name.endswith(".json")

@@ -17,9 +17,8 @@ that any mix of threads, processes and hosts can participate in:
   loop).
   The HTTP transport also speaks ``POST /claim`` — the whole claim scan
   runs broker-side in one round trip; directory and in-memory transports
-  run the same scan client-side.  The result cache and the persisted cost
-  model ride the same contract
-  (:func:`~repro.campaign.cache.open_cache`), so broker fleets
+  run the same scan client-side.  The result cache rides the same
+  contract (:func:`~repro.campaign.cache.open_cache`), so broker fleets
   deduplicate without any shared filesystem.  One broker serves a whole
   fleet.
   :class:`~repro.campaign.dist.chaos.ChaosTransport` wraps any transport
@@ -27,23 +26,20 @@ that any mix of threads, processes and hosts can participate in:
   (seeded error rates, latency, partition windows, torn writes) for
   failure-injection tests — see ``docs/robustness.md``;
 * :class:`~repro.campaign.dist.queue.WorkQueue` — durable work queue over
-  any transport, with conditional-create claims whose documents double as
-  heartbeat-renewed leases, a retry policy and a max-attempt dead-letter
-  state (``retry_dead()`` is the recovery path);
+  any transport, every document named by its job key, with
+  conditional-create claims whose documents double as heartbeat-renewed
+  leases, a retry policy and a max-attempt dead-letter state
+  (``retry_dead()`` is the recovery path);
 * :class:`~repro.campaign.dist.worker.Worker` (CLI:
   ``python -m repro.campaign.dist.worker --queue DIR_OR_URL``) — the
   claim, cache-deduplicate, execute, heartbeat loop;
-* :class:`~repro.campaign.dist.costmodel.CostModel` — per-case runtime
-  estimates learned from prior results, driving longest-job-first order —
-  and :class:`~repro.campaign.dist.costmodel.AutoscalePolicy`, which turns
-  queue depth and cost backlog into a desired fleet size;
 * :func:`~repro.campaign.dist.incremental.snapshot_campaign` — incremental
   aggregation: a partially drained grid is already queryable, with explicit
   pending/running/failed accounting;
 * :class:`~repro.campaign.dist.executor.DistributedExecutor` — ties them
   together behind the same ``map(fn, jobs)`` seam as the in-process
-  executors, so ``run_campaign(spec, executor=DistributedExecutor(...))``
-  is the only change a campaign needs.
+  executors, so ``run_campaign(spec, executor=DistributedExecutor(
+  workers=N))`` is the only change a campaign needs.
 
 The whole stack is instrumented through :mod:`repro.campaign.obs`
 (metrics registry, job spans, structured logs): the broker serves its
@@ -59,15 +55,9 @@ machine, transports and operational recipes in ``docs/distributed.md``,
 """
 
 from repro.campaign.dist.chaos import ChaosTransport, FaultPlan
-from repro.campaign.dist.costmodel import AutoscalePolicy, CostModel
 from repro.campaign.dist.executor import DistributedExecutor
 from repro.campaign.dist.incremental import CampaignSnapshot, snapshot_campaign
-from repro.campaign.dist.queue import (
-    WorkItem,
-    WorkQueue,
-    cost_for_priority,
-    priority_for_cost,
-)
+from repro.campaign.dist.queue import WorkItem, WorkQueue
 from repro.campaign.dist.transport import (
     FsTransport,
     HttpTransport,
@@ -94,11 +84,9 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AutoscalePolicy",
     "Broker",
     "CampaignSnapshot",
     "ChaosTransport",
-    "CostModel",
     "DistributedExecutor",
     "FaultPlan",
     "FsTransport",
@@ -109,8 +97,6 @@ __all__ = [
     "WorkItem",
     "WorkQueue",
     "Worker",
-    "cost_for_priority",
-    "priority_for_cost",
     "snapshot_campaign",
     "transport_from_address",
 ]

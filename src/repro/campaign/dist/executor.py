@@ -4,9 +4,8 @@
 run_campaign` exactly like the in-process executors: the orchestrator still
 expands the grid, probes the cache, and aggregates — this executor only
 changes *where* the pending jobs run.  ``map`` enqueues the jobs into a
-durable :class:`~repro.campaign.dist.queue.WorkQueue` (ordered
-longest-job-first by the learned :class:`~repro.campaign.dist.costmodel.
-CostModel`), brings up a worker fleet, and blocks — scavenging expired
+durable :class:`~repro.campaign.dist.queue.WorkQueue` in grid order,
+brings up a fixed fleet of ``workers``, and blocks — scavenging expired
 leases and replacing dead workers — until every job reaches a terminal
 state or the timeout expires.
 
@@ -23,24 +22,17 @@ The queue's storage is pluggable (:mod:`repro.campaign.dist.transport`):
   as *threads* in this process — no spawn cost, ideal for tests and
   many-tiny-job grids.
 
-Fleet size is either fixed (``workers=N``, the default) or governed by an
-:class:`~repro.campaign.dist.costmodel.AutoscalePolicy`: each scheduling
-tick the executor compares the policy's desired worker count (queue depth
-and cost backlog driven) with the live fleet and spawns the difference;
-autoscaled workers run with an idle timeout, so the fleet *shrinks* by
-starvation — never by preempting a running job.
-
 The determinism contract survives distribution: job seeds are bound into
 the :class:`~repro.campaign.spec.JobSpec` before submission and results are
 keyed by content, so the aggregate is bit-identical to a serial run no
 matter how many workers participated, which ones crashed, or how often a
 job was retried.
 
-With ``workers=0`` and no autoscale policy the fleet is external: ``map``
-runs one in-process worker loop to guarantee progress, and any separately
-launched workers pointed at the same queue join in (the zero-worker mode
-is also what the crash-free unit tests use — the whole queue protocol
-without process spawns).
+With ``workers=0`` the fleet is external: ``map`` runs one in-process
+worker loop to guarantee progress, and any separately launched workers
+pointed at the same queue join in (the zero-worker mode is also what the
+crash-free unit tests use — the whole queue protocol without process
+spawns).
 """
 
 from __future__ import annotations
@@ -56,7 +48,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.campaign.cache import TransportResultCache, open_cache
-from repro.campaign.dist.costmodel import AutoscalePolicy, CostModel
 from repro.campaign.dist.queue import WorkQueue
 from repro.campaign.dist.transport import (
     QueueTransport,
@@ -145,12 +136,7 @@ class DistributedExecutor:
     workers:
         Fixed fleet size per ``map`` call.  ``0`` means the fleet is
         external (or in-process): ``map`` drains the queue with an inline
-        worker loop instead of spawning.  Ignored when ``autoscale`` is
-        given.
-    autoscale:
-        An :class:`~repro.campaign.dist.costmodel.AutoscalePolicy`; the
-        executor consults it each scheduling tick and grows/shrinks the
-        fleet instead of spawning a fixed count.
+        worker loop instead of spawning.
     cache / cache_dir:
         Shared result cache the *workers* probe before and after running —
         the cross-worker deduplication layer.  ``cache`` takes a cache
@@ -162,10 +148,6 @@ class DistributedExecutor:
         front.  Spawned worker processes inherit the cache by address
         (``--cache``); an address-less cache (e.g. over a
         ``MemoryTransport``) is shared with thread fleets directly.
-    cost_model:
-        Runtime estimator for longest-job-first enqueueing.  Defaults to
-        the model persisted alongside ``cache`` (when given), so prior
-        campaigns teach the scheduler.
     lease_seconds / max_attempts:
         Queue retry policy (see :class:`~repro.campaign.dist.queue.WorkQueue`).
         Applied when ``map`` creates a fresh queue; an existing queue
@@ -198,13 +180,11 @@ class DistributedExecutor:
                  workers: int = 2,
                  cache: Optional[TransportResultCache] = None,
                  cache_dir: Optional[os.PathLike] = None,
-                 cost_model: Optional[CostModel] = None,
                  lease_seconds: float = 15.0,
                  max_attempts: int = 3,
                  poll_interval: float = 0.05,
                  timeout: float = 600.0,
                  transport: Union[QueueTransport, str, None] = None,
-                 autoscale: Optional[AutoscalePolicy] = None,
                  worker_extra_args: Optional[Sequence[Sequence[str]]] = None,
                  worker_options: Optional[Sequence[Dict[str, Any]]] = None,
                  progress: Optional[Callable[[str], None]] = None,
@@ -213,11 +193,9 @@ class DistributedExecutor:
             raise ValueError("workers must be >= 0")
         self.queue_dir = Path(queue_dir) if queue_dir is not None else None
         self.workers = workers
-        self.autoscale = autoscale
         if cache is None and cache_dir is not None:
             cache = open_cache(cache_dir)
         self.cache = cache
-        self.cost_model = cost_model
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
         self.poll_interval = poll_interval
@@ -229,26 +207,12 @@ class DistributedExecutor:
                                for options in (worker_options or [])]
         self._say = progress or (lambda _line: None)
         self.trace_path = Path(trace_path) if trace_path is not None else None
-        #: Structured fleet events (autoscale decisions, trace writes) on
+        #: Structured fleet events (drain-poll errors, trace writes) on
         #: stderr — machine-greppable, never mixed into program output.
         self._events = StructLogger("executor")
         #: Queue of the most recent ``map`` call, for inspection/snapshots.
         self.last_queue: Optional[WorkQueue] = None
         self.respawns = 0
-        #: Workers brought up over this executor's lifetime (autoscale
-        #: telemetry; includes respawns).
-        self.spawned_total = 0
-
-    @property
-    def learns_costs(self) -> bool:
-        """True when ``map`` itself persists wall times into a durable cost
-        model — run_campaign checks this to avoid double-observing the
-        same fresh results.  An explicitly passed *store-less* model takes
-        precedence over the cache-adjacent default and persists nothing,
-        so it must not claim the learning."""
-        if self.cost_model is not None:
-            return self.cost_model.persistent
-        return self.cache is not None
 
     @property
     def workers_share_cache(self) -> bool:
@@ -261,7 +225,7 @@ class DistributedExecutor:
         private cache, not the workers'."""
         if self.cache is None:
             return False
-        if self.workers == 0 and self.autoscale is None:
+        if self.workers == 0:
             return True  # the inline worker loop holds the object
         if (isinstance(self.transport, QueueTransport)
                 and self.transport.address is None):
@@ -302,29 +266,16 @@ class DistributedExecutor:
                           max_attempts=self.max_attempts)
         self.last_queue = queue
 
-        cost_model = self.cost_model
-        if cost_model is None:
-            try:
-                cost_model = (CostModel.alongside(self.cache)
-                              if self.cache is not None else CostModel())
-            except (OSError, TransportError):
-                # Priors unreachable (cache broker down): degrade to FIFO
-                # ordering rather than failing the campaign before it ran.
-                cost_model = CostModel()
-        queue.enqueue_grid(jobs, cost_model=cost_model)
-        fleet = (f"autoscale {self.autoscale!r}" if self.autoscale
-                 else f"{self.workers} workers")
+        queue.enqueue_grid(jobs)
         self._say(f"enqueued {len(jobs)} jobs into "
-                  f"{queue.address or transport!r} (longest-first, {fleet})")
+                  f"{queue.address or transport!r} ({self.workers} workers)")
 
         handles: List[Any] = []
         deadline = time.monotonic() + self.timeout
         try:
-            initial = self._initial_fleet_size(queue)
-            if initial > 0 or self.autoscale is not None:
+            if self.workers > 0:
                 handles = [self._spawn(queue, index)
-                           for index in range(initial)]
-                self._wait_for_drain(queue, jobs, handles, deadline)
+                           for index in range(self.workers)]
             else:
                 # Imported here, not at module top: keeps the worker module
                 # out of sys.modules for `python -m ...dist.worker` runs.
@@ -334,7 +285,7 @@ class DistributedExecutor:
                        poll_interval=self.poll_interval,
                        exit_when_drained=True, worker_id="inline",
                        deadline=deadline).run()
-                self._wait_for_drain(queue, jobs, handles, deadline)
+            self._wait_for_drain(queue, jobs, handles, deadline)
         finally:
             for handle in handles:
                 if handle.poll() is None:
@@ -348,29 +299,14 @@ class DistributedExecutor:
         results = self._collect(queue, jobs)
         if self.trace_path is not None:
             self._write_trace(queue)
-        try:
-            cost_model.observe_many(result for result in results
-                                    if not result.cached)
-            cost_model.save()
-        except (OSError, TransportError):
-            # Best-effort, mirroring runner._learn_costs: a cache broker
-            # dying *after* the grid drained must not fail a campaign
-            # whose results are already in hand.
-            pass
         if temp_dir is not None:
             shutil.rmtree(temp_dir, ignore_errors=True)
         return results
 
     # -- fleet management --------------------------------------------------
-    def _initial_fleet_size(self, queue: WorkQueue) -> int:
-        if self.autoscale is None:
-            return self.workers
-        return self.autoscale.desired_from(queue.backlog())
-
     def _spawn(self, queue: WorkQueue, index: int) -> Any:
         """Bring up worker ``index``: a process when the queue is
         addressable from outside this process, a thread otherwise."""
-        self.spawned_total += 1
         if queue.address is not None:
             return self._spawn_worker_process(queue, index)
         return self._spawn_worker_thread(queue, index)
@@ -382,8 +318,6 @@ class DistributedExecutor:
                "--quiet",
                "--poll-interval", str(self.poll_interval),
                "--worker-id", f"w{index}-{os.getpid()}"]
-        if self.autoscale is not None:
-            cmd += ["--idle-timeout", str(self.autoscale.idle_timeout)]
         if self.cache is not None and self.cache.address is not None:
             # By address, like the queue: a directory for filesystem
             # caches, a broker URL for transport caches.  An address-less
@@ -418,16 +352,9 @@ class DistributedExecutor:
             "exit_when_drained": True,
             "worker_id": f"w{index}-t{os.getpid()}",
         }
-        if self.autoscale is not None:
-            options["idle_timeout"] = self.autoscale.idle_timeout
         if index < len(self.worker_options):
             options.update(self.worker_options[index])
         return _ThreadWorkerHandle(Worker(queue, **options))
-
-    def _max_respawns(self) -> int:
-        if self.autoscale is not None:
-            return max(1, self.autoscale.max_workers)
-        return max(1, self.workers)
 
     def _wait_for_drain(self, queue: WorkQueue, jobs: List[JobSpec],
                         handles: List[Any], deadline: float) -> None:
@@ -442,7 +369,6 @@ class DistributedExecutor:
                 if now >= next_scavenge:
                     queue.requeue_expired()
                     next_scavenge = now + queue.lease_seconds / 2.0
-                    self._autoscale_tick(queue, handles)
                 # Name-derived keys only: no record reads on the poll path.
                 if keys <= queue.terminal_keys():
                     return
@@ -458,15 +384,14 @@ class DistributedExecutor:
                 raise TimeoutError(
                     f"distributed campaign did not drain within "
                     f"{self.timeout:.0f}s: {queue!r}")
-            if (self.autoscale is None and handles
-                    and all(h.poll() is not None for h in handles)):
+            if handles and all(h.poll() is not None for h in handles):
                 # Every worker exited (crashed, starved out, or raced the
                 # drain check) with work outstanding.  Respawn to finish
                 # the grid — but capped: workers that can't even start
                 # (broken interpreter env, unreachable queue) would
                 # otherwise spawn-storm until the timeout with no
                 # diagnosis.
-                if self.respawns >= self._max_respawns():
+                if self.respawns >= max(1, self.workers):
                     codes = sorted({h.poll() for h in handles})
                     where = (f" — see worker-*.log under {queue.root}"
                              if queue.root is not None else "")
@@ -497,51 +422,6 @@ class DistributedExecutor:
         self._say(f"wrote {written} trace events to {self.trace_path}")
         self._events.event("trace", path=str(self.trace_path), events=written)
 
-    def _autoscale_tick(self, queue: WorkQueue, handles: List[Any]) -> None:
-        """Grow the fleet toward the policy's target (shrink is attrition)."""
-        if self.autoscale is None:
-            return
-        live = sum(1 for h in handles if h.poll() is None)
-        backlog = queue.backlog()
-        desired = self.autoscale.desired_from(backlog)
-        if desired <= live:
-            return
-        if live == 0 and handles:
-            # The whole fleet is gone with claimable work left.  A worker
-            # that *starved out* (exit 0) is normal attrition; a *failed*
-            # most-recent spawn means workers cannot start (broken env,
-            # unreachable queue) — cap the respawns so we fail with a
-            # diagnosis instead of spawn-storming until the timeout.  The
-            # newest handle is the signal: historical clean exits from
-            # earlier in the run must not mask a broker that died since.
-            if handles[-1].poll() not in (None, 0):
-                if self.respawns >= self._max_respawns():
-                    codes = sorted({h.poll() for h in handles})
-                    raise RuntimeError(
-                        f"all workers exited (exit codes {codes}) "
-                        f"with work outstanding, after {self.respawns} "
-                        f"respawns: {queue!r}")
-                self.respawns += 1
-        for _ in range(desired - live):
-            handles.append(self._spawn(queue, len(handles)))
-        self._say(f"autoscale: {live} live workers -> {desired} "
-                  f"(spawned {desired - live})")
-        # Structured decision record: the policy's inputs (backlog depth
-        # and cost) and, when workers heartbeat metrics snapshots, the
-        # fleet's observed throughput — so a scale-up is auditable from
-        # stderr alone.
-        try:
-            fleet = queue.worker_metrics()
-        except (OSError, TransportError):
-            fleet = {}
-        throughput = sum(float(m.get("jobs_per_second", 0.0))
-                         for m in fleet.values())
-        self._events.event(
-            "autoscale", live=live, desired=desired, spawned=desired - live,
-            pending=int(backlog.get("pending", 0.0)),
-            backlog_seconds=backlog.get("seconds", 0.0),
-            reporting_workers=len(fleet), jobs_per_second=throughput)
-
     # -- result collection -------------------------------------------------
     def _collect(self, queue: WorkQueue, jobs: List[JobSpec]) -> List[JobResult]:
         results = queue.results()
@@ -560,9 +440,7 @@ class DistributedExecutor:
         return out
 
     def __repr__(self) -> str:
-        fleet = (f"autoscale={self.autoscale!r}" if self.autoscale
-                 else f"workers={self.workers}")
-        return (f"DistributedExecutor({fleet}, "
+        return (f"DistributedExecutor(workers={self.workers}, "
                 f"queue_dir={str(self.queue_dir) if self.queue_dir else None!r}, "
                 f"lease_seconds={self.lease_seconds}, "
                 f"max_attempts={self.max_attempts})")

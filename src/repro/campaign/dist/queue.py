@@ -6,26 +6,28 @@ QueueTransport` — a shared directory, an in-process dict, or an HTTP
 object-store broker.  Any number of workers (threads, processes, hosts)
 cooperate without locks; every exclusive decision rests on the transport's
 one atomic primitive, *conditional create* (compare-and-swap with
-``if_match=None``):
+``if_match=None``).  Every document is named by its job key (the
+:attr:`~repro.campaign.spec.JobSpec.job_id`); documents whose stem is not
+shaped like one (:func:`~repro.campaign.spec.is_job_key`) are foreign and
+left alone:
 
 ``jobs/<key>.json``
-    Immutable job record: the :class:`~repro.campaign.spec.JobSpec`, its
-    cost estimate and its ticket name.  Created once at enqueue time
-    (conditional create, so racing orchestrators agree on one record).
-``pending/<prio>-<key>.json``
+    Immutable job record: the :class:`~repro.campaign.spec.JobSpec` and
+    its enqueue time.  Created once at enqueue time (conditional create,
+    so racing orchestrators agree on one record).
+``pending/<key>.json``
     The *ticket*: present from enqueue until the job settles, holding only
-    the attempt counter.  The name embeds the scheduling priority so a
-    sorted listing *is* the schedule (smaller sorts first;
-    :class:`~repro.campaign.dist.costmodel.CostModel` encodes
-    longest-job-first).
-``claims/<prio>-<key>.json``
+    the attempt counter.  A sorted listing *is* the schedule: job keys
+    lead with the case and the zero-padded grid index, so a grid is
+    claimed in grid order.
+``claims/<key>.json``
     The claim *and* the lease, one document: worker identity, attempt
     counter, expiry.  Claiming is a conditional create — exactly one
     creator wins — so the lease exists from the first instant of the
     claim (no claim-without-lease window to grace over).  Workers renew
     the expiry with compare-and-swap while executing; a claim whose CAS
     tag went stale belongs to someone else now.
-``results/<key>.json`` / ``done/<prio>-<key>.json``
+``results/<key>.json`` / ``done/<key>.json``
     Completion writes the :class:`~repro.campaign.jobs.JobResult` record
     first (the commit point), then the ``done`` marker, then retires the
     ticket and claim; a crash anywhere in between leaves a result that
@@ -61,15 +63,11 @@ from repro.campaign.dist.transport import ANY, FsTransport, QueueTransport
 from repro.campaign.jobs import JobResult, result_from_record_or_none
 from repro.campaign.jsonio import json_dumps_bytes, json_loads_or_none
 from repro.campaign.obs import MetricsRegistry, get_registry
-from repro.campaign.spec import JobSpec
+from repro.campaign.spec import JobSpec, is_job_key
 
-#: Priority strings are fixed-width so lexicographic order == numeric order.
-_PRIORITY_WIDTH = 10
-_PRIORITY_MAX = 10 ** _PRIORITY_WIDTH - 1
-
-#: Pending tickets fetched per page during claim/backlog scans — a claim
-#: normally wins inside the first page, so the scan stops shipping the
-#: full keyspace for every poll.
+#: Pending tickets fetched per page during claim scans — a claim normally
+#: wins inside the first page, so the scan stops shipping the full
+#: keyspace for every poll.
 _SCAN_PAGE = 64
 
 #: Candidates whose result/ticket/claim documents are batch-probed per
@@ -77,47 +75,16 @@ _SCAN_PAGE = 64
 #: candidate, so a bigger window mostly ships unused documents.
 _CLAIM_WINDOW = 16
 
-#: Cap on the pending tickets a :meth:`WorkQueue.backlog` scan inspects.
-#: Any realistic :class:`~repro.campaign.dist.costmodel.AutoscalePolicy`
-#: saturates its ``max_workers`` long before this many claimable tickets.
-_BACKLOG_SCAN_CAP = 1024
-
-def priority_for_cost(cost: float) -> str:
-    """Encode an estimated cost (seconds) as a sortable priority string.
-
-    Larger costs map to *smaller* strings so that an ascending listing
-    yields longest-job-first — the schedule that minimizes makespan
-    stragglers across a worker pool.  Non-finite estimates (a corrupt cost
-    model) clamp to "longest" rather than raising.
-    """
-    cost = float(cost)
-    if cost != cost:  # NaN
-        cost = 0.0
-    millis = int(max(0.0, min(cost, 1e6)) * 1000.0)  # clamps +/-inf too
-    return f"{_PRIORITY_MAX - millis:0{_PRIORITY_WIDTH}d}"
+#: States whose document for a job makes a fresh ticket redundant.
+_TICKET_BLOCKERS = ("pending", "claims", "done", "results", "dead")
 
 
-def cost_for_priority(name: str) -> float:
-    """Decode a ticket name's embedded cost estimate (seconds).
-
-    The inverse of :func:`priority_for_cost`, up to millisecond rounding.
-    Lets the autoscaler compute the queue's cost backlog from listings
-    alone — no record reads on the scaling path.  Unparseable names read
-    as zero cost.
-    """
-    prefix = name[:_PRIORITY_WIDTH]
-    if not prefix.isdigit():
-        return 0.0
-    return max(0, _PRIORITY_MAX - int(prefix)) / 1000.0
-
-
-def _ticket_key_of(name: str) -> Optional[str]:
-    """Job key embedded in a ticket name; ``None`` for foreign names."""
-    if len(name) <= _PRIORITY_WIDTH + 1 or name[_PRIORITY_WIDTH] != "-":
-        return None
-    if not name[:_PRIORITY_WIDTH].isdigit():
-        return None
-    return name[_PRIORITY_WIDTH + 1:]
+def _job_keys(paths: Iterable[str], head: int) -> List[str]:
+    """Job keys of the ``<state>/<key>.json`` documents among ``paths``
+    (``head`` is the length of the ``<state>/`` prefix); foreign
+    documents are skipped."""
+    stems = (path[head:-5] for path in paths if path.endswith(".json"))
+    return [stem for stem in stems if is_job_key(stem)]
 
 
 def _lease_doc(worker: str, attempts: int, now: float,
@@ -127,23 +94,20 @@ def _lease_doc(worker: str, attempts: int, now: float,
             "expires_at": now + lease_seconds}
 
 
-def _retire_over(transport: QueueTransport, ns: str, name: str,
-                 claim_etag: Optional[str] = None) -> None:
+def _retire_over(transport: QueueTransport, ns: str, key: str) -> None:
     """Idempotently move a ticket with a persisted result to ``done``.
 
     One mixed batch: create the done marker, then drop the ticket and
-    the claim.  The claim delete is conditional when an etag is given,
-    so a retire racing a re-claim leaves the new claimant's lease alone
-    (the scavenger retires it later, against the result record).
+    the claim.
     """
     transport.mutate_many([
-        ("put", f"{ns}done/{name}.json", json_dumps_bytes({}), None),
-        ("delete", f"{ns}pending/{name}.json", None),
-        ("delete", f"{ns}claims/{name}.json", claim_etag),
+        ("put", f"{ns}done/{key}.json", json_dumps_bytes({}), None),
+        ("delete", f"{ns}pending/{key}.json", None),
+        ("delete", f"{ns}claims/{key}.json", None),
     ])
 
 
-def _bury_over(transport: QueueTransport, ns: str, name: str, key: str,
+def _bury_over(transport: QueueTransport, ns: str, key: str,
                attempts: int, error: str,
                record: Optional[Dict[str, Any]] = None) -> None:
     """Dead-letter a job: persist the dead record, drop ticket and claim."""
@@ -157,8 +121,8 @@ def _bury_over(transport: QueueTransport, ns: str, name: str, key: str,
             "error": error,
             "attempts": attempts,
         }), ANY),
-        ("delete", f"{ns}pending/{name}.json", None),
-        ("delete", f"{ns}claims/{name}.json", None),
+        ("delete", f"{ns}pending/{key}.json", None),
+        ("delete", f"{ns}claims/{key}.json", None),
     ])
 
 
@@ -183,8 +147,8 @@ def claim_first_over(transport: QueueTransport, prefix: str = "pending/",
 
     Returns ``None`` when nothing is claimable, else the claim outcome::
 
-        {"name": <ticket stem>, "key": <job key>, "etag": <claim etag>,
-         "attempts": <prior attempts>, "cost": <estimate>,
+        {"key": <job key>, "etag": <claim etag>,
+         "attempts": <prior attempts>,
          "record": <jobs/ document>, "lease": <claim document>}
 
     — all JSON-serializable, because over HTTP this dict *is* the
@@ -208,19 +172,11 @@ def claim_first_over(transport: QueueTransport, prefix: str = "pending/",
         got = transport.get(f"{ns}queue.json")
         config = json_loads_or_none(got[0]) if got is not None else None
         lease_seconds = float((config or {}).get("lease_seconds", 30.0))
-    head = len(prefix)
     start_after = ""
     while True:
         page, token = transport.list_page(prefix, _SCAN_PAGE,
                                           start_after=start_after)
-        candidates = []
-        for full_key in page:
-            if not full_key.endswith(".json"):
-                continue
-            name = full_key[head:-5]
-            key = _ticket_key_of(name)
-            if key is not None:  # foreign documents left alone
-                candidates.append((name, key))
+        candidates = _job_keys(page, len(prefix))
         for start in range(0, len(candidates), _CLAIM_WINDOW):
             outcome = _claim_window_over(
                 transport, ns, candidates[start:start + _CLAIM_WINDOW],
@@ -232,28 +188,29 @@ def claim_first_over(transport: QueueTransport, prefix: str = "pending/",
         start_after = token
 
 
-def _claim_window_over(transport: QueueTransport, ns: str, candidates,
-                       worker: str, now: float, lease_seconds: float,
+def _claim_window_over(transport: QueueTransport, ns: str,
+                       candidates: List[str], worker: str, now: float,
+                       lease_seconds: float,
                        registry: Optional[MetricsRegistry] = None
                        ) -> Optional[Dict[str, Any]]:
-    """Try to claim one of ``candidates`` (one window of pending names,
-    priority-ordered); returns the claim outcome dict or ``None``."""
+    """Try to claim one of ``candidates`` (one window of pending job keys,
+    in listing order); returns the claim outcome dict or ``None``."""
     if not candidates:
         return None
     count = len(candidates)
     probes = transport.get_many(
-        [f"{ns}results/{key}.json" for _, key in candidates]
-        + [f"{ns}pending/{name}.json" for name, _ in candidates]
-        + [f"{ns}claims/{name}.json" for name, _ in candidates])
+        [f"{ns}results/{key}.json" for key in candidates]
+        + [f"{ns}pending/{key}.json" for key in candidates]
+        + [f"{ns}claims/{key}.json" for key in candidates])
     have_result = probes[:count]
     tickets = probes[count:2 * count]
     held = probes[2 * count:]
-    for (name, key), result_doc, ticket_doc, claim_doc in zip(
+    for key, result_doc, ticket_doc, claim_doc in zip(
             candidates, have_result, tickets, held):
         if result_doc is not None:
             # Already computed (healed double-enqueue / crashed settle):
             # retire the ticket.
-            _retire_over(transport, ns, name)
+            _retire_over(transport, ns, key)
             continue
         if claim_doc is not None:
             continue  # held by a live (or not-yet-scavenged) claim
@@ -262,7 +219,7 @@ def _claim_window_over(transport: QueueTransport, ns: str, candidates,
         attempts = int(ticket.get("attempts", 0) or 0)
         lease = _lease_doc(worker, attempts, now, lease_seconds)
         payload = json_dumps_bytes(lease)
-        etag = transport.cas(f"{ns}claims/{name}.json", payload,
+        etag = transport.cas(f"{ns}claims/{key}.json", payload,
                              if_match=None)
         if etag is None:
             # Lost the race — unless the "conflict" is our own write: a
@@ -272,7 +229,7 @@ def _claim_window_over(transport: QueueTransport, ns: str, candidates,
             # it would strand our own lease and burn a retry attempt the
             # job never used.  (Server-side the CAS is local and exact,
             # so this branch simply never fires there.)
-            got = transport.get(f"{ns}claims/{name}.json")
+            got = transport.get(f"{ns}claims/{key}.json")
             if got is None or got[0] != payload:
                 if registry is not None:
                     registry.counter("queue_claim_conflicts_total").inc()
@@ -286,7 +243,7 @@ def _claim_window_over(transport: QueueTransport, ns: str, candidates,
         record = (json_loads_or_none(record_got[0])
                   if record_got is not None else None)
         if not record or "job" not in record:
-            _bury_over(transport, ns, name, key, attempts,
+            _bury_over(transport, ns, key, attempts,
                        error="corrupt job record (unreadable spec)",
                        record=record)
             if registry is not None:
@@ -296,16 +253,14 @@ def _claim_window_over(transport: QueueTransport, ns: str, candidates,
         try:
             JobSpec.from_record(record["job"])
         except (KeyError, TypeError, ValueError):
-            _bury_over(transport, ns, name, key, attempts,
+            _bury_over(transport, ns, key, attempts,
                        error="corrupt job record (bad spec fields)",
                        record=record)
             if registry is not None:
                 registry.counter("queue_dead_letters_total").inc(
                     reason="corrupt-record")
             continue
-        return {"name": name, "key": key, "etag": etag,
-                "attempts": attempts,
-                "cost": float(record.get("cost", 0.0) or 0.0),
+        return {"key": key, "etag": etag, "attempts": attempts,
                 "record": record, "lease": lease}
     return None
 
@@ -319,11 +274,9 @@ class WorkItem:
     releases *its own* claim.
     """
 
-    name: str          # ticket stem, "<prio>-<key>"
     key: str           # job key (the JobSpec.job_id)
     job: JobSpec
     attempts: int      # completed attempts *before* this claim
-    cost: float = 0.0
     worker: str = ""
     etag: str = ""
     #: Timestamps for the per-job trace spans (queue-wait → run → store):
@@ -422,135 +375,67 @@ class WorkQueue:
         got = self.transport.get(key)
         return None if got is None else json_loads_or_none(got[0])
 
-    @staticmethod
-    def _key_of(name: str) -> Optional[str]:
-        """Job key embedded in a ticket name; ``None`` for foreign names."""
-        return _ticket_key_of(name)
-
     def _names(self, state: str) -> List[str]:
-        """Sorted document stems under a state prefix (foreign keys
+        """Sorted job keys under a state prefix (foreign documents
         skipped)."""
-        head = len(state) + 1
-        return [key[head:-5] for key in self.transport.list(f"{state}/")
-                if key.endswith(".json")]
+        return _job_keys(self.transport.list(f"{state}/"), len(state) + 1)
 
     # -- enqueue -----------------------------------------------------------
-    def enqueue(self, job: JobSpec, cost: float = 0.0) -> str:
-        """Add ``job`` to the queue (idempotently) and return its ticket name.
+    def enqueue(self, job: JobSpec) -> str:
+        """Add ``job`` to the queue (idempotently) and return its key.
 
         Re-enqueueing a job that is already pending, claimed, done or
         dead-lettered is a no-op, so a restarted orchestrator can replay a
         whole grid into an existing queue safely.
         """
         key = job.job_id
-        record = self._get_json(f"jobs/{key}.json")
-        if record and "job" in record:
-            name = record.get("name") or f"{priority_for_cost(cost)}-{key}"
-        else:
-            name = f"{priority_for_cost(cost)}-{key}"
-            # enqueued_at anchors the per-job queue-wait span (see
-            # obs.spans.spans_from_result_records); the record stays
-            # immutable — losers of the creation race adopt the winner's
-            # timestamp along with its ticket name.
-            payload = {"job": job.to_record(), "cost": float(cost),
-                       "name": name, "enqueued_at": self._clock()}
-            if self.transport.cas(f"jobs/{key}.json",
-                                  json_dumps_bytes(payload),
-                                  if_match=None) is None:
-                # Lost an enqueue race: adopt the winner's ticket name so
-                # the job cannot end up with two differently-prioritized
-                # tickets.
-                record = self._get_json(f"jobs/{key}.json") or payload
-                name = record.get("name") or name
+        # enqueued_at anchors the per-job queue-wait span (see
+        # obs.spans.spans_from_result_records).  The record is immutable:
+        # a lost create keeps the winner's record.
+        self.transport.cas(f"jobs/{key}.json", self._job_record(job),
+                           if_match=None)
         # One batched probe for every state that would make the ticket
         # redundant, instead of five sequential round trips.
-        probes = self.transport.get_many([
-            f"pending/{name}.json",
-            f"claims/{name}.json",
-            f"done/{name}.json",
-            f"results/{key}.json",
-            f"dead/{key}.json",
-        ])
-        if any(got is not None for got in probes):
-            return name
-        self.transport.cas(f"pending/{name}.json",
-                           json_dumps_bytes({"attempts": 0}), if_match=None)
-        return name
+        probes = self.transport.get_many(
+            [f"{state}/{key}.json" for state in _TICKET_BLOCKERS])
+        if all(got is None for got in probes):
+            self.transport.cas(f"pending/{key}.json",
+                               json_dumps_bytes({"attempts": 0}),
+                               if_match=None)
+        return key
 
-    def enqueue_grid(self, jobs: Iterable[JobSpec],
-                     cost_model: Optional[Any] = None) -> List[str]:
-        """Enqueue many jobs, longest-estimated-first when a model is given.
+    def enqueue_grid(self, jobs: Iterable[JobSpec]) -> List[str]:
+        """Enqueue many jobs in grid order; returns their keys.
 
         Fully batched: existing state is listed once up front, the
-        (immutable) job records are read and conditionally created in
-        bulk (``get_many`` / ``mutate_many``), and the tickets land in one
-        more batch — so replaying a large grid costs O(5 listings + a few
-        batch round trips), not O(jobs) round trips, over the HTTP
-        transport.  Races with concurrent orchestrators settle exactly as
-        in :meth:`enqueue`: a lost conditional create adopts the winner's
-        ticket name.
+        (immutable) job records are conditionally created in one
+        ``mutate_many`` and the tickets land in one more — so replaying a
+        large grid costs five listings and two batch round trips, not
+        O(jobs) round trips, over the HTTP transport.  Races with
+        concurrent orchestrators settle exactly as in :meth:`enqueue`.
         """
         jobs = list(jobs)
         if not jobs:
             return []
-        costs: List[float] = [0.0] * len(jobs)
-        if cost_model is not None:
-            jobs = cost_model.order(jobs)
-            costs = [cost_model.estimate(job) for job in jobs]
-        known = {
-            "pending": set(self._names("pending")),
-            "claims": set(self._names("claims")),
-            "done": set(self._names("done")),
-            "results": set(self._names("results")),
-            "dead": set(self._names("dead")),
-        }
-        existing = self.transport.get_many(
-            [f"jobs/{job.job_id}.json" for job in jobs])
-        names: List[str] = []
-        creates: List[Tuple[int, bytes]] = []
-        for index, (job, cost, got) in enumerate(zip(jobs, costs, existing)):
-            record = json_loads_or_none(got[0]) if got is not None else None
-            if record and "job" in record:
-                names.append(record.get("name")
-                             or f"{priority_for_cost(cost)}-{job.job_id}")
-            else:
-                name = f"{priority_for_cost(cost)}-{job.job_id}"
-                payload = {"job": job.to_record(), "cost": float(cost),
-                           "name": name, "enqueued_at": self._clock()}
-                creates.append((index, json_dumps_bytes(payload)))
-                names.append(name)
-        if creates:
-            outcomes = self.transport.mutate_many(
-                [("put", f"jobs/{jobs[index].job_id}.json", data, None)
-                 for index, data in creates])
-            losers = [index for (index, _), tag in zip(creates, outcomes)
-                      if tag is None]
-            if losers:
-                # Lost enqueue races: adopt the winners' ticket names so a
-                # job cannot end up with two differently-prioritized
-                # tickets (one batched re-read for all losers).
-                won = self.transport.get_many(
-                    [f"jobs/{jobs[index].job_id}.json" for index in losers])
-                for index, got in zip(losers, won):
-                    record = (json_loads_or_none(got[0])
-                              if got is not None else None)
-                    if record and record.get("name"):
-                        names[index] = str(record["name"])
-        tickets: List[str] = []
-        for job, name in zip(jobs, names):
-            key = job.job_id
-            if (name in known["pending"] or name in known["claims"]
-                    or name in known["done"] or key in known["results"]
-                    or key in known["dead"]):
-                continue
-            tickets.append(name)
-            known["pending"].add(name)
+        known = set()
+        for state in _TICKET_BLOCKERS:
+            known.update(self._names(state))
+        self.transport.mutate_many(
+            [("put", f"jobs/{job.job_id}.json", self._job_record(job), None)
+             for job in jobs])
+        tickets: List[Tuple] = []
+        for job in jobs:
+            if job.job_id not in known:
+                known.add(job.job_id)
+                tickets.append(("put", f"pending/{job.job_id}.json",
+                                json_dumps_bytes({"attempts": 0}), None))
         if tickets:
-            self.transport.mutate_many(
-                [("put", f"pending/{name}.json",
-                  json_dumps_bytes({"attempts": 0}), None)
-                 for name in tickets])
-        return names
+            self.transport.mutate_many(tickets)
+        return [job.job_id for job in jobs]
+
+    def _job_record(self, job: JobSpec) -> bytes:
+        return json_dumps_bytes({"job": job.to_record(),
+                                 "enqueued_at": self._clock()})
 
     # -- claim / lease -----------------------------------------------------
     def _lease_payload(self, worker: str, attempts: int,
@@ -558,7 +443,7 @@ class WorkQueue:
         return _lease_doc(worker, attempts, now, self.lease_seconds)
 
     def claim(self, worker: str = "") -> Optional[WorkItem]:
-        """Atomically claim the highest-priority pending job, if any.
+        """Atomically claim the first pending job in key order, if any.
 
         A claim is one conditional create of the ``claims/`` document —
         exactly one creator wins, and the document *is* the lease, so
@@ -607,8 +492,7 @@ class WorkQueue:
         that fails to parse *here* is buried from the claim we hold,
         and ``None`` tells the caller to rescan.
         """
-        name = str(outcome.get("name", ""))
-        key = str(outcome.get("key", "") or self._key_of(name) or "")
+        key = str(outcome.get("key", ""))
         attempts = int(outcome.get("attempts", 0) or 0)
         record = outcome.get("record")
         job_record = (record or {}).get("job") if isinstance(record, dict) \
@@ -616,10 +500,9 @@ class WorkQueue:
         try:
             job = JobSpec.from_record(job_record)
         except (KeyError, TypeError, ValueError, AttributeError):
-            self._bury(name, key, attempts,
+            self._bury(key, attempts,
                        error="corrupt job record (bad spec fields)")
             return None
-        cost = float(outcome.get("cost", 0.0) or 0.0)
         lease = outcome.get("lease")
         lease = lease if isinstance(lease, dict) else {}
 
@@ -629,8 +512,7 @@ class WorkQueue:
             except (TypeError, ValueError):
                 return None
 
-        return WorkItem(name=name, key=key, job=job, attempts=attempts,
-                        cost=cost, worker=worker,
+        return WorkItem(key=key, job=job, attempts=attempts, worker=worker,
                         etag=str(outcome.get("etag", "") or ""),
                         enqueued_at=_stamp(record.get("enqueued_at")),
                         claimed_at=_stamp(lease.get("claimed_at")))
@@ -646,9 +528,9 @@ class WorkQueue:
 
         ``metrics`` (a JSON-safe dict, e.g. :meth:`~repro.campaign.dist.
         worker.Worker.metrics_snapshot`) rides along in the renewed
-        claim document, where :meth:`worker_metrics` — and through it
-        the executor's autoscale tick — can read per-worker throughput
-        without any extra round trips or side channels.  The *initial*
+        claim document, where :func:`repro.campaign.dist.stats.
+        worker_reports` reads per-worker throughput without any extra
+        round trips or side channels.  The *initial*
         claim document never carries metrics, so the claim path's
         own-write byte comparison is unaffected.
         """
@@ -656,18 +538,18 @@ class WorkQueue:
         if metrics:
             doc["metrics"] = metrics
         payload = json_dumps_bytes(doc)
-        etag = self.transport.cas(f"claims/{item.name}.json", payload,
+        etag = self.transport.cas(f"claims/{item.key}.json", payload,
                                   if_match=item.etag)
         if etag is None:
             # Raced our own previous renewal or lost the claim: re-read
             # once and retry only if the claim still names us.
-            got = self.transport.get(f"claims/{item.name}.json")
+            got = self.transport.get(f"claims/{item.key}.json")
             if got is None:
                 return False
             lease = json_loads_or_none(got[0])
             if not lease or lease.get("worker") != item.worker:
                 return False
-            etag = self.transport.cas(f"claims/{item.name}.json", payload,
+            etag = self.transport.cas(f"claims/{item.key}.json", payload,
                                       if_match=got[1])
             if etag is None:
                 return False
@@ -710,22 +592,12 @@ class WorkQueue:
         self.transport.mutate_many([
             ("put", f"results/{item.key}.json", json_dumps_bytes(record),
              ANY),
-            ("put", f"done/{item.name}.json", json_dumps_bytes({}), None),
-            ("delete", f"pending/{item.name}.json", None),
+            ("put", f"done/{item.key}.json", json_dumps_bytes({}), None),
+            ("delete", f"pending/{item.key}.json", None),
             # Conditional on our etag: ours going stale (late completion
             # after requeue) must leave the new claimant's lease alone.
-            ("delete", f"claims/{item.name}.json", item.etag or None),
+            ("delete", f"claims/{item.key}.json", item.etag or None),
         ])
-
-    def _retire(self, name: str, key: str,
-                claim_etag: Optional[str] = None) -> None:
-        """Idempotently move a ticket with a persisted result to ``done``.
-
-        A conditional claim delete that misses (ours went stale — late
-        completion after requeue) leaves the new claimant's lease alone;
-        the scavenger retires it against the result record.
-        """
-        _retire_over(self.transport, "", name, claim_etag)
 
     def fail(self, item: WorkItem, error: str) -> str:
         """Record a failed attempt; requeue or dead-letter.
@@ -738,7 +610,7 @@ class WorkQueue:
         """
         attempts = item.attempts + 1
         if attempts >= self.max_attempts:
-            self._bury(item.name, item.key, attempts, error=error)
+            self._bury(item.key, attempts, error=error)
             self.registry.counter("queue_dead_letters_total").inc(
                 reason="failed")
             return "dead"
@@ -748,14 +620,14 @@ class WorkQueue:
         # racing claim is at worst re-run, never stranded.  One mixed
         # batch; ops apply in order.
         self.transport.mutate_many([
-            ("put", f"pending/{item.name}.json",
+            ("put", f"pending/{item.key}.json",
              json_dumps_bytes({"attempts": attempts}), ANY),
-            ("delete", f"claims/{item.name}.json", item.etag or None),
+            ("delete", f"claims/{item.key}.json", item.etag or None),
         ])
         return "requeued"
 
-    def _bury(self, name: str, key: str, attempts: int, error: str) -> None:
-        _bury_over(self.transport, "", name, key, attempts, error)
+    def _bury(self, key: str, attempts: int, error: str) -> None:
+        _bury_over(self.transport, "", key, attempts, error)
 
     # -- lease scavenging --------------------------------------------------
     def requeue_expired(self, now: Optional[float] = None) -> List[str]:
@@ -773,24 +645,22 @@ class WorkQueue:
         have_results = set(self._names("results"))
         have_dead = set(self._names("dead"))
         requeued: List[str] = []
-        names = [name for name in self._names("claims")
-                 if self._key_of(name) is not None]
+        keys = self._names("claims")
         # The heartbeat/scavenge scan reads every claim document in one
         # batch instead of one round trip per claim; the per-claim
         # decision logic below is unchanged.
         leases = self.transport.get_many(
-            [f"claims/{name}.json" for name in names])
-        expired: List[Tuple[str, str, str, Optional[Dict[str, Any]]]] = []
-        for name, got in zip(names, leases):
-            key = self._key_of(name)
+            [f"claims/{key}.json" for key in keys])
+        expired: List[Tuple[str, str, Optional[Dict[str, Any]]]] = []
+        for key, got in zip(keys, leases):
             if key in have_results:
-                self._retire(name, key)
+                _retire_over(self.transport, "", key)
                 continue
             if key in have_dead:
                 # Crash mid-bury: the dead record is authoritative.
                 self.transport.mutate_many([
-                    ("delete", f"pending/{name}.json", None),
-                    ("delete", f"claims/{name}.json", None),
+                    ("delete", f"pending/{key}.json", None),
+                    ("delete", f"claims/{key}.json", None),
                 ])
                 continue
             if got is None:
@@ -799,12 +669,12 @@ class WorkQueue:
             if lease is not None and float(lease.get("expires_at",
                                                      0.0)) > now:
                 continue  # live lease
-            expired.append((name, key, got[1], lease))
+            expired.append((key, got[1], lease))
         if not expired:
             return requeued
         tickets = self.transport.get_many(
-            [f"pending/{name}.json" for name, _, _, _ in expired])
-        for (name, key, etag, lease), ticket_doc in zip(expired, tickets):
+            [f"pending/{key}.json" for key, _, _ in expired])
+        for (key, etag, lease), ticket_doc in zip(expired, tickets):
             ticket = (json_loads_or_none(ticket_doc[0])
                       if ticket_doc is not None else None) or {}
             attempts = int(ticket.get("attempts", 0) or 0)
@@ -812,7 +682,7 @@ class WorkQueue:
                 attempts = max(attempts, int(lease.get("attempts", 0) or 0))
             attempts += 1
             if attempts >= self.max_attempts:
-                self._bury(name, key, attempts,
+                self._bury(key, attempts,
                            error=f"lease expired after {attempts} attempts "
                                  f"(worker crash or hang)")
                 self.registry.counter("queue_dead_letters_total").inc(
@@ -823,9 +693,9 @@ class WorkQueue:
             # conditionally, so a concurrent heartbeat renewal (the worker
             # lives) wins and the job is not reported requeued.
             _, released = self.transport.mutate_many([
-                ("put", f"pending/{name}.json",
+                ("put", f"pending/{key}.json",
                  json_dumps_bytes({"attempts": attempts}), ANY),
-                ("delete", f"claims/{name}.json", etag),
+                ("delete", f"claims/{key}.json", etag),
             ])
             if released:
                 requeued.append(key)
@@ -867,10 +737,7 @@ class WorkQueue:
                       if job_doc is not None else None)
             if not record or "job" not in record:
                 continue  # nothing left to execute
-            name = record.get("name") or (
-                f"{priority_for_cost(float(record.get('cost', 0.0) or 0.0))}"
-                f"-{key}")
-            tickets.append(("put", f"pending/{name}.json",
+            tickets.append(("put", f"pending/{key}.json",
                             json_dumps_bytes({"attempts": 0}), ANY))
             deletes.append(("delete", f"dead/{key}.json", None))
             revived.append(key)
@@ -902,12 +769,13 @@ class WorkQueue:
         return self._state_empty("pending") and self._state_empty("claims")
 
     def _state_empty(self, state: str) -> bool:
-        """True when a state prefix holds no ``.json`` documents."""
+        """True when a state prefix holds no job documents."""
+        head = len(state) + 1
         start_after = ""
         while True:
             page, token = self.transport.list_page(f"{state}/", 16,
                                                    start_after=start_after)
-            if any(key.endswith(".json") for key in page):
+            if _job_keys(page, head):
                 return False
             if token is None:
                 return True
@@ -916,15 +784,11 @@ class WorkQueue:
     def pending_keys(self) -> List[str]:
         """Keys claimable right now (ticket present, no claim document)."""
         claims = set(self._names("claims"))
-        return [key for key in (self._key_of(name)
-                                for name in self._names("pending")
-                                if name not in claims)
-                if key is not None]
+        return [key for key in self._names("pending") if key not in claims]
 
     def claimed_keys(self) -> List[str]:
         """Keys under a claim document (live or expired)."""
-        return [key for key in map(self._key_of, self._names("claims"))
-                if key is not None]
+        return self._names("claims")
 
     def live_claimed_keys(self, now: Optional[float] = None) -> List[str]:
         """Claimed jobs whose lease is still live (read-only probe).
@@ -934,47 +798,15 @@ class WorkQueue:
         should say so even before a scavenger runs.
         """
         now = self._clock() if now is None else now
-        names = [name for name in self._names("claims")
-                 if self._key_of(name) is not None]
+        keys = self._names("claims")
         live: List[str] = []
-        for name, got in zip(names, self.transport.get_many(
-                [f"claims/{name}.json" for name in names])):
+        for key, got in zip(keys, self.transport.get_many(
+                [f"claims/{key}.json" for key in keys])):
             lease = json_loads_or_none(got[0]) if got is not None else None
             if lease is not None and float(lease.get("expires_at",
                                                      0.0)) > now:
-                live.append(self._key_of(name))
+                live.append(key)
         return live
-
-    def worker_metrics(self, now: Optional[float] = None
-                       ) -> Dict[str, Dict[str, Any]]:
-        """Per-worker metrics snapshots from live claim documents.
-
-        Workers attach :meth:`~repro.campaign.dist.worker.Worker.
-        metrics_snapshot` to every heartbeat renewal (see
-        :meth:`heartbeat`), so the claims/ state doubles as a fleet
-        health board: one batched read per call, no extra protocol.
-        Returns ``{worker_id: metrics}`` for workers holding a live
-        lease whose renewal carried metrics; a worker holding several
-        claims reports its freshest snapshot.
-        """
-        now = self._clock() if now is None else now
-        names = [name for name in self._names("claims")
-                 if self._key_of(name) is not None]
-        out: Dict[str, Dict[str, Any]] = {}
-        for got in self.transport.get_many(
-                [f"claims/{name}.json" for name in names]):
-            lease = json_loads_or_none(got[0]) if got is not None else None
-            if not lease or float(lease.get("expires_at", 0.0)) <= now:
-                continue
-            metrics = lease.get("metrics")
-            worker = str(lease.get("worker", "") or "")
-            if not worker or not isinstance(metrics, dict):
-                continue
-            held = out.get(worker)
-            if (held is None or float(metrics.get("at", 0.0))
-                    >= float(held.get("at", 0.0))):
-                out[worker] = metrics
-        return out
 
     def terminal_keys(self) -> set:
         """Keys in a terminal state (result persisted or dead-lettered).
@@ -983,47 +815,6 @@ class WorkQueue:
         polling stays cheap (two round trips on the HTTP transport).
         """
         return set(self._names("results")) | set(self._names("dead"))
-
-    def backlog(self, now: Optional[float] = None,
-                max_names: int = _BACKLOG_SCAN_CAP) -> Dict[str, float]:
-        """Claimable depth and estimated cost backlog, from listings alone.
-
-        The cost estimate of every unclaimed ticket is decoded from its
-        priority-encoded name (:func:`cost_for_priority`), so autoscaling
-        decisions cost a few listing pages per tick — no record reads.
-        The pending scan is *paginated and capped* at ``max_names``
-        claimable tickets: beyond the cap the counts are reported as
-        (ample) lower bounds with ``truncated`` set, since any realistic
-        :class:`~repro.campaign.dist.costmodel.AutoscalePolicy` saturates
-        its ``max_workers`` long before then — the autoscaler must not
-        ship a million-ticket keyspace every tick to decide "scale to 8".
-        Returns ``{"pending": <ticket count>, "seconds": <summed
-        estimate>, "truncated": 0.0 or 1.0}``.
-        """
-        claims = set(self._names("claims"))
-        names: List[str] = []
-        truncated = False
-        start_after = ""
-        head = len("pending/")
-        while True:
-            page, token = self.transport.list_page(
-                "pending/", min(_SCAN_PAGE * 8, max(1, max_names)),
-                start_after=start_after)
-            for full_key in page:
-                if not full_key.endswith(".json"):
-                    continue
-                name = full_key[head:-5]
-                if name not in claims and self._key_of(name) is not None:
-                    names.append(name)
-            if token is None:
-                break
-            if len(names) >= max_names:
-                truncated = True
-                break
-            start_after = token
-        return {"pending": float(len(names)),
-                "seconds": sum(cost_for_priority(name) for name in names),
-                "truncated": 1.0 if truncated else 0.0}
 
     def results(self) -> Dict[str, JobResult]:
         """All persisted results, keyed by job key (corrupt records skipped)."""

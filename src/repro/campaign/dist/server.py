@@ -41,7 +41,7 @@ Design:
   transactions: each op succeeds or conflicts individually.
 * **Pagination.**  ``GET /list`` serves bounded keyset pages
   (``max-keys``, default and cap :data:`MAX_LIST_PAGE`, and
-  ``start-after``), so heartbeat and autoscale scans fetch bounded pages
+  ``start-after``), so claim scans and drain polls fetch bounded pages
   and deletions between pages never skip survivors.
 * **Dialect** (see :class:`~repro.campaign.dist.transport.HttpTransport`):
   ``POST /batch``, ``POST /claim``, ``GET /list?prefix=<p>`` →
@@ -324,8 +324,8 @@ class BrokerDialect:
         Runs one scan-probe-CAS claim pass (:func:`repro.campaign.dist.
         queue.claim_first_over`) against the broker's own store, where
         every "round trip" of the scan is a local operation.  Replies
-        200 with the JSON claim outcome (``name``/``key``/``etag``/
-        ``attempts``/``cost``/``record``/``lease``), or 204 when nothing
+        200 with the JSON claim outcome (``key``/``etag``/``attempts``/
+        ``record``/``lease``), or 204 when nothing
         is claimable.  ``now`` and ``lease`` carry the *claimant's*
         clock and adopted lease policy, so lease arithmetic matches the
         client-side scan exactly (and fake-clock tests work over HTTP);

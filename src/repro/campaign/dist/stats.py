@@ -27,9 +27,14 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.campaign.dist.transport import HttpTransport, TransportError
+from repro.campaign.dist.transport import (
+    HttpTransport,
+    QueueTransport,
+    TransportError,
+)
 from repro.campaign.jsonio import json_loads_or_none
 from repro.campaign.obs import counter_total, series_value
+from repro.campaign.spec import is_job_key
 
 #: Listing scan cap per queue state — beyond this the depth column shows a
 #: ``+`` suffix (lower bound).  A dashboard tick must not page a
@@ -39,20 +44,23 @@ SCAN_CAP = 10_000
 _STATES = ("pending", "claims", "results", "dead")
 
 
-def queue_depths(transport: HttpTransport,
+def queue_depths(transport: QueueTransport,
                  cap: int = SCAN_CAP) -> Dict[str, Tuple[int, bool]]:
-    """Count keys per queue state from paginated listings alone.
+    """Count job documents per queue state from paginated listings alone.
 
     Returns ``{state: (count, truncated)}``; ``truncated`` means the scan
-    hit ``cap`` and the count is a lower bound.  No record reads.
+    hit ``cap`` and the count is a lower bound.  No record reads; foreign
+    documents (stems not shaped like a job key) are not counted.
     """
     depths: Dict[str, Tuple[int, bool]] = {}
     for state in _STATES:
+        head = len(state) + 1
         count, truncated, start_after = 0, False, ""
         while True:
             page, token = transport.list_page(
                 f"{state}/", max(1, min(1000, cap)), start_after=start_after)
-            count += len(page)
+            count += sum(1 for key in page if key.endswith(".json")
+                         and is_job_key(key[head:-5]))
             if token is None:
                 break
             if count >= cap:
@@ -63,15 +71,16 @@ def queue_depths(transport: HttpTransport,
     return depths
 
 
-def worker_reports(transport: HttpTransport,
+def worker_reports(transport: QueueTransport,
                    now: Optional[float] = None) -> Dict[str, Dict[str, Any]]:
     """Freshest per-worker metrics snapshot from live claim documents.
 
     Workers attach :meth:`~repro.campaign.dist.worker.Worker.
     metrics_snapshot` to every heartbeat renewal, so the claims/ listing
-    doubles as a fleet health board.  Mirrors
-    :meth:`~repro.campaign.dist.queue.WorkQueue.worker_metrics` without
-    constructing a queue (and thus without writing queue policy).
+    doubles as a fleet health board: one listing and one batched read,
+    over any transport, without constructing a queue (and thus without
+    writing queue policy).  A worker holding several live claims reports
+    its freshest snapshot.
     """
     now = time.time() if now is None else now
     keys = [key for key in transport.list("claims/") if key.endswith(".json")]

@@ -2,9 +2,9 @@
 
 The distributed work queue (:class:`~repro.campaign.dist.queue.WorkQueue`)
 is a state machine over *opaque keys* holding small JSON documents, and
-the result cache (:class:`~repro.campaign.cache.TransportResultCache`) and
-persisted cost model ride the same seam — one storage contract carries a
-whole campaign's durable state.  This module defines that contract —
+the result cache (:class:`~repro.campaign.cache.TransportResultCache`)
+rides the same seam — one storage contract carries a whole campaign's
+durable state.  This module defines that contract —
 three batch-shaped primitives modelled on an S3-style object store — and
 three implementations:
 
@@ -822,13 +822,12 @@ class HttpTransport(QueueTransport):
         page the pending listing, batch-probe results/pending/claims,
         CAS-create the claim document, read the job record — into a
         single round trip, decided under the broker's lock.  Returns the
-        claim outcome document (``name``/``key``/``etag``/``attempts``/
-        ``cost``/``record``/``lease``) or ``None`` when the queue is
-        drained (204); any other status — a 404 means the URL is not a
-        broker — raises :class:`TransportError`.  ``now`` and
-        ``lease_seconds`` are passed through for callers driving fake
-        clocks; the broker defaults them to its wall clock and the queue
-        config.
+        claim outcome document (``key``/``etag``/``attempts``/``record``/
+        ``lease``) or ``None`` when the queue is drained (204); any other
+        status — a 404 means the URL is not a broker — raises
+        :class:`TransportError`.  ``now`` and ``lease_seconds`` are passed
+        through for callers driving fake clocks; the broker defaults them
+        to its wall clock and the queue config.
 
         The request is **not** idempotent: a retried POST whose first
         response was lost may have claimed a ticket whose lease the
@@ -850,7 +849,7 @@ class HttpTransport(QueueTransport):
                 f"CLAIM {prefix}: unexpected status {status}",
                 address=self.base_url)
         outcome = json_loads_or_none(body)
-        if not isinstance(outcome, dict) or "name" not in outcome:
+        if not isinstance(outcome, dict) or "key" not in outcome:
             raise TransportError(
                 "CLAIM: malformed response body", address=self.base_url)
         return outcome

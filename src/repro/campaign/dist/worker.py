@@ -12,13 +12,13 @@ transport) or an ``http://host:port`` broker URL (see
 same queue and cache — a fleet sharing nothing but a broker URL
 (``--queue http://b:8123 --cache http://b:8123``) deduplicates exactly
 like one sharing a filesystem.  Each loop iteration scavenges expired
-leases, claims the highest-priority ticket (against a current broker the
-whole claim scan runs server-side as one ``POST /claim`` round trip; the
-queue falls back to the client-side scan for directory queues and older
-brokers), probes the shared result
-cache (:func:`~repro.campaign.cache.open_cache`) *before* running
-(another worker may have computed the job already — results are
-content-derived, so serving the cached record is exact), executes via
+leases, claims the first pending ticket in key order (against a broker
+the whole claim scan runs server-side as one ``POST /claim`` round trip;
+directory and in-memory queues run the same scan client-side), probes
+the shared result cache (:func:`~repro.campaign.cache.open_cache`)
+*before* running (another worker may have computed the job already —
+results are content-derived, so serving the cached record is exact),
+executes via
 :func:`~repro.campaign.jobs.execute_job` while a daemon thread heartbeats
 the lease, stores the fresh result back into the cache, and settles the
 claim.  Workload exceptions settle as completed-with-error results (the
@@ -93,9 +93,9 @@ class _LeaseHeartbeat(threading.Thread):
     """Daemon thread renewing a claim's lease while the job executes.
 
     Each renewal carries the worker's metrics snapshot (when a provider
-    is given) into the claim document, so the orchestrator's autoscale
-    tick sees per-worker throughput through the queue itself — see
-    :meth:`~repro.campaign.dist.queue.WorkQueue.worker_metrics`.
+    is given) into the claim document, so fleet dashboards see per-worker
+    throughput through the queue itself — see
+    :func:`repro.campaign.dist.stats.worker_reports`.
 
     A transient :class:`TransportError` (or ``OSError``) during a renewal
     must never escape this thread or kill the work loop: the beat is
@@ -153,8 +153,8 @@ class Worker:
         ``idle_timeout`` / ``max_jobs`` when given.
     idle_timeout:
         Exit after this many consecutive seconds without a claimable job.
-        Autoscaled fleets use this as their scale-*down* path: surplus
-        workers starve and exit; nothing ever preempts a running job.
+        Standing external workers use this to leave a queue that has gone
+        quiet; nothing ever preempts a running job.
     max_outage:
         Transient-failure budget: a :class:`TransportError` (or
         ``OSError``) in the claim/settle loop is retried with bounded
@@ -214,8 +214,7 @@ class Worker:
 
         Rides every heartbeat renewal into the claim document (see
         :meth:`~repro.campaign.dist.queue.WorkQueue.heartbeat`), where
-        :meth:`~repro.campaign.dist.queue.WorkQueue.worker_metrics` —
-        and through it the executor's autoscale tick — reads per-worker
+        :func:`repro.campaign.dist.stats.worker_reports` reads per-worker
         throughput with no side channel.  ``at`` stamps the snapshot so
         readers can prefer the freshest one.
         """
@@ -515,7 +514,8 @@ def main(argv: Optional[list] = None) -> int:
                         help="seconds between claim attempts when idle")
     parser.add_argument("--idle-timeout", type=float, default=None,
                         help="exit after this many consecutive idle seconds "
-                             "(autoscaled fleets use this to shrink)")
+                             "(standing workers use this to leave a quiet "
+                             "queue)")
     parser.add_argument("--max-jobs", type=int, default=None,
                         help="exit after settling this many jobs")
     parser.add_argument("--exit-when-drained", action="store_true",

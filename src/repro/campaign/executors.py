@@ -107,13 +107,3 @@ class MultiprocessingExecutor:
     def __repr__(self) -> str:
         return (f"MultiprocessingExecutor(processes={self.processes}, "
                 f"start_method={self.start_method!r})")
-
-
-def default_executor(parallel: bool = True) -> Any:
-    """Convenience picker: multiprocessing fan-out when the host has spare
-    cores, serial otherwise.  Note :func:`~repro.campaign.runner.run_campaign`
-    itself defaults to :class:`SerialExecutor` — pass an executor (this
-    helper's return value, for instance) explicitly to parallelize."""
-    if parallel and (os.cpu_count() or 1) > 1:
-        return MultiprocessingExecutor()
-    return SerialExecutor()

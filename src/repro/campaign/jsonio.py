@@ -1,22 +1,21 @@
 """Shared crash-consistent JSON helpers for the campaign layer.
 
 Every durable artifact of the campaign stack — cache entries, work-queue
-tickets/leases/results, the cost model — is a small JSON document written
-with the same two rules: writes are atomic (temp file in the same
-directory + ``os.replace``, so a reader never observes a torn write), and
-reads treat unreadable or garbage content as absent rather than fatal (a
-crash can leave stray bytes; it must never wedge the system).
+tickets/leases/results — is a small JSON document written with the same
+two rules: writes are atomic (temp file in the same directory +
+``os.replace``, so a reader never observes a torn write), and reads treat
+unreadable or garbage content as absent rather than fatal (a crash can
+leave stray bytes; it must never wedge the system).
 
 Two layers live here:
 
-* file helpers (:func:`atomic_write_json` / :func:`read_json_or_none` and
-  their ``bytes`` twins) used by the filesystem transport and path-mode
-  cost models;
+* file helpers (:func:`atomic_write_bytes` / :func:`read_bytes_or_none`)
+  used by the filesystem transport;
 * byte-level codecs (:func:`json_dumps_bytes` / :func:`json_loads_or_none`)
   shared by every :class:`~repro.campaign.dist.transport.QueueTransport`
-  implementation, the HTTP broker, the result cache and the cost model,
-  so all transports agree on one canonical encoding (sorted keys, UTF-8)
-  — which keeps content-derived ETags identical no matter which transport
+  implementation, the HTTP broker and the result cache, so all
+  transports agree on one canonical encoding (sorted keys, UTF-8) —
+  which keeps content-derived ETags identical no matter which transport
   produced a record, and lets two workers racing the same cache key
   produce byte-identical payloads their conditional create converges on.
 """
@@ -47,7 +46,8 @@ def json_loads_or_none(data: Optional[bytes]) -> Optional[Dict[str, Any]]:
     """Decode JSON object bytes; ``None``/garbage/non-dict content is ``None``.
 
     The tolerant twin of :func:`json_dumps_bytes`: a truncated or corrupt
-    record reads as absent, mirroring :func:`read_json_or_none`.
+    record reads as absent, like a missing file in
+    :func:`read_bytes_or_none`.
 
     >>> json_loads_or_none(b'{"a": 2}')
     {'a': 2}
@@ -87,17 +87,3 @@ def read_bytes_or_none(path: Path) -> Optional[bytes]:
             return handle.read()
     except OSError:
         return None
-
-
-def atomic_write_json(path: Path, payload: Dict[str, Any]) -> Path:
-    """Write ``payload`` to ``path`` atomically; returns ``path``.
-
-    Composes :func:`json_dumps_bytes` with :func:`atomic_write_bytes`, so
-    file-backed records share the transports' canonical encoding.
-    """
-    return atomic_write_bytes(Path(path), json_dumps_bytes(payload))
-
-
-def read_json_or_none(path: Path) -> Optional[Dict[str, Any]]:
-    """Parse a JSON object file; missing/garbage/non-dict content is ``None``."""
-    return json_loads_or_none(read_bytes_or_none(Path(path)))

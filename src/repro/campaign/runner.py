@@ -11,7 +11,7 @@ order.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.campaign.aggregate import CampaignResult
 from repro.campaign.cache import TransportResultCache, open_cache
@@ -107,11 +107,6 @@ def run_campaign(spec: SweepSpec,
             if (cache is not None and result.ok
                     and not result.cached and not workers_own_cache):
                 cache.put(job, {"result": result.to_record()})
-        if cache is not None and not getattr(executor, "learns_costs", False):
-            # Executors that own cost learning (DistributedExecutor folds
-            # wall times into the model inside map()) must not be counted
-            # a second time here.
-            _learn_costs(cache, fresh)
     else:
         say(f"all {len(jobs)} jobs served from cache")
 
@@ -133,28 +128,3 @@ def run_campaign(spec: SweepSpec,
     say(campaign.summary())
     return campaign
 
-
-def _learn_costs(cache: TransportResultCache, fresh: List[JobResult]) -> None:
-    """Fold freshly measured wall times into the cost model stored beside
-    the cache — through the cache's own transport, so broker-hosted caches
-    carry their scheduling priors too.  Best-effort: scheduling is an
-    optimization, never worth failing a campaign over."""
-    from repro.campaign.dist.costmodel import CostModel
-    from repro.campaign.dist.transport import TransportError
-
-    try:
-        model = CostModel.alongside(cache)
-        model.observe_many(fresh)
-        model.save()
-    except (OSError, TransportError):  # pragma: no cover - store went away
-        pass
-
-
-def run_grid(case: str, name: Optional[str] = None,
-             base: Optional[Dict[str, Any]] = None,
-             grid: Optional[Dict[str, Any]] = None,
-             **kwargs: Any) -> CampaignResult:
-    """Convenience wrapper: build a :class:`SweepSpec` and run it."""
-    spec = SweepSpec(name=name or f"{case}-grid", case=case,
-                     base=dict(base or {}), grid=dict(grid or {}))
-    return run_campaign(spec, **kwargs)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Dict, Iterator, List, Mapping, Sequence
@@ -63,6 +64,16 @@ def job_fingerprint(case: str, params: Mapping[str, Any], repeat: int = 0) -> st
     return hashlib.sha256(payload.encode()).hexdigest()[:20]
 
 
+#: The shape of :attr:`JobSpec.job_id`: ``<case>-<index digits>-<8 hex>``.
+_JOB_KEY = re.compile(r".+-[0-9]+-[0-9a-f]{8}")
+
+
+def is_job_key(stem: str) -> bool:
+    """True when ``stem`` is shaped like a :attr:`JobSpec.job_id`, so the
+    queue can tell its own documents from foreign ones in a shared store."""
+    return _JOB_KEY.fullmatch(stem) is not None
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One concrete experiment: a case study with fully bound parameters."""
@@ -81,7 +92,8 @@ class JobSpec:
 
     @property
     def job_id(self) -> str:
-        """Stable identity: human-scannable prefix + content fingerprint."""
+        """Stable identity: human-scannable prefix + content fingerprint
+        (the shape :func:`is_job_key` recognizes)."""
         return f"{self.case}-{self.index:04d}-{self.fingerprint[:8]}"
 
     def to_record(self) -> Dict[str, Any]:

@@ -20,7 +20,6 @@ import threading
 import pytest
 
 from repro.campaign import (
-    AutoscalePolicy,
     DistributedExecutor,
     MemoryTransport,
     ResultCache,
@@ -31,7 +30,7 @@ from repro.campaign import (
     run_campaign,
     snapshot_campaign,
 )
-from repro.campaign.dist import Broker, CostModel, WorkQueue
+from repro.campaign.dist import Broker, WorkQueue
 from repro.campaign.jobs import execute_job
 from repro.workloads import platform_grid_spec
 
@@ -224,37 +223,6 @@ def test_thread_fleet_executes_each_job_exactly_once_without_any_fs(
     assert len(cache) == len(spec.expand())
 
 
-def test_map_survives_cost_model_store_outage():
-    """Scheduling priors are best-effort: a cache store that rejects the
-    cost-model document — at priors load *and* at the post-drain save —
-    must degrade to FIFO ordering / lost priors, never fail a campaign
-    whose results are in hand."""
-    from repro.campaign import TransportError
-
-    class ModellessTransport(MemoryTransport):
-        def get(self, key):
-            if key == "costmodel.json":
-                raise TransportError("model store offline")
-            return super().get(key)
-
-        def put(self, key, data):
-            if key == "costmodel.json":
-                raise TransportError("model store offline")
-            return super().put(key, data)
-
-    spec = _synthetic_spec()
-    serial = run_campaign(spec, executor=SerialExecutor())
-    cache = TransportResultCache(ModellessTransport())
-    executor = DistributedExecutor(transport=MemoryTransport(), workers=2,
-                                   cache=cache, lease_seconds=5.0,
-                                   poll_interval=0.01, timeout=120.0)
-    distributed = run_campaign(spec, executor=executor, cache=cache)
-    assert distributed.ok, distributed.failures
-    assert (serial.aggregate_fingerprint()
-            == distributed.aggregate_fingerprint())
-    assert len(cache) == len(spec.expand())  # results still cached
-
-
 def test_orchestrator_persists_when_process_fleet_cannot_reach_cache(tmp_path):
     """A *process* fleet given an address-less (in-memory) cache cannot
     probe it — no --cache can name it.  run_campaign must then keep its
@@ -283,7 +251,7 @@ def test_incremental_aggregation_over_half_drained_queue(tmp_path):
     serial = run_campaign(spec, executor=SerialExecutor())
 
     queue = WorkQueue(tmp_path / "queue", lease_seconds=30.0, max_attempts=1)
-    queue.enqueue_grid(jobs, cost_model=CostModel())
+    queue.enqueue_grid(jobs)
 
     # Drain three jobs, dead-letter one (max_attempts=1 buries the first
     # fail), leave one claimed/running and four untouched.
@@ -352,7 +320,7 @@ def test_thread_fleet_over_memory_transport_matches_serial():
     distributed = run_campaign(spec, executor=executor)
     assert (serial.aggregate_fingerprint()
             == distributed.aggregate_fingerprint())
-    assert executor.spawned_total == 2
+    assert executor.respawns == 0
 
 
 def test_workers_deduplicate_through_shared_cache(tmp_path):
@@ -367,24 +335,6 @@ def test_workers_deduplicate_through_shared_cache(tmp_path):
     results = executor.map(execute_job, spec.expand())
     assert all(result.cached for result in results)
     assert [r.metrics for r in results] == [r.metrics for r in first]
-
-
-def test_fresh_results_teach_the_cost_model(tmp_path):
-    """run_campaign persists wall times beside the cache; a later
-    distributed enqueue orders the queue longest-job-first from them."""
-    spec = _synthetic_spec()
-    cache = ResultCache(tmp_path / "cache")
-    campaign = run_campaign(spec, executor=SerialExecutor(), cache=cache)
-    assert (tmp_path / "cache" / "costmodel.json").exists()
-
-    model = CostModel.alongside(cache)
-    jobs = spec.expand()
-    estimates = [model.estimate(job) for job in jobs]
-    walls = [result.wall_time for result in campaign]
-    assert estimates == pytest.approx(walls)
-    ordered = model.order(jobs)
-    assert [model.estimate(job) for job in ordered] == sorted(estimates,
-                                                              reverse=True)
 
 
 def test_worker_requires_execute_job():
@@ -460,17 +410,6 @@ def test_unstartable_workers_fail_fast_with_diagnosis(tmp_path, monkeypatch):
     assert executor.respawns <= executor.workers
 
 
-def test_cost_model_rejects_nan_wall_times():
-    from repro.campaign.jobs import JobResult
-
-    model = CostModel()
-    job = _synthetic_spec().expand()[0]
-    model.observe(JobResult(job_id=job.job_id, case=job.case,
-                            params=job.params, seed=job.seed,
-                            wall_time=float("nan")))
-    assert model.estimate(job) == 1.0  # the poison sample was dropped
-
-
 def test_unknown_case_dead_letters_after_retries(tmp_path):
     """A job no worker can even start (unknown case) exhausts its attempts
     and surfaces as a dead-lettered failure in the campaign result."""
@@ -482,79 +421,3 @@ def test_unknown_case_dead_letters_after_retries(tmp_path):
     assert not result.ok
     assert "UnknownCaseError" in result.failures[0].error
     assert WorkQueue(queue_dir).counts()["dead"] == 1
-
-
-# -- autoscaling -------------------------------------------------------------
-
-def test_autoscale_policy_sizes_from_depth_and_backlog():
-    policy = AutoscalePolicy(min_workers=1, max_workers=4,
-                             jobs_per_worker=4.0, backlog_seconds=60.0)
-    assert policy.desired_workers(pending=0, backlog=0.0) == 0
-    assert policy.desired_workers(pending=1, backlog=0.0) == 1
-    assert policy.desired_workers(pending=8, backlog=0.0) == 2
-    assert policy.desired_workers(pending=100, backlog=0.0) == 4  # clamp
-    # The cost backlog can demand more than the depth alone.
-    assert policy.desired_workers(pending=2, backlog=600.0) == 4
-    assert policy.desired_from({"pending": 8.0, "seconds": 30.0}) == 2
-    # Depth-only policies ignore the backlog signal entirely.
-    depth_only = AutoscalePolicy(max_workers=8, jobs_per_worker=1.0)
-    assert depth_only.desired_workers(pending=3, backlog=1e9) == 3
-
-
-def test_autoscale_policy_validates():
-    with pytest.raises(ValueError):
-        AutoscalePolicy(min_workers=-1)
-    with pytest.raises(ValueError):
-        AutoscalePolicy(min_workers=5, max_workers=2)
-    with pytest.raises(ValueError):
-        AutoscalePolicy(jobs_per_worker=0.0)
-    with pytest.raises(ValueError):
-        AutoscalePolicy(backlog_seconds=-1.0)
-    with pytest.raises(ValueError):
-        AutoscalePolicy(idle_timeout=0.0)
-
-
-def test_autoscale_spawn_storm_guard_survives_historical_clean_exits():
-    """The broken-fleet diagnosis must key off the *newest* worker's exit,
-    not the whole history: one early clean attrition exit (code 0) in the
-    handle list must not disable the respawn cap when the broker later
-    dies and every fresh worker exits 3."""
-    class FakeHandle:
-        def __init__(self, code):
-            self.code = code
-
-        def poll(self):
-            return self.code
-
-    executor = DistributedExecutor(
-        transport=MemoryTransport(),
-        autoscale=AutoscalePolicy(min_workers=1, max_workers=2,
-                                  jobs_per_worker=1.0))
-    queue = WorkQueue(transport=executor.transport)
-    queue.enqueue_grid(_synthetic_spec().expand())  # claimable work exists
-    executor._spawn = lambda q, index: FakeHandle(3)  # every spawn dies
-
-    handles = [FakeHandle(0), FakeHandle(3)]  # attrition exit + failure
-    with pytest.raises(RuntimeError, match="exit codes"):
-        for _ in range(10):
-            executor._autoscale_tick(queue, handles)
-    assert executor.respawns <= executor._max_respawns()
-
-
-def test_autoscaled_fleet_matches_serial_and_grows():
-    """An autoscaled thread fleet sizes itself from queue depth (8 jobs /
-    2 per worker, clamped to 3), drains the grid, and still reproduces
-    the serial aggregate bit-for-bit."""
-    spec = _synthetic_spec()
-    serial = run_campaign(spec, executor=SerialExecutor())
-    executor = DistributedExecutor(
-        transport=MemoryTransport(),
-        autoscale=AutoscalePolicy(min_workers=1, max_workers=3,
-                                  jobs_per_worker=2.0, idle_timeout=0.5),
-        lease_seconds=5.0, poll_interval=0.01, timeout=120.0)
-    distributed = run_campaign(spec, executor=executor)
-    assert distributed.ok, distributed.failures
-    assert (serial.aggregate_fingerprint()
-            == distributed.aggregate_fingerprint())
-    assert executor.spawned_total == 3  # grew past a single worker, clamped
-    assert executor.last_queue.drained()

@@ -21,6 +21,7 @@ from repro.campaign.dist import HttpTransport, MemoryTransport, WorkQueue
 from repro.campaign.dist.executor import DistributedExecutor
 from repro.campaign.dist.server import Broker
 from repro.campaign.dist.stats import main as stats_main
+from repro.campaign.dist.stats import worker_reports
 from repro.campaign.dist.transport import TransportError
 from repro.campaign.dist.worker import _LeaseHeartbeat
 from repro.campaign.jobs import execute_job
@@ -257,10 +258,11 @@ def test_worker_metrics_travel_through_heartbeats():
     assert item is not None
     assert item.enqueued_at is not None  # stamped into the jobs/ record
     assert item.claimed_at is not None   # stamped by the lease document
-    assert queue.worker_metrics() == {}  # initial claim carries no metrics
+    # The initial claim carries no metrics.
+    assert worker_reports(queue.transport) == {}
     queue.heartbeat(item, metrics={"at": 1.0, "jobs_per_second": 2.5})
     queue.heartbeat(item, metrics={"at": 2.0, "jobs_per_second": 3.5})
-    fleet = queue.worker_metrics()
+    fleet = worker_reports(queue.transport)
     assert set(fleet) == {"w0"}
     assert fleet["w0"]["jobs_per_second"] == 3.5  # freshest snapshot wins
 

@@ -18,23 +18,20 @@ backend identically.
 
 import heapq
 import itertools
-import json
 import zlib
 
 import pytest
 
 from repro.campaign import SweepSpec
 from repro.campaign.dist import (
-    CostModel,
     FsTransport,
     HttpTransport,
     MemoryTransport,
     QueueTransport,
     WorkQueue,
-    cost_for_priority,
-    priority_for_cost,
 )
 from repro.campaign.dist.server import Broker
+from repro.campaign.dist.stats import queue_depths
 from repro.campaign.jobs import JobResult, execute_job
 from repro.campaign.jsonio import json_dumps_bytes
 
@@ -180,9 +177,9 @@ def test_enqueue_claim_complete_lifecycle(queue):
 
 def test_enqueue_is_idempotent(queue):
     job = _jobs()[0]
-    first = queue.enqueue(job, cost=2.0)
-    again = queue.enqueue(job, cost=99.0)  # different cost: same ticket
-    assert first == again
+    first = queue.enqueue(job)
+    again = queue.enqueue(job)
+    assert first == again == job.job_id
     assert queue.counts()["pending"] == 1
     item = queue.claim("w0")
     queue.complete(item, execute_job(item.job))
@@ -190,33 +187,25 @@ def test_enqueue_is_idempotent(queue):
     assert queue.counts()["pending"] == 0
 
 
-def test_longest_job_first_claim_order(queue):
+def test_documents_are_named_by_job_key_and_claimed_in_grid_order(queue):
+    """Every queue document is ``<state>/<job_id>.json``: a drained grid
+    leaves exactly its job records, results and done markers beside the
+    queue config, and claims follow grid order."""
     jobs = _jobs()
-    costs = [0.5, 8.0, 2.0, 4.0]
-    for job, cost in zip(jobs, costs):
-        queue.enqueue(job, cost=cost)
-    order = []
+    keys = [job.job_id for job in jobs]
+    assert queue.enqueue_grid(jobs) == keys
+    claimed = []
     while True:
         item = queue.claim("w0")
         if item is None:
             break
-        order.append(item.cost)
+        claimed.append(item.key)
         queue.complete(item, execute_job(item.job))
-    assert order == sorted(costs, reverse=True)
-
-
-def test_priority_encoding_sorts_longest_first():
-    assert priority_for_cost(10.0) < priority_for_cost(1.0)
-    assert priority_for_cost(1.0) < priority_for_cost(0.0)
-    assert priority_for_cost(-1.0) == priority_for_cost(0.0)
-
-
-def test_priority_encoding_round_trips_for_backlog():
-    """The autoscaler reads cost estimates back out of ticket names."""
-    for cost in (0.0, 0.25, 1.0, 8.0, 3600.0):
-        name = f"{priority_for_cost(cost)}-somejob"
-        assert cost_for_priority(name) == pytest.approx(cost, abs=1e-3)
-    assert cost_for_priority("not-a-ticket") == 0.0
+    assert claimed == keys
+    assert queue.transport.list("") == sorted(
+        ["queue.json"] + [f"{state}/{key}.json"
+                          for state in ("jobs", "results", "done")
+                          for key in keys])
 
 
 def test_claim_is_mutually_exclusive(queue):
@@ -240,20 +229,6 @@ def test_workload_error_results_settle_as_completed(queue):
     assert queue.drained()
     assert queue.counts()["dead"] == 0  # deterministic failure, no retry
     assert not queue.results()[job.job_id].ok
-
-
-def test_backlog_tracks_unclaimed_cost(queue):
-    jobs = _jobs()
-    costs = [0.5, 8.0, 2.0, 4.0]
-    for job, cost in zip(jobs, costs):
-        queue.enqueue(job, cost=cost)
-    backlog = queue.backlog()
-    assert backlog["pending"] == 4
-    assert backlog["seconds"] == pytest.approx(sum(costs), abs=1e-2)
-    queue.claim("w0")  # the 8.0s job leaves the claimable backlog
-    backlog = queue.backlog()
-    assert backlog["pending"] == 3
-    assert backlog["seconds"] == pytest.approx(sum(costs) - 8.0, abs=1e-2)
 
 
 # -- leases, retries, dead-letter ------------------------------------------
@@ -333,7 +308,7 @@ def test_retry_dead_revives_buried_jobs(queue):
     the infrastructure failure is fixed, retry_dead() restores the job
     (with a fresh attempt budget) while enqueue alone refuses to."""
     job = _jobs()[0]
-    queue.enqueue(job, cost=3.0)
+    queue.enqueue(job)
     for _ in range(queue.max_attempts):
         queue.fail(queue.claim("w0"), "transient breakage")
     assert queue.counts()["dead"] == 1
@@ -343,7 +318,7 @@ def test_retry_dead_revives_buried_jobs(queue):
     assert queue.retry_dead() == [job.job_id]
     assert queue.counts() == {"pending": 1, "claimed": 0, "done": 0, "dead": 0}
     item = queue.claim("w0")
-    assert item.attempts == 0 and item.cost == 3.0  # budget + priority kept
+    assert item.attempts == 0  # fresh attempt budget
     queue.complete(item, execute_job(item.job))
     assert queue.results()[job.job_id].ok
     assert queue.retry_dead() == []  # idempotent on an empty dead set
@@ -587,8 +562,16 @@ def test_corrupt_job_record_is_dead_lettered_not_fatal(queue):
 
 
 def test_foreign_documents_in_state_prefixes_are_ignored(queue):
-    queue.transport.put("pending/README.json", b"{}")  # no priority prefix
+    """Documents whose stem is not a job key are neither claimed nor
+    counted, so they can never hold a drain open."""
+    queue.transport.put("pending/README.json", b"{}")  # not a job key
     queue.transport.put("pending/notes.txt", b"hi")    # not even JSON-named
+    queue.transport.put("dead/notes.json", b"{}")
+    assert queue.counts() == {"pending": 0, "claimed": 0, "done": 0, "dead": 0}
+    assert queue.drained()
+    assert queue.terminal_keys() == set()
+    assert all(count == 0
+               for count, _ in queue_depths(queue.transport).values())
     assert queue.claim("w0") is None
     job = _jobs()[0]
     queue.enqueue(job)
@@ -618,53 +601,3 @@ def test_corrupt_result_document_is_skipped(queue):
     queue.complete(item, execute_job(item.job))
     queue.transport.put(f"results/{job.job_id}.json", b"{ nope")
     assert queue.results() == {}  # unreadable record, not a crash
-
-
-# -- cost model -------------------------------------------------------------
-
-def test_cost_model_orders_longest_first(tmp_path):
-    jobs = _jobs()
-    model = CostModel(tmp_path / "costmodel.json")
-    walls = [0.5, 8.0, 2.0, 4.0]
-    for job, wall in zip(jobs, walls):
-        model.observe(JobResult(job_id=job.job_id, case=job.case,
-                                params=job.params, seed=job.seed,
-                                metrics={}, wall_time=wall))
-    ordered = model.order(jobs)
-    assert [model.estimate(job) for job in ordered] == sorted(walls,
-                                                              reverse=True)
-    model.save()
-
-    # Reload: exact estimates survive, unseen jobs fall back to case mean.
-    reloaded = CostModel(tmp_path / "costmodel.json")
-    assert reloaded.estimate(jobs[1]) == 8.0
-    unseen = _spec(grid={"workers": [5], "tasks": [99]}).expand()[0]
-    assert reloaded.estimate(unseen) == pytest.approx(sum(walls) / len(walls))
-
-
-def test_cost_model_ignores_cached_results_and_survives_corruption(tmp_path):
-    path = tmp_path / "costmodel.json"
-    model = CostModel(path)
-    job = _jobs()[0]
-    model.observe(JobResult(job_id=job.job_id, case=job.case,
-                            params=job.params, seed=job.seed,
-                            wall_time=3.0, cached=True))
-    assert model.estimate(job) == 1.0  # cached runs teach nothing
-    path.write_text("garbage{", encoding="utf-8")
-    assert CostModel(path).estimate(job) == 1.0  # corrupt model == empty
-    # Valid JSON with corrupt field types must degrade, not raise.
-    path.write_text(json.dumps({
-        "exact": {"a-job": "fast", "b-job": True},
-        "cases": {"synthetic": {"count": None, "mean": "oops"},
-                  "platform": "not-a-dict"},
-    }), encoding="utf-8")
-    assert CostModel(path).estimate(job) == 1.0
-    # Non-finite values round-trip through json; they must be dropped, and
-    # the priority encoding must clamp rather than overflow either way.
-    path.write_text(json.dumps({
-        "exact": {job.job_id: float("inf")},
-        "cases": {"synthetic": {"count": 1.0, "mean": float("nan")}},
-    }), encoding="utf-8")
-    assert CostModel(path).estimate(job) == 1.0
-    for weird in (float("inf"), float("-inf"), float("nan")):
-        assert len(priority_for_cost(weird)) == 10

@@ -227,17 +227,16 @@ def test_claim_endpoint_wire_format(broker):
     transport = HttpTransport(broker.url, retries=1, retry_delay=0.05)
     queue = WorkQueue(transport=transport, lease_seconds=30.0)
     job = _spec().expand()[0]
-    queue.enqueue(job, cost=2.5)
+    queue.enqueue(job)
     request = urllib.request.Request(
         f"{broker.url}/claim?prefix=pending/&worker=wz", data=b"",
         method="POST")
     with urllib.request.urlopen(request, timeout=5.0) as response:
         assert response.status == 200
         outcome = json.loads(response.read())
+    assert set(outcome) == {"key", "etag", "attempts", "record", "lease"}
     assert outcome["key"] == job.job_id
-    assert outcome["name"].endswith(f"-{job.job_id}")
     assert outcome["attempts"] == 0
-    assert outcome["cost"] == 2.5
     assert outcome["record"]["job"]["case"] == "synthetic"
     assert outcome["lease"]["worker"] == "wz"
     assert outcome["etag"]
@@ -315,14 +314,12 @@ def test_claim_endpoint_buries_corrupt_job_record_and_scans_on(broker):
     transport = HttpTransport(broker.url, retries=1, retry_delay=0.05)
     queue = WorkQueue(transport=transport, lease_seconds=30.0)
     jobs = _spec().expand()[:2]
-    names = [queue.enqueue(job) for job in jobs]
-    first = min(names)  # the scan visits tickets in sorted order
-    first_key = next(job.job_id for job, name in zip(jobs, names)
-                     if name == first)
+    keys = [queue.enqueue(job) for job in jobs]
+    first_key = min(keys)  # the scan visits tickets in sorted order
     transport.put(f"jobs/{first_key}.json", b"garbage")
     item = queue.claim("w0")
     assert item is not None
-    assert item.name == max(names)
+    assert item.key == max(keys)
     assert first_key in queue.dead()
     assert "corrupt job record" in queue.dead()[first_key]["error"]
 

@@ -60,7 +60,6 @@ def test_relative_links_resolve(doc):
     "repro.campaign.jsonio",
     "repro.campaign.cache",
     "repro.campaign.dist.transport",
-    "repro.campaign.dist.costmodel",
     "repro.campaign.dist.chaos",
 ])
 def test_docstring_examples_pass(module_name):

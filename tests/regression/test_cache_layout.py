@@ -2,12 +2,12 @@
 
 ``tests/regression/data/seed_cache`` was written by the *pre-transport*
 ``ResultCache`` (one canonical-JSON file per result at
-``<root>/<key[:2]>/<key>.json``, plus ``costmodel.json`` beside the
-entries) and is checked in verbatim.  The transport-backed cache must
-keep serving it — existing cache directories on users' machines are the
-contract — and must keep *producing* byte-identical files for the same
-logical records, so directories written today stay readable by whatever
-comes next.
+``<root>/<key[:2]>/<key>.json``, plus the scheduling priors of a since
+retired cost model in ``costmodel.json`` beside the entries) and is
+checked in verbatim.  The transport-backed cache must keep serving it —
+existing cache directories on users' machines are the contract — and
+must keep *producing* byte-identical files for the same logical records,
+so directories written today stay readable by whatever comes next.
 """
 
 import shutil
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import ResultCache, SweepSpec, open_cache
-from repro.campaign.dist import Broker, CostModel
+from repro.campaign.dist import Broker
 
 SEED_CACHE = Path(__file__).parent / "data" / "seed_cache"
 
@@ -71,14 +71,12 @@ def test_rewritten_entries_are_byte_identical(tmp_path, jobs):
         assert path.read_bytes() == seed.path(job).read_bytes()
 
 
-def test_costmodel_beside_the_entries_still_loads(jobs):
-    """The persisted scheduling priors load through the cache's transport
-    and are not mistaken for cache entries."""
+def test_seed_era_costmodel_file_is_not_an_entry():
+    """A seed-era directory still holds ``costmodel.json`` beside its
+    entries; the cache leaves it alone and never counts it as an entry."""
     cache = ResultCache(SEED_CACHE)
-    assert len(cache) == 4  # costmodel.json is not an entry
-    model = CostModel.alongside(cache)
-    assert model.estimate(jobs[0]) == 0.125
-    assert model.estimate(jobs[3]) == 0.5
+    assert "costmodel.json" in cache.transport.list("")
+    assert len(cache) == 4
 
 
 def test_seed_era_directory_serves_through_a_broker(tmp_path, jobs):
@@ -93,5 +91,3 @@ def test_seed_era_directory_serves_through_a_broker(tmp_path, jobs):
             record = cache.get(job)
             assert record is not None
             assert record["result"]["metrics"]["makespan"] == 0.5 + i
-        model = CostModel.alongside(cache)
-        assert model.estimate(jobs[0]) == 0.125
