@@ -15,6 +15,7 @@ Darshan (runtime start/stop in Table I).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Generator, List, Optional
 
 from repro.darshan.posix_module import PosixModule
@@ -46,10 +47,10 @@ class RuntimeAttachment:
             self.reattach_requests += 1
             return self
         # "dlopen libdarshan.so": instantiate the Darshan runtime inside the
-        # process.  DXT follows the tf-Darshan option.
-        darshan_config = self.options.darshan
-        darshan_config.enable_dxt = self.options.enable_dxt
-        self.core = DarshanCore(self.env, darshan_config)
+        # process.  DXT follows the tf-Darshan option, set on a copy because
+        # the caller's config may be shared by other runtimes.
+        self.core = DarshanCore(self.env, dataclasses.replace(
+            self.options.darshan, enable_dxt=self.options.enable_dxt))
         self.posix_module = PosixModule(self.core)
         self.stdio_module = StdioModule(self.core)
 

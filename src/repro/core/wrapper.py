@@ -2,10 +2,11 @@
 
 The wrapper component of tf-Darshan (Section III-C) manages both symbol
 patching (delegated to :mod:`repro.core.attach`) and profile data: when a
-profiling session starts it copies the live Darshan module buffers through
-the extraction API, copies them again when the session stops, and the
-difference between the two snapshots is what the in-situ analysis and the
-TraceViewer export operate on.
+profiling session starts it snapshots the live Darshan module buffers
+through the extraction API, snapshots them again when the session stops,
+and the difference between the two snapshots is what the in-situ analysis
+and the TraceViewer export operate on.  A snapshot copies no record: it
+shares them with the live modules, which clone a record before writing it.
 """
 
 from __future__ import annotations
@@ -17,22 +18,22 @@ from repro.darshan.dxt import DxtRecord, DxtSegment
 # get_module_records is not called here, but perfbench/probes.py patches it
 # on this module by name.
 from repro.darshan.extraction import (  # noqa: F401
-    copy_records,
     get_module_records,
     get_runtime_info,
+    snapshot_records,
 )
 from repro.darshan.records import CounterRecord
-from repro.darshan.runtime import DarshanCore
 from repro.core.attach import RuntimeAttachment
 from repro.core.config import TfDarshanCosts
 
 
 @dataclass
 class Snapshot:
-    """Copy of the Darshan module buffers at one instant.
+    """The Darshan module buffers at one instant.
 
-    Its records are read-only: a record that did not change between two
-    snapshots of one :class:`DarshanMiddleman` is the same object in both.
+    Its records are read-only.  They are shared with the live module until
+    the module next writes them, and a record that did not change between
+    two snapshots is the same object in both.
     """
 
     time: float
@@ -95,27 +96,18 @@ class DarshanMiddleman:
         self.attachment = attachment
         self.env = attachment.env
         self.costs = costs or attachment.options.costs
-        # The last snapshot and the core it was read from: the next snapshot
-        # of the same core copies only the records that changed since.  A
-        # re-attached process has a fresh core whose stamps mean nothing here.
-        self._last: Optional[Snapshot] = None
-        self._last_core: Optional[DarshanCore] = None
 
     # -- snapshots ------------------------------------------------------------
     def take_snapshot(self) -> Generator:
-        """Copy the module buffers; cost scales with the number of records."""
+        """Snapshot the module buffers; cost scales with the number of records."""
         core = self.attachment.core
         snapshot = Snapshot(time=self.env.now)
         if core is not None:
-            base = self._last if core is self._last_core else Snapshot(0.0)
-            snapshot.posix = copy_records(core, "POSIX", reuse=base.posix)
-            snapshot.stdio = copy_records(core, "STDIO", reuse=base.stdio)
+            snapshot.posix = snapshot_records(core, "POSIX")
+            snapshot.stdio = snapshot_records(core, "STDIO")
             if self.attachment.options.enable_dxt:
-                snapshot.dxt_posix = copy_records(core, "POSIX", dxt=True,
-                                                  reuse=base.dxt_posix)
-                snapshot.dxt_stdio = copy_records(core, "STDIO", dxt=True,
-                                                  reuse=base.dxt_stdio)
-            self._last, self._last_core = snapshot, core
+                snapshot.dxt_posix = snapshot_records(core, "POSIX", dxt=True)
+                snapshot.dxt_stdio = snapshot_records(core, "STDIO", dxt=True)
         cost = self.costs.snapshot_per_record * snapshot.record_count
         if cost > 0:
             yield self.env.timeout(cost)
@@ -151,23 +143,26 @@ class DarshanMiddleman:
             start_rec = before.get(record_id)
             if start_rec is end_rec:
                 continue
-            counters: Dict[str, int] = {}
-            fcounters: Dict[str, float] = {}
-            changed = False
-            for name, end_value in end_rec.counters.items():
-                start_value = start_rec.counters.get(name, 0) if start_rec else 0
-                diff = end_value - start_value
-                counters[name] = diff
-                if diff:
-                    changed = True
-            for name, end_value in end_rec.fcounters.items():
-                start_value = start_rec.fcounters.get(name, 0.0) if start_rec else 0.0
-                if name.endswith("_TIME") and not name.endswith("TIMESTAMP"):
-                    fcounters[name] = end_value - start_value
-                else:
-                    fcounters[name] = end_value
             if start_rec is None:
+                # Everything is new.  Subtracting a zero start would return
+                # each value unchanged: the float counters hold floats.
+                counters = dict(end_rec.counters)
+                fcounters = dict(end_rec.fcounters)
                 changed = True
+            else:
+                counters, fcounters = {}, {}
+                changed = False
+                for name, end_value in end_rec.counters.items():
+                    diff = end_value - start_rec.counters.get(name, 0)
+                    counters[name] = diff
+                    if diff:
+                        changed = True
+                for name, end_value in end_rec.fcounters.items():
+                    if name.endswith("_TIME") and not name.endswith("TIMESTAMP"):
+                        fcounters[name] = (end_value
+                                           - start_rec.fcounters.get(name, 0.0))
+                    else:
+                        fcounters[name] = end_value
             if changed:
                 deltas.append(RecordDelta(
                     record_id=record_id,

@@ -20,6 +20,7 @@ from repro.darshan.extraction import (
     get_runtime_info,
     lookup_record_name,
     resolve_names,
+    snapshot_records,
 )
 from repro.darshan.heatmap import Heatmap, build_heatmap
 from repro.darshan.log import DarshanLog
@@ -60,4 +61,5 @@ __all__ = [
     "resolve_names",
     "size_bucket",
     "size_counter_name",
+    "snapshot_records",
 ]

@@ -69,13 +69,6 @@ class DxtRecord:
     def segment_count(self) -> int:
         return len(self.read_segments) + len(self.write_segments)
 
-    @property
-    def stamp(self) -> int:
-        """Grows with every :meth:`add`: segments are only ever appended, so
-        a copy whose stamp equals its source's holds the same segments."""
-        return (len(self.read_segments) + len(self.write_segments)
-                + self.dropped_segments)
-
     def all_segments(self) -> List[DxtSegment]:
         """Read and write segments merged in time order."""
         return sorted(self.read_segments + self.write_segments,

@@ -4,16 +4,19 @@ Stock Darshan only materializes its records when the instrumented process
 exits, which makes in-situ analysis impossible.  Section III-C of the paper
 adds "several data extraction functions in the Darshan shared library that
 return Darshan module buffers" plus helpers such as file-name lookup
-(resolved through ``dlsym``).  This module is the equivalent surface:
-functions that return *copies* of the live module buffers so the caller
-(tf-Darshan's wrapper) can snapshot them at profile start/stop and analyse
-the difference while the application keeps running.
+(resolved through ``dlsym``).  This module is the equivalent surface.
+:func:`snapshot_records` returns a module's buffers as of now, sharing the
+record objects with the live module, which clones a record before it next
+writes it (see :class:`~repro.darshan.records.RecordTable`); tf-Darshan's
+wrapper snapshots them at profile start/stop and analyses the difference
+while the application keeps running.  :func:`get_module_records` and
+:func:`get_dxt_records` return fresh copies the caller owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.darshan.dxt import DxtRecord
 from repro.darshan.records import CounterRecord
@@ -40,27 +43,26 @@ class RuntimeInfo:
         return max(self.file_counts.values()) if self.file_counts else 0
 
 
-def copy_records(core: DarshanCore, module_name: str, dxt: bool = False,
-                 reuse: Optional[Mapping[int, Record]] = None
-                 ) -> Dict[int, Record]:
-    """Copies of a module's counter records, or of its DXT records if ``dxt``.
+def snapshot_records(core: DarshanCore, module_name: str, dxt: bool = False
+                     ) -> Dict[int, Record]:
+    """A module's counter records, or its DXT records if ``dxt``, as of now.
 
-    ``reuse`` is an earlier result of this function for the same ``core``.
-    A copy in it whose stamp still equals the live record's is returned
-    as is instead of copying the record again, so the two results share
-    it and neither may modify it.  Every other copy is fresh.
+    The records are shared with the live module until it next writes them,
+    so the caller must not modify them.
     """
+    module = core.get_module(module_name)
+    table = getattr(module, "dxt_records" if dxt else "records", None)
+    return table.snapshot() if table is not None else {}
+
+
+def copy_records(core: DarshanCore, module_name: str, dxt: bool = False
+                 ) -> Dict[int, Record]:
+    """Fresh copies of a module's counter records, or of its DXT records."""
     module = core.get_module(module_name)
     live = getattr(module, "dxt_records" if dxt else "records", None)
     if not live:
         return {}
-    reuse = reuse or {}
-    copies: Dict[int, Record] = {}
-    for rec_id, rec in live.items():
-        old = reuse.get(rec_id)
-        copies[rec_id] = (old if old is not None and old.stamp == rec.stamp
-                          else rec.copy())
-    return copies
+    return {rec_id: rec.copy() for rec_id, rec in live.items()}
 
 
 def get_module_records(core: DarshanCore, module_name: str

@@ -29,7 +29,7 @@ from repro.darshan.counters import (
     size_counter_name,
 )
 from repro.darshan.dxt import DxtRecord, DxtSegment
-from repro.darshan.records import CounterRecord
+from repro.darshan.records import CounterRecord, RecordTable
 from repro.darshan.runtime import DarshanCore
 
 MODULE_NAME = "POSIX"
@@ -61,8 +61,8 @@ class PosixModule:
         self.core = core
         self.env = core.env
         self.config = core.config
-        self.records: Dict[int, CounterRecord] = {}
-        self.dxt_records: Dict[int, DxtRecord] = {}
+        self.records = RecordTable()
+        self.dxt_records = RecordTable()
         self._state: Dict[int, _RecordState] = {}
         self._fd_refs: Dict[int, _FdRef] = {}
         #: Set when the record limit was hit and files went untracked.
@@ -74,28 +74,24 @@ class PosixModule:
     # -- record management ---------------------------------------------------
     def _get_record(self, path: str) -> Optional[CounterRecord]:
         record_id = self.core.register_name(path)
-        record = self.records.get(record_id)
+        record = self.records.writable(record_id)
         if record is None:
             if len(self.records) >= self.config.max_records_per_module:
                 self.partial_flag = True
                 return None
             record = CounterRecord(record_id, self.config.rank,
                                    POSIX_COUNTERS, POSIX_F_COUNTERS)
-            self.records[record_id] = record
+            self.records.add(record_id, record)
             self._state[record_id] = _RecordState()
             if self.config.enable_dxt:
-                self.dxt_records[record_id] = DxtRecord(record_id, self.config.rank)
+                self.dxt_records.add(record_id,
+                                     DxtRecord(record_id, self.config.rank))
         return record
-
-    def record_for_path(self, path: str) -> Optional[CounterRecord]:
-        """Record currently tracked for ``path`` (None if untracked)."""
-        from repro.darshan.records import darshan_record_id
-        return self.records.get(darshan_record_id(path))
 
     def finalize(self) -> None:
         """Fill derived counters (common access sizes) before log writing."""
-        for record in self.records.values():
-            record.finalize_common_accesses("POSIX")
+        for record_id in list(self.records):
+            self.records.writable(record_id).finalize_common_accesses("POSIX")
 
     # -- counter updates ------------------------------------------------------
     def _overhead(self, new_record: bool = False) -> Generator:
@@ -119,7 +115,7 @@ class PosixModule:
 
     def _track_transfer(self, ref: _FdRef, is_write: bool, offset: int,
                         nbytes: int, start: float, end: float) -> None:
-        record = self.records.get(ref.record_id)
+        record = self.records.writable(ref.record_id)
         if record is None:  # pragma: no cover - defensive
             return
         state = self._state[ref.record_id]
@@ -154,7 +150,7 @@ class PosixModule:
         record.fset_max(f"POSIX_F_MAX_{direction}_TIME", end - start)
 
         if self.config.enable_dxt:
-            dxt = self.dxt_records.get(ref.record_id)
+            dxt = self.dxt_records.writable(ref.record_id)
             if dxt is not None:
                 dxt.add(DxtSegment(op=op, offset=offset, length=nbytes,
                                    start_time=start, end_time=end),
@@ -193,7 +189,7 @@ class PosixModule:
             result = yield from real["close"](fd)
             end = self.env.now
             if ref is not None:
-                record = self.records.get(ref.record_id)
+                record = self.records.writable(ref.record_id)
                 if record is not None:
                     record.fset_first("POSIX_F_CLOSE_START_TIMESTAMP", start)
                     record.fset_max("POSIX_F_CLOSE_END_TIMESTAMP", end)
@@ -262,7 +258,7 @@ class PosixModule:
             end = self.env.now
             if ref is not None:
                 ref.offset = result
-                record = self.records.get(ref.record_id)
+                record = self.records.writable(ref.record_id)
                 self._track_meta(record, "POSIX_SEEKS", start, end)
             else:
                 self.untracked_ops += 1
@@ -285,7 +281,7 @@ class PosixModule:
             result = yield from real["fstat"](fd)
             end = self.env.now
             if ref is not None:
-                record = self.records.get(ref.record_id)
+                record = self.records.writable(ref.record_id)
                 self._track_meta(record, "POSIX_STATS", start, end)
             else:
                 self.untracked_ops += 1
@@ -298,7 +294,7 @@ class PosixModule:
             result = yield from real["fsync"](fd)
             end = self.env.now
             if ref is not None:
-                record = self.records.get(ref.record_id)
+                record = self.records.writable(ref.record_id)
                 self._track_meta(record, "POSIX_FSYNCS", start, end)
             yield from self._overhead()
             return result

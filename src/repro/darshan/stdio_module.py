@@ -14,7 +14,7 @@ from typing import Callable, Dict, Generator, Optional
 
 from repro.darshan.counters import STDIO_COUNTERS, STDIO_F_COUNTERS
 from repro.darshan.dxt import DxtRecord, DxtSegment
-from repro.darshan.records import CounterRecord
+from repro.darshan.records import CounterRecord, RecordTable
 from repro.darshan.runtime import DarshanCore
 
 MODULE_NAME = "STDIO"
@@ -37,8 +37,8 @@ class StdioModule:
         self.core = core
         self.env = core.env
         self.config = core.config
-        self.records: Dict[int, CounterRecord] = {}
-        self.dxt_records: Dict[int, DxtRecord] = {}
+        self.records = RecordTable()
+        self.dxt_records = RecordTable()
         self._stream_refs: Dict[int, _StreamRef] = {}
         self.partial_flag = False
         self.untracked_ops = 0
@@ -47,16 +47,17 @@ class StdioModule:
     # -- record management ------------------------------------------------------
     def _get_record(self, path: str) -> Optional[CounterRecord]:
         record_id = self.core.register_name(path)
-        record = self.records.get(record_id)
+        record = self.records.writable(record_id)
         if record is None:
             if len(self.records) >= self.config.max_records_per_module:
                 self.partial_flag = True
                 return None
             record = CounterRecord(record_id, self.config.rank,
                                    STDIO_COUNTERS, STDIO_F_COUNTERS)
-            self.records[record_id] = record
+            self.records.add(record_id, record)
             if self.config.enable_dxt:
-                self.dxt_records[record_id] = DxtRecord(record_id, self.config.rank)
+                self.dxt_records.add(record_id,
+                                     DxtRecord(record_id, self.config.rank))
         return record
 
     def finalize(self) -> None:
@@ -77,7 +78,7 @@ class StdioModule:
 
     def _track_transfer(self, ref: _StreamRef, is_write: bool, nbytes: int,
                         start: float, end: float) -> None:
-        record = self.records.get(ref.record_id)
+        record = self.records.writable(ref.record_id)
         if record is None:  # pragma: no cover - defensive
             return
         direction = "WRITE" if is_write else "READ"
@@ -90,7 +91,7 @@ class StdioModule:
         record.fset_max(f"STDIO_F_{direction}_END_TIMESTAMP", end)
         record.fadd(f"STDIO_F_{direction}_TIME", end - start)
         if self.config.enable_dxt:
-            dxt = self.dxt_records.get(ref.record_id)
+            dxt = self.dxt_records.writable(ref.record_id)
             if dxt is not None:
                 dxt.add(DxtSegment(op="write" if is_write else "read",
                                    offset=offset, length=nbytes,
@@ -127,7 +128,7 @@ class StdioModule:
             result = yield from real["fclose"](stream)
             end = self.env.now
             if ref is not None:
-                record = self.records.get(ref.record_id)
+                record = self.records.writable(ref.record_id)
                 if record is not None:
                     record.fset_first("STDIO_F_CLOSE_START_TIMESTAMP", start)
                     record.fset_max("STDIO_F_CLOSE_END_TIMESTAMP", end)
@@ -167,7 +168,7 @@ class StdioModule:
             result = yield from real["fseek"](stream, offset, whence)
             end = self.env.now
             if ref is not None:
-                record = self.records.get(ref.record_id)
+                record = self.records.writable(ref.record_id)
                 if record is not None:
                     record.inc("STDIO_SEEKS")
                     record.fadd("STDIO_F_META_TIME", end - start)
@@ -188,7 +189,7 @@ class StdioModule:
             result = yield from real["fflush"](stream)
             end = self.env.now
             if ref is not None:
-                record = self.records.get(ref.record_id)
+                record = self.records.writable(ref.record_id)
                 if record is not None:
                     record.inc("STDIO_FLUSHES")
                     record.fadd("STDIO_F_META_TIME", end - start)

@@ -16,6 +16,15 @@ def env():
 
 @pytest.fixture
 def os_image(env):
+    return make_os(env)
+
+
+@pytest.fixture
+def runtime(env, os_image):
+    return make_runtime(env, os_image)
+
+
+def make_os(env):
     image = SimulatedOS(env)
     device = StreamingDevice(env, "ssd", read_bandwidth=400e6,
                              write_bandwidth=300e6, latency=40e-6)
@@ -23,8 +32,7 @@ def os_image(env):
     return image
 
 
-@pytest.fixture
-def runtime(env, os_image):
+def make_runtime(env, os_image):
     return TFRuntime(env, os_image, cpu_cores=4,
                      gpus=[GPUDevice(env, name="GPU:0")])
 

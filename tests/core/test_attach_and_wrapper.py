@@ -7,8 +7,9 @@ from repro.core import (
     TfDarshanOptions,
     get_attachment,
 )
+from repro.darshan import DarshanConfig, darshan_record_id
 from repro.tfmini import io_ops
-from tests.core.conftest import make_files, run
+from tests.core.conftest import make_files, make_os, make_runtime, run
 
 
 def test_attach_patches_io_symbols(runtime, os_image, env):
@@ -55,6 +56,27 @@ def test_symbol_selection_respected(runtime, os_image, env):
     run(env, attachment.attach())
     patched = os_image.symbols.patched_symbols()
     assert set(patched) == {"open", "pread", "close"}
+
+
+def test_attach_leaves_a_shared_darshan_config_alone(runtime, os_image, env):
+    shared = DarshanConfig()
+    other = make_runtime(env, make_os(env))
+    paths = make_files(os_image, 2, 10_000)
+
+    def proc():
+        traced = get_attachment(
+            runtime, TfDarshanOptions(enable_dxt=True, darshan=shared))
+        yield from traced.attach()
+        yield from io_ops.read_file(runtime, paths[0])
+        yield from get_attachment(
+            other, TfDarshanOptions(enable_dxt=False, darshan=shared)).attach()
+        yield from io_ops.read_file(runtime, paths[1])
+        return traced
+
+    traced = run(env, proc())
+    assert set(traced.posix_module.dxt_records) == \
+        {darshan_record_id(path) for path in paths}
+    assert shared == DarshanConfig()
 
 
 def test_io_before_attachment_not_counted(runtime, os_image, env):

@@ -1,4 +1,5 @@
-"""Snapshots reuse the copies of unchanged records and equal full copies."""
+"""Snapshots share unchanged records with the live modules, across
+profiling sessions too, and equal full copies."""
 
 import random
 
@@ -40,17 +41,36 @@ def _assert_same_records(snapshot, full):
             {rid: rec.as_dict() for rid, rec in want.items()}
 
 
+def _live_tables(attachment):
+    """The live record tables, under the names of the snapshot fields."""
+    posix, stdio = attachment.posix_module, attachment.stdio_module
+    return {"posix": posix.records, "stdio": stdio.records,
+            "dxt_posix": posix.dxt_records, "dxt_stdio": stdio.dxt_records}
+
+
 def _reused(before, after):
     return sum(after[rid] is before.get(rid) for rid in after)
 
 
-def _random_op(rng, runtime, os_image, attachment, path):
-    """One random POSIX or STDIO operation (or a finalize) on ``path``."""
-    call = os_image.call
-    kind = rng.choice(("read", "read", "pwrite", "stat", "seek", "fwrite",
-                       "fread", "finalize"))
+def _random_op(rng, runtime, os_image, attachment, path, pause):
+    """One random POSIX or STDIO operation (or a finalize) on ``path``.
+
+    ``pause()`` runs after each call, so it can see the file open.
+    """
+    def call(*args):
+        result = yield from os_image.call(*args)
+        yield from pause()
+        return result
+
+    kind = rng.choice(("read", "read", "write", "pwrite", "stat", "seek",
+                       "fwrite", "fread", "finalize"))
     if kind == "read":
         yield from io_ops.read_file(runtime, path)
+    elif kind == "write":
+        fd = yield from call("open", path, O_WRONLY)
+        for _ in range(rng.randint(1, 3)):
+            yield from call("write", fd, rng.randint(0, 40_000))
+        yield from call("close", fd)
     elif kind == "pwrite":
         fd = yield from call("open", path, O_WRONLY)
         for _ in range(rng.randint(1, 3)):
@@ -87,7 +107,7 @@ def _random_op(rng, runtime, os_image, attachment, path):
 def test_snapshots_and_diffs_equal_full_copies_under_random_io(
         seed, runtime, os_image, env):
     rng = random.Random(seed)
-    # Odd seeds cap the DXT segments, so dropped segments move the stamp.
+    # Odd seeds cap the DXT segments, so some adds only count a drop.
     cap = 3 if seed % 2 else 1 << 16
     options = TfDarshanOptions(
         darshan=DarshanConfig(max_dxt_segments_per_record=cap))
@@ -98,16 +118,17 @@ def test_snapshots_and_diffs_equal_full_copies_under_random_io(
         yield from attachment.attach()
         middleman = DarshanMiddleman(attachment)
         taken = []
-        for _ in range(40):
-            if rng.random() < 0.3:
+
+        def snapshot(chance=1.0):
+            if rng.random() < chance:
                 full = _full_copies(attachment.core, env.now)
-                snapshot = yield from middleman.take_snapshot()
-                taken.append((snapshot, full))
+                taken.append(((yield from middleman.take_snapshot()), full))
+
+        for _ in range(40):
+            yield from snapshot(0.15)
             yield from _random_op(rng, runtime, os_image, attachment,
-                                  rng.choice(paths))
-        full = _full_copies(attachment.core, env.now)
-        snapshot = yield from middleman.take_snapshot()
-        taken.append((snapshot, full))
+                                  rng.choice(paths), lambda: snapshot(0.15))
+        yield from snapshot()
         return middleman, taken
 
     middleman, taken = run(env, proc())
@@ -160,8 +181,6 @@ def test_reattached_runtime_reuses_nothing(runtime, os_image, env):
         before = yield from middleman.take_snapshot()
         yield from attachment.detach()
         yield from attachment.attach()
-        # The same I/O again, so the fresh core's records reach the same
-        # stamps with different timestamps.
         for path in paths:
             yield from io_ops.read_file(runtime, path)
         full = _full_copies(attachment.core, env.now)
@@ -169,8 +188,45 @@ def test_reattached_runtime_reuses_nothing(runtime, os_image, env):
         return before, after, full
 
     before, after, full = run(env, proc())
-    assert {rid: rec.stamp for rid, rec in after.posix.items()} == \
-        {rid: rec.stamp for rid, rec in before.posix.items()}
     for module in MODULES:
         assert _reused(getattr(before, module), getattr(after, module)) == 0
     _assert_same_records(after, full)
+
+
+def test_sessions_share_records_until_the_module_writes_one(
+        runtime, os_image, env):
+    n = 6
+    paths = make_files(os_image, n, 20_000)
+
+    def proc():
+        attachment = get_attachment(runtime)
+        yield from attachment.attach()
+        # Two middlemen stand for two profiling sessions of one process.
+        first = DarshanMiddleman(attachment)
+        second = DarshanMiddleman(attachment)
+        for path in paths:
+            yield from io_ops.read_file(runtime, path)
+            stream = yield from os_image.call("fopen", path + ".ckpt", "wb")
+            yield from os_image.call("fwrite", stream, SimBytes(5_000))
+            yield from os_image.call("fclose", stream)
+        stop = yield from first.take_snapshot()
+        start = yield from second.take_snapshot()
+        live = {module: dict(table)
+                for module, table in _live_tables(attachment).items()}
+        full = _full_copies(attachment.core, env.now)
+        yield from io_ops.read_file(runtime, paths[2])
+        return attachment, stop, start, live, full
+
+    attachment, stop, start, live, full = run(env, proc())
+    for module in MODULES:
+        ended, began = getattr(stop, module), getattr(start, module)
+        assert len(ended) == n
+        assert all(began[rid] is ended[rid] is live[module][rid]
+                   for rid in ended)
+    read = darshan_record_id(paths[2])
+    for module, table in _live_tables(attachment).items():
+        changed = {rid for rid in table if table[rid] is not live[module][rid]}
+        assert changed == ({read} if module in ("posix", "dxt_posix")
+                           else set())
+    _assert_same_records(stop, full)
+    _assert_same_records(start, full)

@@ -4,10 +4,7 @@ extraction API that tf-Darshan depends on."""
 import pytest
 
 from repro.darshan import (
-    CounterRecord,
     DarshanLog,
-    DxtRecord,
-    DxtSegment,
     darshan_record_id,
     get_dxt_records,
     get_module_records,
@@ -58,30 +55,6 @@ def test_get_dxt_records(traced):
     total_segments = sum(rec.segment_count for rec in dxt.values())
     # Each input file: one data read + one zero-length read.
     assert total_segments == 8
-
-
-def test_every_counter_mutator_moves_the_stamp_and_copies_carry_it():
-    rec = CounterRecord(1, 0, ("C",), ("F",))
-    for name, *args in (("inc", "C"), ("maximum", "C", 0),
-                        ("fset_first", "F", 1.0), ("fset_max", "F", 0.0),
-                        ("fadd", "F", 0.5), ("note_access_size", 7),
-                        ("finalize_common_accesses", "C")):
-        before = rec.stamp
-        getattr(rec, name)(*args)
-        assert rec.stamp > before, name
-        assert rec.copy().stamp == rec.stamp
-    assert "stamp" not in rec.as_dict()
-
-
-def test_dxt_stamp_grows_with_every_add_kept_or_dropped():
-    rec = DxtRecord(1)
-    for _ in range(4):
-        before = rec.stamp
-        rec.add(DxtSegment("read", 0, 10, 0.0, 1.0), max_segments=2)
-        assert rec.stamp == before + 1
-        assert rec.copy().stamp == rec.stamp
-    assert rec.dropped_segments == 2
-    assert "stamp" not in rec.as_dict()
 
 
 def test_lookup_record_name_round_trip(traced):
