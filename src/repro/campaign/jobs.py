@@ -195,7 +195,7 @@ def _synthetic_case(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         return task
 
     jobs = [pool.submit(make_task(amount)) for amount in sizes]
-    env.run(until=env.all_of([j.done for j in jobs]))
+    env.run(until=env.all_of(jobs))
     pool.close()
     env.run()
     return {

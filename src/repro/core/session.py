@@ -79,9 +79,8 @@ class TfDarshanSession:
     # -- manual start / stop ----------------------------------------------------
     def start(self) -> Generator:
         """Start a profiling window (``tf.profiler.experimental.start``)."""
-        options = self.profiler_options or ProfilerOptions(logdir=self.logdir)
         yield from profiler_start(self.runtime, logdir=self.logdir,
-                                  options=options)
+                                  options=self.profiler_options)
         self._window_start = self.runtime.env.now
 
     def stop(self) -> Generator:

@@ -99,7 +99,7 @@ def register_tf_darshan(runtime, options: Optional[TfDarshanOptions] = None):
     opts = options or TfDarshanOptions()
     runtime._tf_darshan_options = opts
 
-    def factory(rt, profiler_options=None):
+    def factory(rt, profiler_options):
         return DarshanTracer(rt, profiler_options, opts)
 
     runtime.profiler_registry.register(factory)

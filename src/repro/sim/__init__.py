@@ -15,7 +15,7 @@ from repro.sim.errors import EmptySchedule, Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.resources import Request, Resource, Store
 from repro.sim.rng import DEFAULT_SEED, derive_seed, make_rng
-from repro.sim.threads import Job, WorkerPool
+from repro.sim.threads import WorkerPool
 from repro.sim.timerwheel import TimerWheel
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "Job",
     "Process",
     "Request",
     "Resource",

@@ -2,43 +2,25 @@
 
 The tf.data runtime executes the user's map function on a private thread
 pool whose size is ``num_parallel_calls``.  :class:`WorkerPool` reproduces
-that structure inside the simulation: tasks are generator factories, each
-worker runs one task at a time, and the pool can be drained and shut down.
-CPU contention between workers is modelled separately by
+that structure inside the simulation: a task is a generator factory, each
+worker takes the oldest queued task and runs it to completion, and the
+pool can be drained and shut down.  ``submit`` hands back the one event
+that fires with the task's value; the pool keeps no record of past tasks
+beyond a count.  CPU contention between workers is modelled separately by
 :class:`repro.sim.bandwidth.CPUPool`, which the tasks themselves use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Optional
+from typing import Callable, Generator
 
 from repro.sim.environment import Environment
+from repro.sim.errors import Interrupt
 from repro.sim.events import Event
 from repro.sim.resources import Store
 
-#: Sentinel job used to ask a worker to exit.
+#: Sentinel task used to ask a worker to exit.
 _SHUTDOWN = object()
-
-
-@dataclass
-class Job:
-    """A unit of work submitted to a :class:`WorkerPool`."""
-
-    factory: Callable[[], Generator]
-    done: Event
-    tag: Any = None
-    submitted_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    worker: Optional[int] = None
-
-    @property
-    def queue_delay(self) -> float:
-        """Time the job spent waiting for a free worker."""
-        if self.started_at is None:
-            return 0.0
-        return self.started_at - self.submitted_at
 
 
 class WorkerPool:
@@ -51,7 +33,7 @@ class WorkerPool:
     workers:
         Number of worker threads.
     name:
-        Label used for debugging and trace annotation.
+        Label used in error messages.
     """
 
     def __init__(self, env: Environment, workers: int, name: str = "pool"):
@@ -62,23 +44,20 @@ class WorkerPool:
         self.name = name
         self._queue: Store = Store(env)
         self._worker_procs = [
-            env.process(self._worker_loop(i)) for i in range(self.workers)
+            env.process(self._worker_loop()) for _ in range(self.workers)
         ]
         self._closed = False
         self.completed_jobs: int = 0
-        self.jobs: List[Job] = []
 
     # -- public API ------------------------------------------------------
-    def submit(self, factory: Callable[[], Generator], tag: Any = None) -> Job:
-        """Submit a task; returns the :class:`Job` whose ``done`` event fires
-        with the task's return value."""
+    def submit(self, factory: Callable[[], Generator]) -> Event:
+        """Submit a task; returns the event that fires with its return value
+        (or fails with its exception)."""
         if self._closed:
             raise RuntimeError(f"WorkerPool {self.name!r} is closed")
-        job = Job(factory=factory, done=Event(self.env), tag=tag,
-                  submitted_at=self.env.now)
-        self.jobs.append(job)
-        self._queue.put(job)
-        return job
+        done = Event(self.env)
+        self._queue.put((factory, done))
+        return done
 
     def close(self) -> Event:
         """Stop accepting work and shut workers down after the queue drains.
@@ -91,11 +70,6 @@ class WorkerPool:
                 self._queue.put(_SHUTDOWN)
         return self.env.all_of(self._worker_procs)
 
-    @property
-    def pending(self) -> int:
-        """Jobs waiting in the queue (not yet picked up by a worker)."""
-        return sum(1 for item in self._queue.items if item is not _SHUTDOWN)
-
     def interrupt_workers(self, cause: object = "pool-cancelled") -> None:
         """Interrupt every live worker (used when a pipeline is cancelled)."""
         self._closed = True
@@ -104,28 +78,23 @@ class WorkerPool:
                 proc.interrupt(cause)
 
     # -- worker loop -------------------------------------------------------
-    def _worker_loop(self, index: int) -> Generator:
-        from repro.sim.errors import Interrupt
-
+    def _worker_loop(self) -> Generator:
         while True:
             try:
-                job = yield self._queue.get()
+                task = yield self._queue.get()
             except Interrupt:
                 return
-            if job is _SHUTDOWN:
+            if task is _SHUTDOWN:
                 return
-            job.worker = index
-            job.started_at = self.env.now
+            factory, done = task
             try:
-                result = yield self.env.process(job.factory())
+                result = yield self.env.process(factory())
             except Interrupt:
                 # The pool is being torn down; the in-flight task keeps
                 # running on its own but this worker exits.
                 return
-            except BaseException as exc:  # propagate failures to the waiter
-                job.finished_at = self.env.now
-                job.done.fail(exc)
+            except Exception as exc:  # propagate failures to the waiter
+                done.fail(exc)
                 continue
-            job.finished_at = self.env.now
             self.completed_jobs += 1
-            job.done.succeed(result)
+            done.succeed(result)

@@ -1,21 +1,26 @@
 """A ``tf.data``-like input pipeline executing on the simulation kernel.
 
-The pipeline is what the paper studies: ``Dataset.map`` runs the user's
-capture function (read + decode + preprocess) on ``num_parallel_calls``
-worker threads, ``batch`` groups samples, and ``prefetch`` keeps a bounded
-buffer of ready batches so input production overlaps GPU compute.  Each
-transformation becomes a *stage*: a set of simulated processes connected by
-bounded stores, with backpressure and order preservation like the real
-runtime.
+The pipeline is the one shape the paper profiles: ``list -> map(capture fn,
+num_parallel_calls) -> batch -> prefetch``.  ``Dataset.map`` runs the user's
+capture function (read + decode + preprocess) on a :class:`WorkerPool` of
+``num_parallel_calls`` simulated threads, ``batch`` groups samples, and
+``prefetch`` keeps a bounded buffer of ready batches so input production
+overlaps GPU compute.
+
+A :class:`Dataset` is an ordered tuple of stage constructors, source first.
+``make_iterator`` builds them in that order, each on top of the one before:
+a stage is a set of simulated processes that reads its upstream's bounded
+:class:`~repro.sim.Store` and writes its own, so backpressure and element
+order behave like the real runtime.  Shuffle, take and repeat are absent
+because no pipeline of the paper uses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim import Environment, Interrupt, Store, WorkerPool
-from repro.sim.rng import make_rng
 from repro.tfmini.io_ops import assemble_batch
 
 #: Ask the runtime to choose the parallelism (resolved to the CPU core count).
@@ -55,18 +60,18 @@ class Batch:
 
 
 # ---------------------------------------------------------------------------
-# Stages (runtime instantiation of dataset nodes)
+# Stages: each one is built on the stage before it, source first
 # ---------------------------------------------------------------------------
 
 class _Stage:
     """Base class of instantiated pipeline stages."""
 
-    def __init__(self, runtime, capacity: int = 1):
+    def __init__(self, runtime, upstream: Optional["_Stage"], capacity: int = 1):
         self.runtime = runtime
         self.env: Environment = runtime.env
         self.output = Store(self.env, capacity=capacity)
         self.processes: List = []
-        self.upstream: Optional["_Stage"] = None
+        self.upstream = upstream
 
     def _spawn(self, generator) -> None:
         self.processes.append(self.env.process(generator))
@@ -81,9 +86,9 @@ class _Stage:
 
 
 class _SourceStage(_Stage):
-    def __init__(self, runtime, items: Sequence):
-        super().__init__(runtime)
-        self.items = list(items)
+    def __init__(self, runtime, upstream, items: Sequence):
+        super().__init__(runtime, upstream)
+        self.items = items
         self._spawn(self._pump())
 
     def _pump(self):
@@ -96,13 +101,18 @@ class _SourceStage(_Stage):
 
 
 class _MapStage(_Stage):
-    def __init__(self, runtime, upstream: _Stage, fn, parallel: int):
-        super().__init__(runtime)
-        self.upstream = upstream
+    def __init__(self, runtime, upstream: _Stage, fn,
+                 num_parallel_calls: Optional[int]):
+        super().__init__(runtime, upstream)
         self.fn = fn
-        self.parallel = parallel
+        if num_parallel_calls in (None, 0):
+            parallel = 1
+        elif num_parallel_calls == AUTOTUNE:
+            parallel = runtime.cpu_cores
+        else:
+            parallel = int(num_parallel_calls)
         self.pool = WorkerPool(self.env, parallel, name="tf_data_map")
-        self._jobs = Store(self.env, capacity=parallel)
+        self._pending = Store(self.env, capacity=parallel)
         self._spawn(self._producer())
         self._spawn(self._emitter())
 
@@ -118,20 +128,21 @@ class _MapStage(_Stage):
                     break
                 if self.runtime.inter_op_overhead > 0:
                     yield self.env.timeout(self.runtime.inter_op_overhead)
-                job = self.pool.submit(
+                done = self.pool.submit(
                     lambda item=item: self.fn(self.runtime, item))
-                yield self._jobs.put(job)
-            yield self._jobs.put(_EOD)
+                yield self._pending.put(done)
+            yield self._pending.put(_EOD)
         except Interrupt:
             return
 
     def _emitter(self):
+        """Emit results in submission order, whichever worker ends first."""
         try:
             while True:
-                job = yield self._jobs.get()
-                if job is _EOD:
+                done = yield self._pending.get()
+                if done is _EOD:
                     break
-                result = yield job.done
+                result = yield done
                 yield self.output.put(result)
             yield self.output.put(_EOD)
             self.pool.close()
@@ -142,8 +153,7 @@ class _MapStage(_Stage):
 class _BatchStage(_Stage):
     def __init__(self, runtime, upstream: _Stage, batch_size: int,
                  drop_remainder: bool):
-        super().__init__(runtime)
-        self.upstream = upstream
+        super().__init__(runtime, upstream)
         self.batch_size = batch_size
         self.drop_remainder = drop_remainder
         self._spawn(self._pump())
@@ -170,8 +180,9 @@ class _BatchStage(_Stage):
 
 class _PrefetchStage(_Stage):
     def __init__(self, runtime, upstream: _Stage, buffer_size: int):
-        super().__init__(runtime, capacity=max(1, buffer_size))
-        self.upstream = upstream
+        if buffer_size == AUTOTUNE:
+            buffer_size = 8
+        super().__init__(runtime, upstream, capacity=max(1, buffer_size))
         self._spawn(self._pump())
 
     def _pump(self):
@@ -185,237 +196,53 @@ class _PrefetchStage(_Stage):
             return
 
 
-class _ShuffleStage(_Stage):
-    def __init__(self, runtime, upstream: _Stage, buffer_size: int,
-                 seed: Optional[int]):
-        super().__init__(runtime)
-        self.upstream = upstream
-        self.buffer_size = buffer_size
-        self.rng = make_rng(seed, "tf.data.shuffle")
-        self._spawn(self._pump())
-
-    def _pump(self):
-        try:
-            buffer: List[object] = []
-            upstream_done = False
-            while not upstream_done and len(buffer) < self.buffer_size:
-                item = yield self.upstream.output.get()
-                if item is _EOD:
-                    upstream_done = True
-                else:
-                    buffer.append(item)
-            while buffer:
-                index = int(self.rng.integers(0, len(buffer)))
-                buffer[index], buffer[-1] = buffer[-1], buffer[index]
-                yield self.output.put(buffer.pop())
-                if not upstream_done:
-                    item = yield self.upstream.output.get()
-                    if item is _EOD:
-                        upstream_done = True
-                    else:
-                        buffer.append(item)
-            yield self.output.put(_EOD)
-        except Interrupt:
-            return
-
-
-class _TakeStage(_Stage):
-    def __init__(self, runtime, upstream: _Stage, count: int):
-        super().__init__(runtime)
-        self.upstream = upstream
-        self.count = count
-        self._spawn(self._pump())
-
-    def _pump(self):
-        try:
-            taken = 0
-            while taken < self.count:
-                item = yield self.upstream.output.get()
-                if item is _EOD:
-                    break
-                yield self.output.put(item)
-                taken += 1
-            yield self.output.put(_EOD)
-        except Interrupt:
-            return
-
-
-class _RepeatStage(_Stage):
-    def __init__(self, runtime, node: "_RepeatNode"):
-        super().__init__(runtime)
-        self.node = node
-        self._current_upstream: Optional[_Stage] = None
-        self._spawn(self._pump())
-
-    def cancel(self) -> None:
-        for proc in self.processes:
-            if proc.is_alive:
-                proc.interrupt("iterator-cancelled")
-        if self._current_upstream is not None:
-            self._current_upstream.cancel()
-
-    def _pump(self):
-        try:
-            epoch = 0
-            while self.node.count is None or epoch < self.node.count:
-                self._current_upstream = self.node.parent.instantiate(self.runtime)
-                while True:
-                    item = yield self._current_upstream.output.get()
-                    if item is _EOD:
-                        break
-                    yield self.output.put(item)
-                epoch += 1
-            yield self.output.put(_EOD)
-        except Interrupt:
-            return
-
-
-# ---------------------------------------------------------------------------
-# Dataset nodes (the declarative graph)
-# ---------------------------------------------------------------------------
-
-class _Node:
-    def instantiate(self, runtime) -> _Stage:
-        raise NotImplementedError
-
-
-@dataclass
-class _SourceNode(_Node):
-    items: Sequence
-
-    def instantiate(self, runtime) -> _Stage:
-        return _SourceStage(runtime, self.items)
-
-
-@dataclass
-class _MapNode(_Node):
-    parent: _Node
-    fn: Callable
-    num_parallel_calls: Optional[int]
-
-    def instantiate(self, runtime) -> _Stage:
-        parallel = self.num_parallel_calls
-        if parallel in (None, 0):
-            parallel = 1
-        elif parallel == AUTOTUNE:
-            parallel = runtime.cpu_cores
-        upstream = self.parent.instantiate(runtime)
-        return _MapStage(runtime, upstream, self.fn, int(parallel))
-
-
-@dataclass
-class _BatchNode(_Node):
-    parent: _Node
-    batch_size: int
-    drop_remainder: bool
-
-    def instantiate(self, runtime) -> _Stage:
-        return _BatchStage(runtime, self.parent.instantiate(runtime),
-                           self.batch_size, self.drop_remainder)
-
-
-@dataclass
-class _PrefetchNode(_Node):
-    parent: _Node
-    buffer_size: int
-
-    def instantiate(self, runtime) -> _Stage:
-        buffer = self.buffer_size
-        if buffer == AUTOTUNE:
-            buffer = 8
-        return _PrefetchStage(runtime, self.parent.instantiate(runtime), buffer)
-
-
-@dataclass
-class _ShuffleNode(_Node):
-    parent: _Node
-    buffer_size: int
-    seed: Optional[int]
-
-    def instantiate(self, runtime) -> _Stage:
-        return _ShuffleStage(runtime, self.parent.instantiate(runtime),
-                             self.buffer_size, self.seed)
-
-
-@dataclass
-class _TakeNode(_Node):
-    parent: _Node
-    count: int
-
-    def instantiate(self, runtime) -> _Stage:
-        return _TakeStage(runtime, self.parent.instantiate(runtime), self.count)
-
-
-@dataclass
-class _RepeatNode(_Node):
-    parent: _Node
-    count: Optional[int]
-
-    def instantiate(self, runtime) -> _Stage:
-        return _RepeatStage(runtime, self)
-
-
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
 
 class Dataset:
-    """A declarative input pipeline (built once, instantiated per iterator)."""
+    """A declarative input pipeline (built once, instantiated per iterator).
 
-    def __init__(self, node: _Node):
-        self._node = node
+    It is the ordered tuple of its stages, source first, each entry a stage
+    class and the arguments it is built with.
+    """
 
-    # -- sources -----------------------------------------------------------
+    def __init__(self, stages: Tuple[Tuple[type, tuple], ...]):
+        self._stages = stages
+
+    def _then(self, stage: type, *args) -> "Dataset":
+        return Dataset(self._stages + ((stage, args),))
+
     @classmethod
     def from_list(cls, items: Iterable) -> "Dataset":
         """Dataset over an in-memory list (e.g. file paths or labels)."""
-        return cls(_SourceNode(list(items)))
+        return cls(((_SourceStage, (list(items),)),))
 
-    @classmethod
-    def list_files(cls, vfs, prefix: str, shuffle: bool = False,
-                   seed: Optional[int] = None) -> "Dataset":
-        """Dataset of all file paths below ``prefix`` in the simulated VFS."""
-        paths = [inode.path for inode in vfs.files_under(prefix)]
-        if shuffle:
-            rng = make_rng(seed, "tf.data.list_files")
-            order = rng.permutation(len(paths))
-            paths = [paths[i] for i in order]
-        return cls.from_list(paths)
-
-    # -- transformations ------------------------------------------------------
     def map(self, fn: Callable, num_parallel_calls: Optional[int] = None
             ) -> "Dataset":
         """Apply ``fn(runtime, element)`` (a simulation generator) per element."""
-        return Dataset(_MapNode(self._node, fn, num_parallel_calls))
+        return self._then(_MapStage, fn, num_parallel_calls)
 
     def batch(self, batch_size: int, drop_remainder: bool = True) -> "Dataset":
         """Group consecutive elements into batches."""
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        return Dataset(_BatchNode(self._node, int(batch_size), drop_remainder))
+        return self._then(_BatchStage, int(batch_size), drop_remainder)
 
     def prefetch(self, buffer_size: int) -> "Dataset":
         """Decouple the consumer with a bounded ready-elements buffer."""
-        return Dataset(_PrefetchNode(self._node, int(buffer_size)))
+        return self._then(_PrefetchStage, int(buffer_size))
 
-    def shuffle(self, buffer_size: int, seed: Optional[int] = None) -> "Dataset":
-        """Shuffle with a bounded reservoir, like ``tf.data.Dataset.shuffle``."""
-        if buffer_size <= 0:
-            raise ValueError("buffer_size must be positive")
-        return Dataset(_ShuffleNode(self._node, int(buffer_size), seed))
-
-    def take(self, count: int) -> "Dataset":
-        """Truncate the dataset to ``count`` elements."""
-        return Dataset(_TakeNode(self._node, int(count)))
-
-    def repeat(self, count: Optional[int] = None) -> "Dataset":
-        """Repeat the dataset ``count`` times (``None`` = indefinitely)."""
-        return Dataset(_RepeatNode(self._node, count))
-
-    # -- execution ---------------------------------------------------------------
     def make_iterator(self, runtime) -> "DatasetIterator":
-        """Instantiate the pipeline stages and return an iterator."""
-        return DatasetIterator(runtime, self._node.instantiate(runtime))
+        """Instantiate the pipeline stages and return an iterator.
+
+        Stages are built source first: the order in which their processes
+        are created fixes the kernel's event order.
+        """
+        stage = None
+        for stage_class, args in self._stages:
+            stage = stage_class(runtime, stage, *args)
+        return DatasetIterator(runtime, stage)
 
 
 class DatasetIterator:
@@ -429,7 +256,6 @@ class DatasetIterator:
         self.env = runtime.env
         self._stage = stage
         self._exhausted = False
-        self.elements_delivered = 0
 
     def get_next(self) -> Generator:
         """Wait for the next element; raises :class:`OutOfRangeError` at EOD."""
@@ -437,12 +263,10 @@ class DatasetIterator:
             raise OutOfRangeError("iterator exhausted")
         start = self.env.now
         item = yield self._stage.output.get()
-        if self.GET_NEXT_OVERHEAD > 0:
-            yield self.env.timeout(self.GET_NEXT_OVERHEAD)
+        yield self.env.timeout(self.GET_NEXT_OVERHEAD)
         if item is _EOD:
             self._exhausted = True
             raise OutOfRangeError("end of dataset")
-        self.elements_delivered += 1
         self.runtime.traceme.record("IteratorGetNext", start, self.env.now,
                                     thread="host")
         return item

@@ -67,28 +67,13 @@ class PosixFileSystem:
         os_image = self.runtime.os
         fd = yield from os_image.call("open", path)
         offset = 0
-        pieces = 0
         while True:
             data = yield from os_image.call("pread", fd, chunk, offset)
             if data.nbytes == 0:
                 break
             offset += data.nbytes
-            pieces += 1
         yield from os_image.call("close", fd)
         return SimBytes(offset)
-
-    def file_exists(self, path: str) -> Generator:
-        """``FileExists``: an access() call through the symbol table."""
-        try:
-            yield from self.runtime.os.call("access", path)
-            return True
-        except OSError:
-            return False
-
-    def get_file_size(self, path: str) -> Generator:
-        """``GetFileSize``: a stat() call through the symbol table."""
-        result = yield from self.runtime.os.call("stat", path)
-        return result.st_size
 
     # -- writes ------------------------------------------------------------
     def new_writable_file(self, path: str) -> Generator:

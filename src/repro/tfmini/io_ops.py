@@ -3,13 +3,14 @@
 Each operation is a simulation generator that charges a calibrated CPU cost
 to the runtime's shared CPU pool (so parallel pipelines contend for cores
 exactly like real ``tf.data`` worker threads) and records a TraceMe span
-when profiling is active.  The cost coefficients live in :class:`OpCosts`
-so the calibration benchmarks can reason about them explicitly.
+when profiling is active.  The operations are the ones the paper's capture
+functions call, with the shapes those pipelines produce; their cost
+coefficients live in one :class:`OpCosts` instance, :data:`COSTS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional, Sequence, Tuple
 
 from repro.posix.simbytes import SimBytes
@@ -29,15 +30,8 @@ class Tensor:
             n *= int(dim)
         return n
 
-    @property
-    def num_elements(self) -> int:
-        n = 1
-        for dim in self.shape:
-            n *= int(dim)
-        return n
 
-
-@dataclass
+@dataclass(frozen=True)
 class OpCosts:
     """CPU cost coefficients of the preprocessing operations (seconds)."""
 
@@ -54,6 +48,10 @@ class OpCosts:
     cast_per_byte: float = 2.0e-10
     #: Batch assembly (memcpy of one sample into the batch buffer).
     batch_per_byte: float = 1.0e-10
+
+
+#: The one calibration every operation charges.
+COSTS = OpCosts()
 
 
 def _charge(runtime, seconds: float, name: str, **metadata) -> Generator:
@@ -74,53 +72,45 @@ def read_file(runtime, path: str, buffer_size: Optional[int] = None) -> Generato
     return data
 
 
-def decode_jpeg(runtime, data: SimBytes, costs: Optional[OpCosts] = None,
-                decoded_shape: Tuple[int, int, int] = (500, 400, 3)) -> Generator:
+def decode_jpeg(runtime, data: SimBytes) -> Generator:
     """``tf.io.decode_jpeg``: cost scales with the encoded size."""
-    costs = costs or OpCosts()
-    seconds = costs.decode_jpeg_base + costs.decode_jpeg_per_byte * data.nbytes
+    seconds = COSTS.decode_jpeg_base + COSTS.decode_jpeg_per_byte * data.nbytes
     yield from _charge(runtime, seconds, "DecodeJpeg", bytes=data.nbytes)
-    return Tensor(shape=decoded_shape, dtype_size=1)
+    # Every JPEG decodes to the dataset's typical 500x400 RGB image.
+    return Tensor(shape=(500, 400, 3), dtype_size=1)
 
 
-def resize_image(runtime, image: Tensor, target: Tuple[int, int],
-                 costs: Optional[OpCosts] = None) -> Generator:
+def resize_image(runtime, image: Tensor, target: Tuple[int, int]) -> Generator:
     """``tf.image.resize``: cost scales with the output pixel count."""
-    costs = costs or OpCosts()
     channels = image.shape[2] if len(image.shape) > 2 else 1
     pixels = target[0] * target[1] * channels
-    seconds = costs.resize_base + costs.resize_per_pixel * pixels
+    seconds = COSTS.resize_base + COSTS.resize_per_pixel * pixels
     yield from _charge(runtime, seconds, "ResizeBilinear", pixels=pixels)
     return Tensor(shape=(target[0], target[1], channels), dtype_size=4)
 
 
-def decode_raw(runtime, data: SimBytes, costs: Optional[OpCosts] = None,
-               image_side: int = 2048) -> Generator:
-    """``tf.io.decode_raw`` + reshape: malware bytecode to a grayscale image."""
-    costs = costs or OpCosts()
-    seconds = costs.decode_raw_base + costs.decode_raw_per_byte * data.nbytes
+def decode_raw(runtime, data: SimBytes) -> Generator:
+    """``tf.io.decode_raw`` + reshape: malware bytecode to a grayscale image
+    whose side is the square root of the byte count, kept within 64..2048."""
+    seconds = COSTS.decode_raw_base + COSTS.decode_raw_per_byte * data.nbytes
     yield from _charge(runtime, seconds, "DecodeRaw", bytes=data.nbytes)
-    side = min(image_side, max(64, int(data.nbytes ** 0.5)))
+    side = min(2048, max(64, int(data.nbytes ** 0.5)))
     return Tensor(shape=(side, side, 1), dtype_size=1)
 
 
-def cast(runtime, tensor: Tensor, dtype_size: int = 4,
-         costs: Optional[OpCosts] = None) -> Generator:
-    """``tf.cast`` / normalization over the whole tensor."""
-    costs = costs or OpCosts()
-    seconds = costs.cast_per_byte * tensor.nbytes
+def cast(runtime, tensor: Tensor) -> Generator:
+    """``tf.cast`` / normalization of the whole tensor to 4-byte floats."""
+    seconds = COSTS.cast_per_byte * tensor.nbytes
     yield from _charge(runtime, seconds, "Cast", bytes=tensor.nbytes)
-    return Tensor(shape=tensor.shape, dtype_size=dtype_size)
+    return Tensor(shape=tensor.shape, dtype_size=4)
 
 
-def assemble_batch(runtime, elements: Sequence, costs: Optional[OpCosts] = None
-                   ) -> Generator:
+def assemble_batch(runtime, elements: Sequence) -> Generator:
     """Copy a list of samples into one batch buffer (the Batch op)."""
-    costs = costs or OpCosts()
     nbytes = 0
     for element in elements:
         size = getattr(element, "nbytes", None)
         nbytes += int(size) if size is not None else 0
-    seconds = costs.batch_per_byte * nbytes
+    seconds = COSTS.batch_per_byte * nbytes
     yield from _charge(runtime, seconds, "BatchDataset::MakeBatch", bytes=nbytes)
     return elements

@@ -188,11 +188,8 @@ class TensorBoard(Callback):
         return None
 
     def _start_profiler(self) -> Generator:
-        options = self.profiler_options or ProfilerOptions(logdir=self.log_dir)
-        if options.logdir is None:
-            options.logdir = self.log_dir
         yield from profiler_start(self.runtime, logdir=self.log_dir,
-                                  options=options)
+                                  options=self.profiler_options)
         self._profiling = True
 
     def _stop_profiler(self) -> Generator:

@@ -14,7 +14,7 @@ supported by the reproduction (Section III-A of the paper):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Generator, List, Optional
 
 from repro.tfmini.profiler.tracers import DeviceTracer, HostTracer, ProfilerInterface
@@ -49,14 +49,19 @@ class ProfileResult:
         return self.end_time - self.start_time
 
 
+#: A tracer factory, called with the runtime and the session's options.
+TracerFactory = Callable[[object, ProfilerOptions], ProfilerInterface]
+
+
 class ProfilerRegistry:
     """Registry of tracer factories, one per profiler implementation."""
 
     def __init__(self):
-        self._factories: List[Callable[[object], ProfilerInterface]] = []
+        self._factories: List[TracerFactory] = []
 
-    def register(self, factory: Callable[[object], ProfilerInterface]) -> None:
-        """Register a factory called with the runtime at session start."""
+    def register(self, factory: TracerFactory) -> None:
+        """Register a factory called with ``(runtime, options)`` at session
+        start."""
         self._factories.append(factory)
 
     def unregister(self, factory) -> None:
@@ -70,10 +75,7 @@ class ProfilerRegistry:
         if options.device_tracer and runtime.gpus:
             tracers.append(DeviceTracer(runtime))
         for factory in self._factories:
-            try:
-                tracers.append(factory(runtime, options))
-            except TypeError:
-                tracers.append(factory(runtime))
+            tracers.append(factory(runtime, options))
         return tracers
 
 
@@ -165,9 +167,10 @@ def profiler_start(runtime, logdir: Optional[str] = None,
     """Start a global profiling session on the runtime (manual mode)."""
     if runtime.active_profiler_session is not None:
         raise RuntimeError("a profiler session is already active")
-    opts = options or ProfilerOptions(logdir=logdir)
+    opts = options or ProfilerOptions()
     if logdir is not None:
-        opts.logdir = logdir
+        # A copy: the caller's options may be shared with later sessions.
+        opts = replace(opts, logdir=logdir)
     session = ProfilerSession(runtime, opts)
     yield from session.start()
     runtime.active_profiler_session = session

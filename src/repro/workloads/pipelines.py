@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.tfmini import AUTOTUNE, Dataset, io_ops
+from repro.tfmini import Dataset, io_ops
 
 
 def imagenet_map_fn(runtime, path: str):
@@ -25,17 +25,12 @@ def malware_map_fn(runtime, path: str):
 
 def build_training_pipeline(paths: Sequence[str], map_fn, batch_size: int,
                             num_parallel_calls: Optional[int] = 1,
-                            prefetch: int = 10,
-                            shuffle_buffer: Optional[int] = None,
-                            seed: Optional[int] = None) -> Dataset:
+                            prefetch: int = 10) -> Dataset:
     """The tf.data pipeline shape used throughout the paper.
 
-    ``list -> (shuffle) -> map(capture_fn, num_parallel_calls) -> batch ->
-    prefetch``.
+    ``list -> map(capture_fn, num_parallel_calls) -> batch -> prefetch``.
     """
     dataset = Dataset.from_list(list(paths))
-    if shuffle_buffer:
-        dataset = dataset.shuffle(shuffle_buffer, seed=seed)
     dataset = dataset.map(map_fn, num_parallel_calls=num_parallel_calls)
     dataset = dataset.batch(batch_size)
     if prefetch:

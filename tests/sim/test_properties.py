@@ -125,7 +125,7 @@ def test_worker_pool_completes_all_jobs(workers, durations):
         return task
 
     jobs = [pool.submit(make(d)) for d in durations]
-    env.run(until=env.all_of([j.done for j in jobs]))
+    env.run(until=env.all_of(jobs))
     assert pool.completed_jobs == len(durations)
     # A FIFO pool cannot be faster than greedy list scheduling lower bound.
     assert env.now >= max(durations) - 1e-9

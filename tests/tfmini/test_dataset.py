@@ -38,22 +38,6 @@ def test_from_list_map_batch_roundtrip(runtime, os_image):
     assert batches[0].nbytes == 40_000
 
 
-def test_list_files_discovers_vfs_files(runtime, os_image):
-    make_files(os_image, 5, 1000)
-    dataset = Dataset.list_files(os_image.vfs, "/data/train")
-    batches = drain(runtime, dataset.batch(1))
-    assert len(batches) == 5
-
-
-def test_list_files_shuffle_is_deterministic_per_seed(runtime, os_image):
-    make_files(os_image, 20, 10)
-    a = Dataset.list_files(os_image.vfs, "/data/train", shuffle=True, seed=1)
-    b = Dataset.list_files(os_image.vfs, "/data/train", shuffle=True, seed=1)
-    c = Dataset.list_files(os_image.vfs, "/data/train", shuffle=True, seed=2)
-    assert a._node.items == b._node.items
-    assert a._node.items != c._node.items
-
-
 def test_batch_drop_remainder(runtime, os_image):
     paths = make_files(os_image, 10, 100)
     kept = drain(runtime, Dataset.from_list(paths).map(load).batch(4))
@@ -61,32 +45,6 @@ def test_batch_drop_remainder(runtime, os_image):
     all_batches = drain(runtime, Dataset.from_list(paths).map(load)
                         .batch(4, drop_remainder=False))
     assert [b.size for b in all_batches] == [4, 4, 2]
-
-
-def test_take_limits_elements(runtime, os_image):
-    paths = make_files(os_image, 10, 100)
-    batches = drain(runtime, Dataset.from_list(paths).take(6).map(load).batch(2))
-    assert len(batches) == 3
-
-
-def test_repeat_cycles_the_source(runtime, os_image):
-    paths = make_files(os_image, 3, 100)
-    batches = drain(runtime, Dataset.from_list(paths).repeat(2).map(load).batch(3))
-    assert len(batches) == 2
-
-
-def test_repeat_infinite_with_take(runtime, os_image):
-    paths = make_files(os_image, 2, 100)
-    batches = drain(runtime, Dataset.from_list(paths).repeat().take(10)
-                    .map(load).batch(2))
-    assert len(batches) == 5
-
-
-def test_shuffle_preserves_multiset(runtime, os_image):
-    paths = make_files(os_image, 16, 100)
-    dataset = Dataset.from_list(paths).shuffle(8, seed=3).batch(16)
-    batches = drain(runtime, dataset)
-    assert sorted(batches[0].elements) == sorted(paths)
 
 
 def test_out_of_range_after_exhaustion(runtime, os_image):
@@ -109,8 +67,6 @@ def test_invalid_arguments_rejected(runtime):
     dataset = Dataset.from_list([1, 2, 3])
     with pytest.raises(ValueError):
         dataset.batch(0)
-    with pytest.raises(ValueError):
-        dataset.shuffle(0)
 
 
 def test_parallel_map_is_faster_than_sequential(runtime, os_image):

@@ -214,6 +214,41 @@ def test_stop_without_start_rejected(runtime):
     assert run(runtime.env, proc()) == "rejected"
 
 
+def test_session_logdir_does_not_leak_into_shared_options(runtime, os_image,
+                                                          tmp_path):
+    """A logdir given to one session stays with that session: options shared
+    with a later session without a logdir must not make it export."""
+    paths = make_files(os_image, 4, 10_000)
+    shared = ProfilerOptions()
+
+    def window(logdir):
+        yield from profiler_start(runtime, logdir=logdir, options=shared)
+        for path in paths:
+            yield from io_ops.read_file(runtime, path)
+        result = yield from profiler_stop(runtime)
+        return result
+
+    first = run(runtime.env, window(str(tmp_path)))
+    assert first.exported_files
+    assert shared.logdir is None
+    second = run(runtime.env, window(None))
+    assert second.logdir is None
+    assert second.exported_files == []
+
+
+def test_tracer_factory_error_surfaces_from_its_only_call(runtime):
+    calls = []
+
+    def factory(rt, options=None):
+        calls.append(options)
+        raise TypeError("tracer constructor failed")
+
+    runtime.profiler_registry.register(factory)
+    with pytest.raises(TypeError, match="tracer constructor failed"):
+        runtime.profiler_registry.create_tracers(runtime, ProfilerOptions())
+    assert len(calls) == 1
+
+
 def test_tensorboard_callback_profiles_batch_range(runtime, os_image, tmp_path):
     dataset = input_pipeline(os_image, count=64, batch=8)
     model = tiny_model()
