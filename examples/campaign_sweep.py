@@ -15,7 +15,8 @@ bit-identical to a serial run.  Pass ``--full`` to widen the grid to 105 jobs (t
 size the fleet.
 
 Run with:  python examples/campaign_sweep.py [--full] [--workers N]
-Run it twice: the second invocation is served entirely from the cache.
+Run it twice: the second invocation is served entirely from the cache
+(``$REPRO_CAMPAIGN_CACHE``, or ``~/.cache/repro-campaigns``).
 """
 
 import argparse
@@ -34,8 +35,6 @@ from repro.campaign import (
 )
 from repro.tools import format_table, mbps
 from repro.workloads import platform_grid_spec
-
-CACHE_DIR = os.path.expanduser("~/.cache/repro-examples")
 
 
 def imagenet_sweep(cache: ResultCache) -> None:
@@ -125,7 +124,7 @@ def main() -> None:
                         help="run only the distributed platform grid")
     args = parser.parse_args()
 
-    cache = ResultCache(CACHE_DIR)
+    cache = ResultCache()
     if not args.skip_imagenet:
         imagenet_sweep(cache)
     platform_fleet_sweep(cache, workers=args.workers, full=args.full)

@@ -199,9 +199,13 @@ class InSituAnalyzer:
         profile.posix_bytes_read += record.get("POSIX_BYTES_READ")
         profile.posix_bytes_written += record.get("POSIX_BYTES_WRITTEN")
         profile.zero_byte_reads += max(0, record.get("POSIX_SIZE_READ_0_100"))
-        profile.read_time += record.fcounters.get("POSIX_F_READ_TIME", 0.0)
-        profile.write_time += record.fcounters.get("POSIX_F_WRITE_TIME", 0.0)
-        profile.meta_time += record.fcounters.get("POSIX_F_META_TIME", 0.0)
+        fcounters = record.fcounters
+        read_time = fcounters.get("POSIX_F_READ_TIME", 0.0)
+        write_time = fcounters.get("POSIX_F_WRITE_TIME", 0.0)
+        meta_time = fcounters.get("POSIX_F_META_TIME", 0.0)
+        profile.read_time += read_time
+        profile.write_time += write_time
+        profile.meta_time += meta_time
 
         for label in SIZE_BUCKET_LABELS:
             read_count = record.get(f"POSIX_SIZE_READ_{label}")
@@ -217,9 +221,10 @@ class InSituAnalyzer:
         profile.access_pattern.sequential += record.get("POSIX_SEQ_READS")
         profile.access_pattern.consecutive += record.get("POSIX_CONSEC_READS")
 
+        end_counters = record.end_counters
         observed_size = max(
-            record.end_counters.get("POSIX_MAX_BYTE_READ", 0),
-            record.end_counters.get("POSIX_MAX_BYTE_WRITTEN", 0)) + 1
+            end_counters.get("POSIX_MAX_BYTE_READ", 0),
+            end_counters.get("POSIX_MAX_BYTE_WRITTEN", 0)) + 1
         size_label = size_bucket(max(0, observed_size))
         profile.file_size_histogram[size_label] = (
             profile.file_size_histogram.get(size_label, 0) + 1)
@@ -235,8 +240,8 @@ class InSituAnalyzer:
             seq_reads=record.get("POSIX_SEQ_READS"),
             consec_reads=record.get("POSIX_CONSEC_READS"),
             zero_reads=record.get("POSIX_SIZE_READ_0_100"),
-            read_time=record.fcounters.get("POSIX_F_READ_TIME", 0.0),
-            write_time=record.fcounters.get("POSIX_F_WRITE_TIME", 0.0),
-            meta_time=record.fcounters.get("POSIX_F_META_TIME", 0.0),
+            read_time=read_time,
+            write_time=write_time,
+            meta_time=meta_time,
             observed_size=observed_size,
         ))

@@ -7,11 +7,19 @@ through the extraction API, snapshots them again when the session stops,
 and the difference between the two snapshots is what the in-situ analysis
 and the TraceViewer export operate on.  A snapshot copies no record: it
 shares them with the live modules, which clone a record before writing it.
+
+A window delta copies no counter of a record that is new in the window:
+its :class:`RecordDelta` holds the end snapshot's counter arrays and reads
+them through read-only views, which is safe because no record a snapshot
+holds is ever written again.  A record that existed at the start costs
+one element-wise subtraction per counter array.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Dict, Generator, List, Optional
 
 from repro.darshan.dxt import DxtRecord, DxtSegment
@@ -22,7 +30,8 @@ from repro.darshan.extraction import (  # noqa: F401
     get_runtime_info,
     snapshot_records,
 )
-from repro.darshan.records import CounterRecord
+from repro.darshan.counters import CounterLayout
+from repro.darshan.records import CounterRecord, CounterView
 from repro.core.attach import RuntimeAttachment
 from repro.core.config import TfDarshanCosts
 
@@ -49,18 +58,40 @@ class Snapshot:
 
 @dataclass
 class RecordDelta:
-    """Per-file counter change between two snapshots."""
+    """Per-file counter change between two snapshots.
+
+    It holds counter arrays in the module's layout: the change in
+    ``values`` and ``fvalues``, and the end-of-window integer counters in
+    ``end_values``.  A record new in the window has no arrays of its own:
+    all three are the end snapshot's, so they must not be modified.
+    ``counters``, ``fcounters`` and ``end_counters`` read them by name
+    through read-only views.
+    """
 
     record_id: int
     path: Optional[str]
     module: str
-    counters: Dict[str, int]
-    fcounters: Dict[str, float]
+    layout: CounterLayout = field(repr=False, compare=False)
+    values: array
+    fvalues: array
     #: Absolute end-of-window values useful for size estimates.
-    end_counters: Dict[str, int] = field(default_factory=dict)
+    end_values: array
+
+    @property
+    def counters(self) -> CounterView:
+        return CounterView(self.layout.index, self.values)
+
+    @property
+    def fcounters(self) -> CounterView:
+        return CounterView(self.layout.findex, self.fvalues)
+
+    @property
+    def end_counters(self) -> CounterView:
+        return CounterView(self.layout.index, self.end_values)
 
     def get(self, name: str, default: int = 0) -> int:
-        return self.counters.get(name, default)
+        slot = self.layout.index.get(name)
+        return default if slot is None else self.values[slot]
 
 
 @dataclass
@@ -145,33 +176,26 @@ class DarshanMiddleman:
                 continue
             if start_rec is None:
                 # Everything is new.  Subtracting a zero start would return
-                # each value unchanged: the float counters hold floats.
-                counters = dict(end_rec.counters)
-                fcounters = dict(end_rec.fcounters)
-                changed = True
+                # each value unchanged, so the delta is the end record.
+                values, fvalues = end_rec.values, end_rec.fvalues
             else:
-                counters, fcounters = {}, {}
-                changed = False
-                for name, end_value in end_rec.counters.items():
-                    diff = end_value - start_rec.counters.get(name, 0)
-                    counters[name] = diff
-                    if diff:
-                        changed = True
-                for name, end_value in end_rec.fcounters.items():
-                    if name.endswith("_TIME") and not name.endswith("TIMESTAMP"):
-                        fcounters[name] = (end_value
-                                           - start_rec.fcounters.get(name, 0.0))
-                    else:
-                        fcounters[name] = end_value
-            if changed:
-                deltas.append(RecordDelta(
-                    record_id=record_id,
-                    path=self.resolve_name(record_id),
-                    module=module,
-                    counters=counters,
-                    fcounters=fcounters,
-                    end_counters=dict(end_rec.counters),
-                ))
+                diff = list(map(sub, end_rec.values, start_rec.values))
+                if not any(diff):
+                    continue
+                values = array("q", diff)
+                # Elapsed times subtract; timestamps keep their end values.
+                fvalues = end_rec.fvalues[:]
+                for slot in end_rec.layout.elapsed:
+                    fvalues[slot] -= start_rec.fvalues[slot]
+            deltas.append(RecordDelta(
+                record_id=record_id,
+                path=self.resolve_name(record_id),
+                module=module,
+                layout=end_rec.layout,
+                values=values,
+                fvalues=fvalues,
+                end_values=end_rec.values,
+            ))
         return deltas
 
     @staticmethod

@@ -8,7 +8,6 @@ from repro.darshan.counters import (
     STDIO_F_COUNTERS,
     read_size_histogram,
     size_bucket,
-    size_counter_name,
 )
 from repro.darshan.dxt import DxtRecord, DxtSegment
 from repro.darshan.extraction import (
@@ -60,6 +59,5 @@ __all__ = [
     "read_size_histogram",
     "resolve_names",
     "size_bucket",
-    "size_counter_name",
     "snapshot_records",
 ]

@@ -16,6 +16,9 @@ them:
   populate the 0-100 bucket as in the paper.
 * per-file wall-clock timestamps and cumulative read/write/meta times feed
   tf-Darshan's bandwidth and timing panels.
+
+The wrappers update a record's counter arrays through the slots of
+:data:`~repro.darshan.counters.POSIX_LAYOUT`, resolved once at import.
 """
 
 from __future__ import annotations
@@ -23,17 +26,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, Optional
 
-from repro.darshan.counters import (
-    POSIX_COUNTERS,
-    POSIX_F_COUNTERS,
-    size_counter_name,
-)
+from repro.darshan.counters import POSIX_LAYOUT, size_bucket_index
 from repro.darshan.dxt import DxtRecord, DxtSegment
 from repro.darshan.records import CounterRecord, RecordTable
 from repro.darshan.runtime import DarshanCore
 
 MODULE_NAME = "POSIX"
 DXT_MODULE_NAME = "DXT_POSIX"
+
+_INDEX, _FINDEX = POSIX_LAYOUT.index, POSIX_LAYOUT.findex
+_OPENS = _INDEX["POSIX_OPENS"]
+_SEEKS = _INDEX["POSIX_SEEKS"]
+_STATS = _INDEX["POSIX_STATS"]
+_FSYNCS = _INDEX["POSIX_FSYNCS"]
+_RW_SWITCHES = _INDEX["POSIX_RW_SWITCHES"]
+_OPEN_START = _FINDEX["POSIX_F_OPEN_START_TIMESTAMP"]
+_OPEN_END = _FINDEX["POSIX_F_OPEN_END_TIMESTAMP"]
+_CLOSE_START = _FINDEX["POSIX_F_CLOSE_START_TIMESTAMP"]
+_CLOSE_END = _FINDEX["POSIX_F_CLOSE_END_TIMESTAMP"]
+_META_TIME = _FINDEX["POSIX_F_META_TIME"]
 
 
 @dataclass
@@ -79,8 +90,7 @@ class PosixModule:
             if len(self.records) >= self.config.max_records_per_module:
                 self.partial_flag = True
                 return None
-            record = CounterRecord(record_id, self.config.rank,
-                                   POSIX_COUNTERS, POSIX_F_COUNTERS)
+            record = CounterRecord(record_id, self.config.rank, POSIX_LAYOUT)
             self.records.add(record_id, record)
             self._state[record_id] = _RecordState()
             if self.config.enable_dxt:
@@ -91,7 +101,7 @@ class PosixModule:
     def finalize(self) -> None:
         """Fill derived counters (common access sizes) before log writing."""
         for record_id in list(self.records):
-            self.records.writable(record_id).finalize_common_accesses("POSIX")
+            self.records.writable(record_id).finalize_common_accesses()
 
     # -- counter updates ------------------------------------------------------
     def _overhead(self, new_record: bool = False) -> Generator:
@@ -106,10 +116,8 @@ class PosixModule:
         record = self._get_record(path)
         if record is None:
             return None
-        record.inc("POSIX_OPENS")
-        record.fset_first("POSIX_F_OPEN_START_TIMESTAMP", start)
-        record.fset_max("POSIX_F_OPEN_END_TIMESTAMP", end)
-        record.fadd("POSIX_F_META_TIME", end - start)
+        record.values[_OPENS] += 1
+        record.time_op(_OPEN_START, _OPEN_END, _META_TIME, start, end)
         self._fd_refs[fd] = _FdRef(record_id=record.record_id, path=path)
         return record
 
@@ -119,35 +127,35 @@ class PosixModule:
         if record is None:  # pragma: no cover - defensive
             return
         state = self._state[ref.record_id]
-        direction = "WRITE" if is_write else "READ"
+        slots = POSIX_LAYOUT.write if is_write else POSIX_LAYOUT.read
         op = "write" if is_write else "read"
+        values = record.values
 
-        record.inc(f"POSIX_{direction}S")
-        record.inc(f"POSIX_BYTES_{'WRITTEN' if is_write else 'READ'}", nbytes)
-        record.inc(size_counter_name("POSIX", is_write, nbytes))
+        values[slots.ops] += 1
+        values[slots.bytes] += nbytes
+        values[slots.sizes[size_bucket_index(nbytes)]] += 1
         record.note_access_size(nbytes)
 
         last_byte = state.last_byte_written if is_write else state.last_byte_read
         if offset > last_byte:
-            record.inc(f"POSIX_SEQ_{direction}S")
+            values[slots.seq] += 1
         if offset == last_byte + 1:
-            record.inc(f"POSIX_CONSEC_{direction}S")
+            values[slots.consec] += 1
         new_last = offset + nbytes - 1
         if is_write:
             state.last_byte_written = new_last
-            record.maximum("POSIX_MAX_BYTE_WRITTEN", max(0, new_last))
         else:
             state.last_byte_read = new_last
-            record.maximum("POSIX_MAX_BYTE_READ", max(0, new_last))
+        if new_last > values[slots.max_byte]:
+            values[slots.max_byte] = new_last
 
         if state.last_op is not None and state.last_op != op:
-            record.inc("POSIX_RW_SWITCHES")
+            values[_RW_SWITCHES] += 1
         state.last_op = op
 
-        record.fset_first(f"POSIX_F_{direction}_START_TIMESTAMP", start)
-        record.fset_max(f"POSIX_F_{direction}_END_TIMESTAMP", end)
-        record.fadd(f"POSIX_F_{direction}_TIME", end - start)
-        record.fset_max(f"POSIX_F_MAX_{direction}_TIME", end - start)
+        record.time_op(slots.start, slots.end, slots.time, start, end)
+        if end - start > record.fvalues[slots.max_time]:
+            record.fvalues[slots.max_time] = end - start
 
         if self.config.enable_dxt:
             dxt = self.dxt_records.writable(ref.record_id)
@@ -156,13 +164,12 @@ class PosixModule:
                                    start_time=start, end_time=end),
                         max_segments=self.config.max_dxt_segments_per_record)
 
-    def _track_meta(self, record: Optional[CounterRecord], counter: Optional[str],
+    def _track_meta(self, record: Optional[CounterRecord], counter: int,
                     start: float, end: float) -> None:
         if record is None:
             return
-        if counter is not None:
-            record.inc(counter)
-        record.fadd("POSIX_F_META_TIME", end - start)
+        record.values[counter] += 1
+        record.fvalues[_META_TIME] += end - start
 
     # -- wrapper construction ----------------------------------------------------
     def make_wrappers(self, real: Dict[str, Callable[..., Generator]]
@@ -191,9 +198,8 @@ class PosixModule:
             if ref is not None:
                 record = self.records.writable(ref.record_id)
                 if record is not None:
-                    record.fset_first("POSIX_F_CLOSE_START_TIMESTAMP", start)
-                    record.fset_max("POSIX_F_CLOSE_END_TIMESTAMP", end)
-                    record.fadd("POSIX_F_META_TIME", end - start)
+                    record.time_op(_CLOSE_START, _CLOSE_END, _META_TIME,
+                                   start, end)
             else:
                 self.untracked_ops += 1
             yield from self._overhead()
@@ -259,7 +265,7 @@ class PosixModule:
             if ref is not None:
                 ref.offset = result
                 record = self.records.writable(ref.record_id)
-                self._track_meta(record, "POSIX_SEEKS", start, end)
+                self._track_meta(record, _SEEKS, start, end)
             else:
                 self.untracked_ops += 1
             yield from self._overhead()
@@ -271,7 +277,7 @@ class PosixModule:
             result = yield from real["stat"](path)
             end = self.env.now
             record = self._get_record(path)
-            self._track_meta(record, "POSIX_STATS", start, end)
+            self._track_meta(record, _STATS, start, end)
             yield from self._overhead(new_record=not known)
             return result
 
@@ -282,7 +288,7 @@ class PosixModule:
             end = self.env.now
             if ref is not None:
                 record = self.records.writable(ref.record_id)
-                self._track_meta(record, "POSIX_STATS", start, end)
+                self._track_meta(record, _STATS, start, end)
             else:
                 self.untracked_ops += 1
             yield from self._overhead()
@@ -295,7 +301,7 @@ class PosixModule:
             end = self.env.now
             if ref is not None:
                 record = self.records.writable(ref.record_id)
-                self._track_meta(record, "POSIX_FSYNCS", start, end)
+                self._track_meta(record, _FSYNCS, start, end)
             yield from self._overhead()
             return result
 

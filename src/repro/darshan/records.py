@@ -4,17 +4,27 @@ A Darshan *record* accumulates counters for one file within one module.
 Records are keyed by the Darshan record id — a stable hash of the file path
 — and tied to the path through the shared *name record* table that the core
 runtime maintains (mirroring ``darshan-core``'s name record management).
-Each instrumentation module keeps its records in a :class:`RecordTable`,
-which lets tf-Darshan snapshot them without copying.
+
+A :class:`CounterRecord` has Darshan's own layout: its integer counters are
+one ``array('q')`` and its float counters one ``array('d')``, 8 bytes per
+counter, in the slot order of the module's
+:class:`~repro.darshan.counters.CounterLayout`.  The instrumentation updates
+the arrays through precomputed slots; everything else reads and writes
+counters by name through the :class:`CounterView` mappings ``counters``
+and ``fcounters``.  Each instrumentation module keeps its records in a
+:class:`RecordTable`, which lets tf-Darshan snapshot them without copying.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Set, Tuple
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Optional, Set
+
+from repro.darshan.counters import LAYOUTS, CounterLayout
 
 
 def darshan_record_id(path: str) -> int:
@@ -31,73 +41,106 @@ class NameRecord:
     name: str
 
 
+class CounterView(Mapping):
+    """Read-only access by counter name to one counter array.
+
+    The view shares the array; it copies nothing.  A name outside the
+    layout raises ``KeyError`` and assignment raises ``TypeError``.
+    """
+
+    __slots__ = ("_index", "_values")
+
+    def __init__(self, index: Dict[str, int], values: array):
+        self._index = index
+        self._values = values
+
+    def __getitem__(self, name: str):
+        return self._values[self._index[name]]
+
+    def get(self, name: str, default: Any = None) -> Any:
+        slot = self._index.get(name)
+        return default if slot is None else self._values[slot]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._index, self._values)))
+
+
+class WritableCounterView(CounterView):
+    """A :class:`CounterView` that writes through to the array."""
+
+    __slots__ = ()
+
+    def __setitem__(self, name: str, value) -> None:
+        self._values[self._index[name]] = value
+
+
 class CounterRecord:
-    """A generic Darshan record: integer and floating-point counters."""
+    """A generic Darshan record: an int64 and a double counter array."""
 
-    __slots__ = ("record_id", "rank", "counters", "fcounters", "_access_sizes")
+    __slots__ = ("record_id", "rank", "layout", "values", "fvalues",
+                 "_access_sizes")
 
-    def __init__(self, record_id: int, rank: int,
-                 counter_names: Iterable[str], fcounter_names: Iterable[str]):
+    def __init__(self, record_id: int, rank: int, layout: CounterLayout,
+                 values: Optional[array] = None,
+                 fvalues: Optional[array] = None):
         self.record_id = record_id
         self.rank = rank
-        self.counters: Dict[str, int] = {name: 0 for name in counter_names}
-        self.fcounters: Dict[str, float] = {name: 0.0 for name in fcounter_names}
+        self.layout = layout
+        self.values = layout.zeros[:] if values is None else values
+        self.fvalues = layout.fzeros[:] if fvalues is None else fvalues
         # Frequency of access sizes, used to fill the ACCESSx counters the
         # way darshan_common_val_counter does.  A plain dict: a clone copies
         # it, and copying a Counter costs several times more.
         self._access_sizes: Dict[int, int] = {}
 
+    @property
+    def counters(self) -> WritableCounterView:
+        """The integer counters by name."""
+        return WritableCounterView(self.layout.index, self.values)
+
+    @property
+    def fcounters(self) -> WritableCounterView:
+        """The float counters by name."""
+        return WritableCounterView(self.layout.findex, self.fvalues)
+
     # -- counter updates ----------------------------------------------------
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Increment an integer counter."""
-        self.counters[name] += amount
+    def time_op(self, first: int, last: int, elapsed: int,
+                start: float, end: float) -> None:
+        """Account one operation that ran from ``start`` to ``end``.
 
-    def maximum(self, name: str, value: int) -> None:
-        """Raise an integer counter to at least ``value``."""
-        if value > self.counters[name]:
-            self.counters[name] = value
-
-    def fset_first(self, name: str, value: float) -> None:
-        """Set a float counter if it has never been set (first timestamp)."""
-        if self.fcounters[name] == 0.0:
-            self.fcounters[name] = value
-
-    def fset_max(self, name: str, value: float) -> None:
-        """Raise a float counter to at least ``value`` (last timestamp)."""
-        if value > self.fcounters[name]:
-            self.fcounters[name] = value
-
-    def fadd(self, name: str, value: float) -> None:
-        """Accumulate elapsed time into a float counter."""
-        self.fcounters[name] += value
+        Slot ``first`` keeps the first start, slot ``last`` the last end and
+        slot ``elapsed`` accumulates the time spent.
+        """
+        fvalues = self.fvalues
+        if fvalues[first] == 0.0:
+            fvalues[first] = start
+        if end > fvalues[last]:
+            fvalues[last] = end
+        fvalues[elapsed] += end - start
 
     def note_access_size(self, nbytes: int) -> None:
         """Track a common access size (feeds the ACCESSx_ACCESS counters)."""
         size = int(nbytes)
         self._access_sizes[size] = self._access_sizes.get(size, 0) + 1
 
-    def finalize_common_accesses(self, prefix: str) -> None:
+    def finalize_common_accesses(self) -> None:
         """Fill the top-4 common access size counters from the tracked sizes."""
         top = Counter(self._access_sizes).most_common(4)
-        for i in range(4):
-            access_key = f"{prefix}_ACCESS{i + 1}_ACCESS"
-            count_key = f"{prefix}_ACCESS{i + 1}_COUNT"
-            if access_key not in self.counters:
-                return
-            if i < len(top):
-                size, count = top[i]
-                self.counters[access_key] = size
-                self.counters[count_key] = count
-            else:
-                self.counters[access_key] = 0
-                self.counters[count_key] = 0
+        values = self.values
+        for i, (access, count) in enumerate(self.layout.common_accesses):
+            values[access], values[count] = top[i] if i < len(top) else (0, 0)
 
     # -- snapshots -----------------------------------------------------------
     def copy(self) -> "CounterRecord":
         """Deep copy: a clone before a write, or a caller-owned extraction."""
-        clone = CounterRecord(self.record_id, self.rank, (), ())
-        clone.counters = dict(self.counters)
-        clone.fcounters = dict(self.fcounters)
+        clone = CounterRecord(self.record_id, self.rank, self.layout,
+                              self.values[:], self.fvalues[:])
         clone._access_sizes = dict(self._access_sizes)
         return clone
 
@@ -106,15 +149,23 @@ class CounterRecord:
         return {
             "record_id": self.record_id,
             "rank": self.rank,
-            "counters": dict(self.counters),
-            "fcounters": dict(self.fcounters),
+            "counters": dict(zip(self.layout.counters, self.values)),
+            "fcounters": dict(zip(self.layout.fcounters, self.fvalues)),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CounterRecord":
-        rec = cls(int(data["record_id"]), int(data["rank"]), (), ())
-        rec.counters = {str(k): int(v) for k, v in dict(data["counters"]).items()}
-        rec.fcounters = {str(k): float(v) for k, v in dict(data["fcounters"]).items()}
+        """The record :meth:`as_dict` described; the counter names pick the
+        module's layout, and a name outside it raises ``KeyError``."""
+        counters = dict(data["counters"])
+        first = next(iter(counters))
+        rec = cls(int(data["record_id"]), int(data["rank"]),
+                  LAYOUTS[first.partition("_")[0]])
+        view, fview = rec.counters, rec.fcounters
+        for name, value in counters.items():
+            view[name] = int(value)
+        for name, value in dict(data["fcounters"]).items():
+            fview[name] = float(value)
         return rec
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,13 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional
 
-from repro.darshan.counters import STDIO_COUNTERS, STDIO_F_COUNTERS
+from repro.darshan.counters import STDIO_LAYOUT
 from repro.darshan.dxt import DxtRecord, DxtSegment
 from repro.darshan.records import CounterRecord, RecordTable
 from repro.darshan.runtime import DarshanCore
 
 MODULE_NAME = "STDIO"
 DXT_MODULE_NAME = "DXT_STDIO"
+
+_INDEX, _FINDEX = STDIO_LAYOUT.index, STDIO_LAYOUT.findex
+_OPENS = _INDEX["STDIO_OPENS"]
+_SEEKS = _INDEX["STDIO_SEEKS"]
+_FLUSHES = _INDEX["STDIO_FLUSHES"]
+_OPEN_START = _FINDEX["STDIO_F_OPEN_START_TIMESTAMP"]
+_OPEN_END = _FINDEX["STDIO_F_OPEN_END_TIMESTAMP"]
+_CLOSE_START = _FINDEX["STDIO_F_CLOSE_START_TIMESTAMP"]
+_CLOSE_END = _FINDEX["STDIO_F_CLOSE_END_TIMESTAMP"]
+_META_TIME = _FINDEX["STDIO_F_META_TIME"]
 
 
 @dataclass
@@ -52,8 +62,7 @@ class StdioModule:
             if len(self.records) >= self.config.max_records_per_module:
                 self.partial_flag = True
                 return None
-            record = CounterRecord(record_id, self.config.rank,
-                                   STDIO_COUNTERS, STDIO_F_COUNTERS)
+            record = CounterRecord(record_id, self.config.rank, STDIO_LAYOUT)
             self.records.add(record_id, record)
             if self.config.enable_dxt:
                 self.dxt_records.add(record_id,
@@ -81,15 +90,15 @@ class StdioModule:
         record = self.records.writable(ref.record_id)
         if record is None:  # pragma: no cover - defensive
             return
-        direction = "WRITE" if is_write else "READ"
-        record.inc(f"STDIO_{direction}S")
-        record.inc(f"STDIO_BYTES_{'WRITTEN' if is_write else 'READ'}", nbytes)
+        slots = STDIO_LAYOUT.write if is_write else STDIO_LAYOUT.read
+        values = record.values
+        values[slots.ops] += 1
+        values[slots.bytes] += nbytes
         offset = ref.position
         end_byte = offset + max(0, nbytes - 1)
-        record.maximum(f"STDIO_MAX_BYTE_{'WRITTEN' if is_write else 'READ'}", end_byte)
-        record.fset_first(f"STDIO_F_{direction}_START_TIMESTAMP", start)
-        record.fset_max(f"STDIO_F_{direction}_END_TIMESTAMP", end)
-        record.fadd(f"STDIO_F_{direction}_TIME", end - start)
+        if end_byte > values[slots.max_byte]:
+            values[slots.max_byte] = end_byte
+        record.time_op(slots.start, slots.end, slots.time, start, end)
         if self.config.enable_dxt:
             dxt = self.dxt_records.writable(ref.record_id)
             if dxt is not None:
@@ -112,10 +121,8 @@ class StdioModule:
             end = self.env.now
             record = self._get_record(path)
             if record is not None:
-                record.inc("STDIO_OPENS")
-                record.fset_first("STDIO_F_OPEN_START_TIMESTAMP", start)
-                record.fset_max("STDIO_F_OPEN_END_TIMESTAMP", end)
-                record.fadd("STDIO_F_META_TIME", end - start)
+                record.values[_OPENS] += 1
+                record.time_op(_OPEN_START, _OPEN_END, _META_TIME, start, end)
                 position = getattr(stream, "position", 0)
                 self._stream_refs[stream.stream_id] = _StreamRef(
                     record_id=record.record_id, path=path, position=position)
@@ -130,9 +137,8 @@ class StdioModule:
             if ref is not None:
                 record = self.records.writable(ref.record_id)
                 if record is not None:
-                    record.fset_first("STDIO_F_CLOSE_START_TIMESTAMP", start)
-                    record.fset_max("STDIO_F_CLOSE_END_TIMESTAMP", end)
-                    record.fadd("STDIO_F_META_TIME", end - start)
+                    record.time_op(_CLOSE_START, _CLOSE_END, _META_TIME,
+                                   start, end)
             else:
                 self.untracked_ops += 1
             yield from self._overhead()
@@ -170,8 +176,8 @@ class StdioModule:
             if ref is not None:
                 record = self.records.writable(ref.record_id)
                 if record is not None:
-                    record.inc("STDIO_SEEKS")
-                    record.fadd("STDIO_F_META_TIME", end - start)
+                    record.values[_SEEKS] += 1
+                    record.fvalues[_META_TIME] += end - start
                 ref.position = getattr(stream, "position", ref.position)
             else:
                 self.untracked_ops += 1
@@ -191,8 +197,8 @@ class StdioModule:
             if ref is not None:
                 record = self.records.writable(ref.record_id)
                 if record is not None:
-                    record.inc("STDIO_FLUSHES")
-                    record.fadd("STDIO_F_META_TIME", end - start)
+                    record.values[_FLUSHES] += 1
+                    record.fvalues[_META_TIME] += end - start
             yield from self._overhead()
             return result
 

@@ -254,12 +254,14 @@ class Process(Event):
                     event.defused = True
                     next_event = self._throw(event._value)
             except StopIteration as stop:
-                self._target = None
+                # A finished process drops its bound callback, which refers
+                # back to it: without the cycle it is freed by refcount.
+                self._target = self._resume_cb = None
                 env._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self._target = None
+                self._target = self._resume_cb = None
                 env._active_process = None
                 self.fail(exc)
                 return
@@ -271,7 +273,7 @@ class Process(Event):
             try:
                 cbs = next_event.callbacks
             except AttributeError:
-                self._target = None
+                self._target = self._resume_cb = None
                 env._active_process = None
                 self.fail(SimulationError(
                     f"process yielded a non-event: {next_event!r}"))

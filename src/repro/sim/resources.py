@@ -23,8 +23,9 @@ from repro.sim.events import Event
 class Request(Event):
     """Request for one slot of a :class:`Resource`.
 
-    The event succeeds once the slot has been granted.  The request object
-    itself is the token passed back to :meth:`Resource.release`.
+    The event succeeds, with the value None, once the slot has been
+    granted.  The request object itself is the token passed back to
+    :meth:`Resource.release`.
     """
 
     def __init__(self, resource: "Resource"):
@@ -74,7 +75,7 @@ class Resource:
     def _do_request(self, request: Request) -> None:
         if len(self.users) < self.capacity:
             self.users.append(request)
-            request.succeed(request)
+            request.succeed()
         else:
             self.queue.append(request)
 
@@ -82,7 +83,7 @@ class Resource:
         while self.queue and len(self.users) < self.capacity:
             request = self.queue.popleft()
             self.users.append(request)
-            request.succeed(request)
+            request.succeed()
 
 
 class Store:

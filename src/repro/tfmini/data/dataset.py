@@ -36,27 +36,14 @@ class OutOfRangeError(Exception):
 
 @dataclass
 class Batch:
-    """A batch of pipeline elements."""
+    """A batch of pipeline elements and their total size in bytes."""
 
     elements: List[object]
+    nbytes: int
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @property
-    def nbytes(self) -> int:
-        total = 0
-        for element in self.elements:
-            size = getattr(element, "nbytes", None)
-            total += int(size) if size is not None else 0
-        return total
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +152,13 @@ class _BatchStage(_Stage):
                 item = yield self.upstream.output.get()
                 if item is _EOD:
                     if buffer and not self.drop_remainder:
-                        yield from assemble_batch(self.runtime, buffer)
-                        yield self.output.put(Batch(list(buffer)))
+                        nbytes = yield from assemble_batch(self.runtime, buffer)
+                        yield self.output.put(Batch(list(buffer), nbytes))
                     break
                 buffer.append(item)
                 if len(buffer) == self.batch_size:
-                    yield from assemble_batch(self.runtime, buffer)
-                    yield self.output.put(Batch(list(buffer)))
+                    nbytes = yield from assemble_batch(self.runtime, buffer)
+                    yield self.output.put(Batch(list(buffer), nbytes))
                     buffer = []
             yield self.output.put(_EOD)
         except Interrupt:

@@ -106,11 +106,14 @@ def cast(runtime, tensor: Tensor) -> Generator:
 
 
 def assemble_batch(runtime, elements: Sequence) -> Generator:
-    """Copy a list of samples into one batch buffer (the Batch op)."""
+    """Copy a list of samples into one batch buffer (the Batch op).
+
+    Returns the batch's size in bytes.
+    """
     nbytes = 0
     for element in elements:
         size = getattr(element, "nbytes", None)
         nbytes += int(size) if size is not None else 0
     seconds = COSTS.batch_per_byte * nbytes
     yield from _charge(runtime, seconds, "BatchDataset::MakeBatch", bytes=nbytes)
-    return elements
+    return nbytes

@@ -1,8 +1,11 @@
 """Tests for Resource and Store."""
 
+import gc
+import types
+
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Process, Request, Resource, Store
 
 
 def test_resource_capacity_positive():
@@ -64,6 +67,38 @@ def test_resource_count_tracks_users():
         env.process(proc())
     env.run()
     assert res.count == 0
+
+
+def test_finished_processes_and_requests_leave_no_cyclic_garbage():
+    """A finished process and a granted request are freed by refcount."""
+    was_enabled = gc.isenabled()
+    debug = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        res = Resource(env, capacity=1)
+
+        def user(hold):
+            req = res.request()
+            yield req
+            yield env.timeout(hold)
+            res.release(req)
+
+        for hold in (1.0, 2.0, 3.0):
+            env.process(user(hold))
+        env.run()
+        del env, res
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage
+                  if isinstance(obj, (Process, Request, types.GeneratorType))]
+        assert leaked == []
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
 
 
 def test_store_fifo_order():
