@@ -12,6 +12,7 @@ import pytest
 
 from benchmarks.conftest import report, run_once
 from repro.core import TfDarshanOptions
+from repro.darshan import DarshanConfig
 from repro.tools import PaperComparison
 from repro.workloads import run_malware_case
 
@@ -22,10 +23,11 @@ BATCH = 32
 def _run_both():
     with_dxt = run_malware_case(
         scale=SCALE, batch_size=BATCH, threads=1, profile="epoch", seed=1,
-        tf_darshan_options=TfDarshanOptions(enable_dxt=True, export_mode="full"))
+        tf_darshan_options=TfDarshanOptions(export_mode="full"))
     without_dxt = run_malware_case(
         scale=SCALE, batch_size=BATCH, threads=1, profile="epoch", seed=1,
-        tf_darshan_options=TfDarshanOptions(enable_dxt=False, export_mode="full"))
+        tf_darshan_options=TfDarshanOptions(
+            darshan=DarshanConfig(enable_dxt=False), export_mode="full"))
     baseline = run_malware_case(scale=SCALE, batch_size=BATCH, threads=1,
                                 profile="none", seed=1)
     return with_dxt, without_dxt, baseline

@@ -47,7 +47,6 @@ from repro.campaign.dist import (
     snapshot_campaign,
 )
 from repro.campaign.executors import (
-    AsyncExecutor,
     MultiprocessingExecutor,
     SerialExecutor,
 )
@@ -63,7 +62,6 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.spec import JobSpec, SpecError, SweepSpec, canonical_json
 
 __all__ = [
-    "AsyncExecutor",
     "CampaignResult",
     "CampaignSnapshot",
     "DistributedExecutor",

@@ -781,15 +781,6 @@ class WorkQueue:
                 return True
             start_after = token  # page of foreign names only: keep looking
 
-    def pending_keys(self) -> List[str]:
-        """Keys claimable right now (ticket present, no claim document)."""
-        claims = set(self._names("claims"))
-        return [key for key in self._names("pending") if key not in claims]
-
-    def claimed_keys(self) -> List[str]:
-        """Keys under a claim document (live or expired)."""
-        return self._names("claims")
-
     def live_claimed_keys(self, now: Optional[float] = None) -> List[str]:
         """Claimed jobs whose lease is still live (read-only probe).
 

@@ -1,10 +1,10 @@
 """Pluggable job executors.
 
 An executor is anything with ``map(fn, items) -> list`` that preserves item
-order.  Three in-process implementations ship here — serial, a thread-pool
-overlap (:class:`AsyncExecutor`) and a ``multiprocessing`` fan-out — and
-the distributed worker fleet (:class:`~repro.campaign.dist.executor.
-DistributedExecutor`) plugs into the same seam.
+order.  Two in-process implementations ship here — serial and a
+``multiprocessing`` fan-out — and the distributed worker fleet
+(:class:`~repro.campaign.dist.executor.DistributedExecutor`) plugs into
+the same seam.
 
 Determinism contract: executors may run jobs in any order or on any worker,
 but the *returned list* lines up with the input list, and job seeds are
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence
 
 
@@ -31,42 +30,6 @@ class SerialExecutor:
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
-
-
-class AsyncExecutor:
-    """Overlap many small jobs in one process via a thread pool.
-
-    No pickling, no process spawns, one shared address space: the right
-    executor for campaigns of numerous tiny jobs (where
-    ``MultiprocessingExecutor``'s per-process startup dominates) and for
-    cache-heavy re-runs (threads overlap the disk reads).  Pure-Python
-    simulation time still serializes under the GIL, so CPU-bound grids
-    should prefer the multiprocessing or distributed executors.
-
-    The ``map`` contract is unchanged: results line up with the input list
-    regardless of which thread finished first.
-    """
-
-    name = "async"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        if max_workers is None:
-            max_workers = min(32, (os.cpu_count() or 1) + 4)
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Thread-pool ``fn`` over ``items``; results stay in input order."""
-        items = list(items)
-        if len(items) <= 1 or self.max_workers == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.max_workers,
-                                                len(items))) as pool:
-            return list(pool.map(fn, items))
-
-    def __repr__(self) -> str:
-        return f"AsyncExecutor(max_workers={self.max_workers})"
 
 
 class MultiprocessingExecutor:

@@ -116,10 +116,6 @@ class IOProfile:
     def reads_per_open(self) -> float:
         return self.posix_reads / self.posix_opens if self.posix_opens else 0.0
 
-    def top_files_by_bytes(self, n: int = 10) -> List[FileIOStats]:
-        return sorted(self.files, key=lambda f: f.bytes_read + f.bytes_written,
-                      reverse=True)[:n]
-
     def file_sizes(self) -> Dict[str, int]:
         """Observed per-file sizes (used by the staging advisor)."""
         return {f.path: f.observed_size for f in self.files}

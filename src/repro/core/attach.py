@@ -6,7 +6,13 @@ process's Global Offset Table for the I/O symbols it wants to interpose and
 patches them to point into Darshan — all without restarting the process and
 without modifying Darshan itself.  In the reproduction the "GOT" is the
 :class:`~repro.posix.dispatch.SymbolTable` of the simulated process and
-"loading libdarshan.so" instantiates the Darshan runtime objects.
+"loading libdarshan.so" builds a :class:`~repro.darshan.runtime.DarshanCore`
+from the options' Darshan configuration, as is; the attachment patches the
+core's wrapper mapping, just as stock preloading does.
+
+The attachment receives the simulation environment and the symbol table,
+not the runtime that owns it, so nothing it holds points back at the
+runtime.
 
 Attachment is idempotent and reversible: ``detach`` restores every patched
 symbol, which the paper lists as a capability difference against stock
@@ -15,30 +21,37 @@ Darshan (runtime start/stop in Table I).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Generator, List, Optional
 
 from repro.darshan.posix_module import PosixModule
 from repro.darshan.runtime import DarshanCore
 from repro.darshan.stdio_module import StdioModule
 from repro.core.config import TfDarshanOptions
+from repro.posix.dispatch import SymbolTable
+from repro.sim import Environment
 
 
 class RuntimeAttachment:
     """Loads Darshan into the running process and patches the symbol table."""
 
-    def __init__(self, runtime, options: Optional[TfDarshanOptions] = None):
-        self.runtime = runtime
-        self.env = runtime.env
+    def __init__(self, env: Environment, symbols: SymbolTable,
+                 options: Optional[TfDarshanOptions] = None):
+        self.env = env
+        self.symbols = symbols
         self.options = options or TfDarshanOptions()
-        self.symbols = runtime.os.symbols
         self.core: Optional[DarshanCore] = None
-        self.posix_module: Optional[PosixModule] = None
-        self.stdio_module: Optional[StdioModule] = None
         self.attached = False
         self.patched_symbols: List[str] = []
         #: Number of times attach() found itself already attached.
         self.reattach_requests = 0
+
+    @property
+    def posix_module(self) -> Optional[PosixModule]:
+        return self.core.get_module("POSIX") if self.core else None
+
+    @property
+    def stdio_module(self) -> Optional[StdioModule]:
+        return self.core.get_module("STDIO") if self.core else None
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self) -> Generator:
@@ -47,25 +60,18 @@ class RuntimeAttachment:
             self.reattach_requests += 1
             return self
         # "dlopen libdarshan.so": instantiate the Darshan runtime inside the
-        # process.  DXT follows the tf-Darshan option, set on a copy because
-        # the caller's config may be shared by other runtimes.
-        self.core = DarshanCore(self.env, dataclasses.replace(
-            self.options.darshan, enable_dxt=self.options.enable_dxt))
-        self.posix_module = PosixModule(self.core)
-        self.stdio_module = StdioModule(self.core)
+        # process.
+        self.core = DarshanCore(self.env, self.options.darshan)
 
         # "Scan the GOT": every registered I/O symbol we were asked to
         # interpose and that actually resolves in this process.
         available = set(self.symbols.symbols())
-        wanted = [name for name in self.options.symbols if name in available]
         real: Dict[str, object] = {name: self.symbols.resolve(name)
-                                   for name in wanted}
+                                   for name in self.options.symbols
+                                   if name in available}
 
         # "Patch the GOT": redirect the symbols into the Darshan wrappers.
-        for name, wrapper in self.posix_module.make_wrappers(real).items():
-            self.symbols.patch(name, wrapper)
-            self.patched_symbols.append(name)
-        for name, wrapper in self.stdio_module.make_wrappers(real).items():
+        for name, wrapper in self.core.make_wrappers(real).items():
             self.symbols.patch(name, wrapper)
             self.patched_symbols.append(name)
 
@@ -90,6 +96,6 @@ def get_attachment(runtime, options: Optional[TfDarshanOptions] = None
     """The per-process attachment singleton (one Darshan per process)."""
     existing = getattr(runtime, "_tf_darshan_attachment", None)
     if existing is None:
-        existing = RuntimeAttachment(runtime, options)
+        existing = RuntimeAttachment(runtime.env, runtime.os.symbols, options)
         runtime._tf_darshan_attachment = existing
     return existing

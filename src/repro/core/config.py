@@ -48,13 +48,11 @@ class TfDarshanCosts:
 class TfDarshanOptions:
     """User-facing options of the tf-Darshan tracer."""
 
-    #: Record and export individual I/O segments (DXT + TraceViewer lines).
-    enable_dxt: bool = True
-    #: Convert DXT segments into TraceViewer timelines at collection time.
-    export_trace_events: bool = True
     #: Symbols to interpose.  Defaults to every known I/O symbol.
     symbols: Sequence[str] = tuple(IO_SYMBOLS)
-    #: Darshan runtime configuration used when attaching.
+    #: Darshan runtime configuration used when attaching.  Its
+    #: ``enable_dxt`` also switches the TraceViewer timelines built from
+    #: the DXT segments.
     darshan: DarshanConfig = field(default_factory=DarshanConfig)
     #: Cost model (exposed for the ablation benchmarks).
     costs: TfDarshanCosts = field(default_factory=TfDarshanCosts)

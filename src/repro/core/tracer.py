@@ -74,7 +74,7 @@ class DarshanTracer(ProfilerInterface):
         export_cost = (costs.per_session + per_record * n_records
                        + per_segment * delta.segment_count)
 
-        if self.options.export_trace_events and self.options.enable_dxt:
+        if self.options.darshan.enable_dxt:
             posix_plane = build_posix_plane(delta, self.middleman.resolve_name)
             posix_plane.stats["summary"] = profile.summary()
             posix_plane.stats["read_bandwidth_mbps"] = (

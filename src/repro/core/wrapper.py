@@ -136,7 +136,7 @@ class DarshanMiddleman:
         if core is not None:
             snapshot.posix = snapshot_records(core, "POSIX")
             snapshot.stdio = snapshot_records(core, "STDIO")
-            if self.attachment.options.enable_dxt:
+            if self.attachment.options.darshan.enable_dxt:
                 snapshot.dxt_posix = snapshot_records(core, "POSIX", dxt=True)
                 snapshot.dxt_stdio = snapshot_records(core, "STDIO", dxt=True)
         cost = self.costs.snapshot_per_record * snapshot.record_count

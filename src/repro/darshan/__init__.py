@@ -21,7 +21,6 @@ from repro.darshan.extraction import (
     resolve_names,
     snapshot_records,
 )
-from repro.darshan.heatmap import Heatmap, build_heatmap
 from repro.darshan.log import DarshanLog
 from repro.darshan.posix_module import PosixModule
 from repro.darshan.preload import PreloadedDarshan
@@ -38,7 +37,6 @@ __all__ = [
     "DxtRecord",
     "DxtSegment",
     "EXTRACTABLE_MODULES",
-    "Heatmap",
     "NameRecord",
     "POSIX_COUNTERS",
     "POSIX_F_COUNTERS",
@@ -49,7 +47,6 @@ __all__ = [
     "STDIO_COUNTERS",
     "STDIO_F_COUNTERS",
     "StdioModule",
-    "build_heatmap",
     "copy_records",
     "darshan_record_id",
     "get_dxt_records",

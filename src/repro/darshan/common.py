@@ -1,0 +1,93 @@
+"""What Darshan's instrumentation modules share (``darshan-common.c``).
+
+:class:`InstrumentationModule` keeps a module's counter and DXT record
+tables and does, once for every module, what does not depend on the
+symbols it wraps: creating a file's record under the record limit,
+charging the per-call overhead, choosing the wrappers of the symbols that
+resolve, and summing counters.  A module receives from the core that
+builds it only what it uses — the simulation environment, the Darshan
+configuration and the core's name table — so it never refers back to its
+core.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, Generator, Optional
+
+from repro.darshan.counters import CounterLayout
+from repro.darshan.dxt import DxtRecord
+from repro.darshan.records import CounterRecord, NameTable, RecordTable
+from repro.sim import Environment
+
+Wrappers = Dict[str, Callable[..., Generator]]
+
+
+class InstrumentationModule:
+    """Per-file counter records and DXT records of one Darshan module.
+
+    A subclass names its :attr:`layout` and builds its wrappers in
+    :meth:`_wrappers`.
+    """
+
+    layout: CounterLayout
+
+    def __init__(self, env: Environment, config, names: NameTable):
+        self.env = env
+        #: The core's :class:`~repro.darshan.runtime.DarshanConfig`.
+        self.config = config
+        self.names = names
+        self.records = RecordTable()
+        self.dxt_records = RecordTable()
+        #: Set when the record limit was hit and files went untracked.
+        self.partial_flag = False
+        #: Operations that passed through without instrumentation (unknown
+        #: descriptor or stream).
+        self.untracked_ops = 0
+
+    # -- record management ---------------------------------------------------
+    def _get_record(self, record_id: int) -> Optional[CounterRecord]:
+        """The writable record of ``record_id``, created on first use, or
+        None once the module holds its maximum number of records."""
+        record = self.records.writable(record_id)
+        if record is None:
+            if len(self.records) >= self.config.max_records_per_module:
+                self.partial_flag = True
+                return None
+            record = CounterRecord(record_id, self.config.rank, self.layout)
+            self.records.add(record_id, record)
+            if self.config.enable_dxt:
+                self.dxt_records.add(record_id,
+                                     DxtRecord(record_id, self.config.rank))
+        return record
+
+    def finalize(self) -> None:
+        """Fill derived counters before the log is written (none here)."""
+
+    def _overhead(self, new_record: bool = False) -> Generator:
+        cost = self.config.instrumentation_overhead
+        if new_record:
+            cost += self.config.record_creation_overhead
+        if cost > 0:
+            yield self.env.timeout(cost)
+
+    # -- wrapper construction -------------------------------------------------
+    def make_wrappers(self, real: Wrappers) -> Wrappers:
+        """Instrumented wrappers around the real ("libc") bindings.
+
+        Only symbols present in ``real`` are wrapped.
+        """
+        return {name: wrapper for name, wrapper in self._wrappers(real).items()
+                if name in real}
+
+    def _wrappers(self, real: Wrappers) -> Wrappers:
+        """Every wrapper of the module; each calls ``real[name]`` when run."""
+        raise NotImplementedError
+
+    # -- summary helpers -------------------------------------------------------
+    def total_counter(self, name: str) -> int:
+        """Sum of one counter across all records."""
+        return sum(rec.counters.get(name, 0) for rec in self.records.values())
+
+    def file_count(self) -> int:
+        """Number of file records currently tracked."""
+        return len(self.records)

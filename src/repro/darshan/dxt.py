@@ -69,11 +69,6 @@ class DxtRecord:
     def segment_count(self) -> int:
         return len(self.read_segments) + len(self.write_segments)
 
-    def all_segments(self) -> List[DxtSegment]:
-        """Read and write segments merged in time order."""
-        return sorted(self.read_segments + self.write_segments,
-                      key=lambda s: s.start_time)
-
     def copy(self) -> "DxtRecord":
         clone = DxtRecord(self.record_id, self.rank)
         clone.read_segments = list(self.read_segments)

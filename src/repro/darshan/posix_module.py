@@ -18,18 +18,26 @@ them:
   tf-Darshan's bandwidth and timing panels.
 
 The wrappers update a record's counter arrays through the slots of
-:data:`~repro.darshan.counters.POSIX_LAYOUT`, resolved once at import.
+:data:`~repro.darshan.counters.POSIX_LAYOUT`, resolved once at import, and
+hash a call's path once.  The core builds the module with its environment,
+configuration and name table; the record tables, the record limit, the
+per-call overhead and the wrapper selection come from
+:class:`~repro.darshan.common.InstrumentationModule`, which the STDIO module
+shares.  Only the per-record access state and the descriptor table are
+POSIX's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, Optional
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Dict, Optional
 
+from repro.darshan.common import InstrumentationModule, Wrappers
 from repro.darshan.counters import POSIX_LAYOUT, size_bucket_index
-from repro.darshan.dxt import DxtRecord, DxtSegment
-from repro.darshan.records import CounterRecord, RecordTable
-from repro.darshan.runtime import DarshanCore
+from repro.darshan.dxt import DxtSegment
+from repro.darshan.records import CounterRecord, NameTable
+from repro.sim import Environment
 
 MODULE_NAME = "POSIX"
 DXT_MODULE_NAME = "DXT_POSIX"
@@ -61,42 +69,19 @@ class _FdRef:
     """Association between an open descriptor and its file record."""
 
     record_id: int
-    path: str
     offset: int = 0
 
 
-class PosixModule:
+class PosixModule(InstrumentationModule):
     """Instruments POSIX symbols and accumulates per-file counter records."""
 
-    def __init__(self, core: DarshanCore):
-        self.core = core
-        self.env = core.env
-        self.config = core.config
-        self.records = RecordTable()
-        self.dxt_records = RecordTable()
-        self._state: Dict[int, _RecordState] = {}
-        self._fd_refs: Dict[int, _FdRef] = {}
-        #: Set when the record limit was hit and files went untracked.
-        self.partial_flag = False
-        #: Operations that passed through without instrumentation (unknown fd).
-        self.untracked_ops = 0
-        core.register_module(MODULE_NAME, self)
+    layout = POSIX_LAYOUT
 
-    # -- record management ---------------------------------------------------
-    def _get_record(self, path: str) -> Optional[CounterRecord]:
-        record_id = self.core.register_name(path)
-        record = self.records.writable(record_id)
-        if record is None:
-            if len(self.records) >= self.config.max_records_per_module:
-                self.partial_flag = True
-                return None
-            record = CounterRecord(record_id, self.config.rank, POSIX_LAYOUT)
-            self.records.add(record_id, record)
-            self._state[record_id] = _RecordState()
-            if self.config.enable_dxt:
-                self.dxt_records.add(record_id,
-                                     DxtRecord(record_id, self.config.rank))
-        return record
+    def __init__(self, env: Environment, config, names: NameTable):
+        super().__init__(env, config, names)
+        #: Created at a record's first transfer.
+        self._state: Dict[int, _RecordState] = defaultdict(_RecordState)
+        self._fd_refs: Dict[int, _FdRef] = {}
 
     def finalize(self) -> None:
         """Fill derived counters (common access sizes) before log writing."""
@@ -104,22 +89,14 @@ class PosixModule:
             self.records.writable(record_id).finalize_common_accesses()
 
     # -- counter updates ------------------------------------------------------
-    def _overhead(self, new_record: bool = False) -> Generator:
-        cost = self.config.instrumentation_overhead
-        if new_record:
-            cost += self.config.record_creation_overhead
-        if cost > 0:
-            yield self.env.timeout(cost)
-
-    def _track_open(self, path: str, fd: int, start: float, end: float,
-                    known_before: bool) -> Optional[CounterRecord]:
-        record = self._get_record(path)
+    def _track_open(self, record_id: int, fd: int, start: float,
+                    end: float) -> None:
+        record = self._get_record(record_id)
         if record is None:
-            return None
+            return
         record.values[_OPENS] += 1
         record.time_op(_OPEN_START, _OPEN_END, _META_TIME, start, end)
-        self._fd_refs[fd] = _FdRef(record_id=record.record_id, path=path)
-        return record
+        self._fd_refs[fd] = _FdRef(record_id=record_id)
 
     def _track_transfer(self, ref: _FdRef, is_write: bool, offset: int,
                         nbytes: int, start: float, end: float) -> None:
@@ -172,21 +149,14 @@ class PosixModule:
         record.fvalues[_META_TIME] += end - start
 
     # -- wrapper construction ----------------------------------------------------
-    def make_wrappers(self, real: Dict[str, Callable[..., Generator]]
-                      ) -> Dict[str, Callable[..., Generator]]:
-        """Build instrumented wrappers around the real ("libc") bindings.
-
-        Only symbols present in ``real`` are wrapped; the returned mapping
-        can be installed into the symbol table by the runtime attachment.
-        """
-        wrappers: Dict[str, Callable[..., Generator]] = {}
-
+    def _wrappers(self, real: Wrappers) -> Wrappers:
         def wrap_open(path, flags=0):
-            known = self.core.register_name(path) in self.records
+            record_id = self.names.register(path)
+            known = record_id in self.records
             start = self.env.now
             fd = yield from real["open"](path, flags)
             end = self.env.now
-            self._track_open(path, fd, start, end, known)
+            self._track_open(record_id, fd, start, end)
             yield from self._overhead(new_record=not known)
             return fd
 
@@ -272,11 +242,12 @@ class PosixModule:
             return result
 
         def wrap_stat(path):
-            known = self.core.register_name(path) in self.records
+            record_id = self.names.register(path)
+            known = record_id in self.records
             start = self.env.now
             result = yield from real["stat"](path)
             end = self.env.now
-            record = self._get_record(path)
+            record = self._get_record(record_id)
             self._track_meta(record, _STATS, start, end)
             yield from self._overhead(new_record=not known)
             return result
@@ -305,7 +276,7 @@ class PosixModule:
             yield from self._overhead()
             return result
 
-        available = {
+        return {
             "open": wrap_open,
             "close": wrap_close,
             "read": wrap_read,
@@ -317,16 +288,3 @@ class PosixModule:
             "fstat": wrap_fstat,
             "fsync": wrap_fsync,
         }
-        for name, wrapper in available.items():
-            if name in real:
-                wrappers[name] = wrapper
-        return wrappers
-
-    # -- summary helpers -----------------------------------------------------------
-    def total_counter(self, name: str) -> int:
-        """Sum of one counter across all records."""
-        return sum(rec.counters.get(name, 0) for rec in self.records.values())
-
-    def file_count(self) -> int:
-        """Number of file records currently tracked."""
-        return len(self.records)

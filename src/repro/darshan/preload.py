@@ -6,8 +6,10 @@ log when the process exits.  tf-Darshan deliberately does *not* work this
 way (Table I of the paper): it attaches at runtime via
 :mod:`repro.core.attach` instead.  This module provides the stock behaviour
 so the two usage modes can be compared and the claim "we do not alter
-Darshan's existing implementation" can be demonstrated — both modes use the
-exact same :class:`~repro.darshan.posix_module.PosixModule` wrappers.
+Darshan's existing implementation" can be demonstrated: both modes patch
+the wrapper mapping of
+:meth:`~repro.darshan.runtime.DarshanCore.make_wrappers`, here over every
+symbol the process resolves.
 """
 
 from __future__ import annotations
@@ -27,20 +29,24 @@ class PreloadedDarshan:
     def __init__(self, env: Environment, symbols: SymbolTable,
                  config: Optional[DarshanConfig] = None):
         self.core = DarshanCore(env, config)
-        self.posix_module = PosixModule(self.core)
-        self.stdio_module = StdioModule(self.core)
         self.symbols = symbols
         self._installed = False
+
+    @property
+    def posix_module(self) -> PosixModule:
+        return self.core.get_module("POSIX")
+
+    @property
+    def stdio_module(self) -> StdioModule:
+        return self.core.get_module("STDIO")
 
     def install(self) -> None:
         """Patch every known I/O symbol (what LD_PRELOAD does at load time)."""
         if self._installed:
             return
-        real_posix = {name: self.symbols.resolve(name)
-                      for name in self.symbols.symbols()}
-        for name, wrapper in self.posix_module.make_wrappers(real_posix).items():
-            self.symbols.patch(name, wrapper)
-        for name, wrapper in self.stdio_module.make_wrappers(real_posix).items():
+        real = {name: self.symbols.resolve(name)
+                for name in self.symbols.symbols()}
+        for name, wrapper in self.core.make_wrappers(real).items():
             self.symbols.patch(name, wrapper)
         self._installed = True
 

@@ -2,8 +2,9 @@
 
 A Darshan *record* accumulates counters for one file within one module.
 Records are keyed by the Darshan record id — a stable hash of the file path
-— and tied to the path through the shared *name record* table that the core
-runtime maintains (mirroring ``darshan-core``'s name record management).
+— and tied to the path through the core's :class:`NameTable` of *name
+records* (mirroring ``darshan-core``'s name record management), which the
+core hands to each module it builds.
 
 A :class:`CounterRecord` has Darshan's own layout: its integer counters are
 one ``array('q')`` and its float counters one ``array('d')``, 8 bytes per
@@ -39,6 +40,28 @@ class NameRecord:
 
     record_id: int
     name: str
+
+
+class NameTable(dict):
+    """The name records by record id, kept by the core for its modules.
+
+    A module registers each path it instruments; the log and the
+    extraction API resolve record ids back to paths.
+    """
+
+    __slots__ = ()
+
+    def register(self, path: str) -> int:
+        """Register a file path and return its Darshan record id."""
+        record_id = darshan_record_id(path)
+        if record_id not in self:
+            self[record_id] = NameRecord(record_id, path)
+        return record_id
+
+    def lookup(self, record_id: int) -> Optional[str]:
+        """The path of ``record_id`` (``None`` if unknown)."""
+        record = self.get(record_id)
+        return record.name if record else None
 
 
 class CounterView(Mapping):

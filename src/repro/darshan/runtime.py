@@ -1,36 +1,49 @@
 """The Darshan runtime core (``darshan-core``).
 
-The core owns job-level metadata, the shared name-record table mapping
-record ids back to file paths, and the registered instrumentation modules.
+:class:`DarshanCore` is the one place that builds Darshan.  It owns the
+job-level metadata, the :class:`~repro.darshan.records.NameTable` mapping
+record ids back to file paths, and its POSIX and STDIO instrumentation
+modules, which it constructs with the environment, the configuration and
+the name table they use, never with itself.
+:meth:`DarshanCore.make_wrappers` merges the modules' wrappers, so stock
+preloading (:mod:`repro.darshan.preload`) and tf-Darshan's runtime
+attachment (:mod:`repro.core.attach`) each patch one mapping and install
+the same wrappers by construction.  Ownership runs one way — nothing the
+core holds refers back to it — so a finished run's Darshan state is freed
+by reference counting.
+
 In the non-MPI Darshan 3.2.0-pre that the paper uses, the core is normally
 initialised by the library constructor and writes its log at process exit;
-here the same object can also be handed to tf-Darshan's runtime attachment,
-which additionally uses the extraction API in
+tf-Darshan's attachment additionally uses the extraction API in
 :mod:`repro.darshan.extraction` to read live records.
 """
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.sim import Environment
-from repro.darshan.records import NameRecord, darshan_record_id
+from repro.darshan.common import InstrumentationModule, Wrappers
+from repro.darshan.posix_module import MODULE_NAME as POSIX, PosixModule
+from repro.darshan.records import NameRecord, NameTable
+from repro.darshan.stdio_module import MODULE_NAME as STDIO, StdioModule
 
 #: Version string reported in log headers, matching the paper's base version.
 DARSHAN_VERSION = "3.2.0-pre-repro"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DarshanConfig:
-    """Tunable behaviour of the Darshan runtime.
+    """Tunable behaviour of the Darshan runtime (immutable, so one config
+    can be shared by many runtimes).
 
     The defaults aim at the paper's configuration: DXT enabled, enough module
     memory to track every file of the ImageNet epoch, and per-operation
     instrumentation overhead of the order of a microsecond (Darshan is
     explicitly a low-overhead tool; the expensive part of tf-Darshan is the
-    post-profiling analysis, modelled in :mod:`repro.core.costs`).
+    post-profiling analysis, modelled by
+    :class:`~repro.core.config.TfDarshanCosts`).
     """
 
     #: Record individual I/O segments (DXT modules).
@@ -50,7 +63,7 @@ class DarshanConfig:
 
 
 class DarshanCore:
-    """Shared state of the Darshan runtime inside one process."""
+    """Darshan inside one process: its metadata, names and modules."""
 
     def __init__(self, env: Environment, config: Optional[DarshanConfig] = None):
         self.env = env
@@ -58,42 +71,40 @@ class DarshanCore:
         self.enabled = True
         self.start_time = env.now
         self.end_time: Optional[float] = None
-        self._name_records: Dict[int, NameRecord] = {}
-        self._modules: Dict[str, object] = {}
+        names = self._names = NameTable()
+        # POSIX first: the log and the patch order list the modules in
+        # this order.
+        self._modules: Dict[str, InstrumentationModule] = {
+            POSIX: PosixModule(env, self.config, names),
+            STDIO: StdioModule(env, self.config, names),
+        }
         self.exe = "python train.py"
         self.metadata: Dict[str, str] = {"lib_ver": DARSHAN_VERSION}
 
-    # -- module registration --------------------------------------------------
-    def register_module(self, name: str, module: object) -> None:
-        """Register an instrumentation module under ``name``."""
-        if name in self._modules:
-            raise ValueError(f"module {name!r} already registered")
-        self._modules[name] = module
-
-    def get_module(self, name: str):
-        """Look up a registered module (None if absent)."""
+    # -- modules -----------------------------------------------------------------
+    def get_module(self, name: str) -> Optional[InstrumentationModule]:
+        """Look up a module by name (None if absent)."""
         return self._modules.get(name)
 
     @property
-    def modules(self) -> Dict[str, object]:
+    def modules(self) -> Dict[str, InstrumentationModule]:
         return dict(self._modules)
 
-    # -- name records --------------------------------------------------------------
-    def register_name(self, path: str) -> int:
-        """Register a file path and return its Darshan record id."""
-        record_id = darshan_record_id(path)
-        if record_id not in self._name_records:
-            self._name_records[record_id] = NameRecord(record_id, path)
-        return record_id
+    def make_wrappers(self, real: Wrappers) -> Wrappers:
+        """Every module's wrappers around the real bindings in ``real``."""
+        wrappers: Wrappers = {}
+        for module in self._modules.values():
+            wrappers.update(module.make_wrappers(real))
+        return wrappers
 
+    # -- name records --------------------------------------------------------------
     def lookup_name(self, record_id: int) -> Optional[str]:
         """Resolve a record id back to its path (``None`` if unknown)."""
-        rec = self._name_records.get(record_id)
-        return rec.name if rec else None
+        return self._names.lookup(record_id)
 
     @property
     def name_records(self) -> Dict[int, NameRecord]:
-        return dict(self._name_records)
+        return dict(self._names)
 
     # -- lifecycle --------------------------------------------------------------------
     def shutdown(self) -> None:
@@ -101,9 +112,7 @@ class DarshanCore:
         self.enabled = False
         self.end_time = self.env.now
         for module in self._modules.values():
-            finalize = getattr(module, "finalize", None)
-            if callable(finalize):
-                finalize()
+            module.finalize()
 
     def job_header(self) -> Dict[str, object]:
         """Header fields written into the Darshan log."""

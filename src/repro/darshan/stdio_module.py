@@ -10,12 +10,13 @@ ten per-step checkpoints of the AlexNet model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Optional
+from typing import Dict, Optional
 
+from repro.darshan.common import InstrumentationModule, Wrappers
 from repro.darshan.counters import STDIO_LAYOUT
-from repro.darshan.dxt import DxtRecord, DxtSegment
-from repro.darshan.records import CounterRecord, RecordTable
-from repro.darshan.runtime import DarshanCore
+from repro.darshan.dxt import DxtSegment
+from repro.darshan.records import NameTable
+from repro.sim import Environment
 
 MODULE_NAME = "STDIO"
 DXT_MODULE_NAME = "DXT_STDIO"
@@ -36,48 +37,17 @@ class _StreamRef:
     """Association between a FILE* stream and its Darshan record."""
 
     record_id: int
-    path: str
     position: int = 0
 
 
-class StdioModule:
+class StdioModule(InstrumentationModule):
     """Instruments STDIO symbols and accumulates per-file counter records."""
 
-    def __init__(self, core: DarshanCore):
-        self.core = core
-        self.env = core.env
-        self.config = core.config
-        self.records = RecordTable()
-        self.dxt_records = RecordTable()
+    layout = STDIO_LAYOUT
+
+    def __init__(self, env: Environment, config, names: NameTable):
+        super().__init__(env, config, names)
         self._stream_refs: Dict[int, _StreamRef] = {}
-        self.partial_flag = False
-        self.untracked_ops = 0
-        core.register_module(MODULE_NAME, self)
-
-    # -- record management ------------------------------------------------------
-    def _get_record(self, path: str) -> Optional[CounterRecord]:
-        record_id = self.core.register_name(path)
-        record = self.records.writable(record_id)
-        if record is None:
-            if len(self.records) >= self.config.max_records_per_module:
-                self.partial_flag = True
-                return None
-            record = CounterRecord(record_id, self.config.rank, STDIO_LAYOUT)
-            self.records.add(record_id, record)
-            if self.config.enable_dxt:
-                self.dxt_records.add(record_id,
-                                     DxtRecord(record_id, self.config.rank))
-        return record
-
-    def finalize(self) -> None:
-        """STDIO has no derived counters; present for interface symmetry."""
-
-    def _overhead(self, new_record: bool = False) -> Generator:
-        cost = self.config.instrumentation_overhead
-        if new_record:
-            cost += self.config.record_creation_overhead
-        if cost > 0:
-            yield self.env.timeout(cost)
 
     def _ref_for(self, stream: object) -> Optional[_StreamRef]:
         stream_id = getattr(stream, "stream_id", None)
@@ -109,23 +79,20 @@ class StdioModule:
         ref.position = offset + nbytes
 
     # -- wrapper construction ---------------------------------------------------------
-    def make_wrappers(self, real: Dict[str, Callable[..., Generator]]
-                      ) -> Dict[str, Callable[..., Generator]]:
-        """Build instrumented wrappers around the real STDIO bindings."""
-        wrappers: Dict[str, Callable[..., Generator]] = {}
-
+    def _wrappers(self, real: Wrappers) -> Wrappers:
         def wrap_fopen(path, mode="r"):
-            known = self.core.register_name(path) in self.records
+            record_id = self.names.register(path)
+            known = record_id in self.records
             start = self.env.now
             stream = yield from real["fopen"](path, mode)
             end = self.env.now
-            record = self._get_record(path)
+            record = self._get_record(record_id)
             if record is not None:
                 record.values[_OPENS] += 1
                 record.time_op(_OPEN_START, _OPEN_END, _META_TIME, start, end)
                 position = getattr(stream, "position", 0)
                 self._stream_refs[stream.stream_id] = _StreamRef(
-                    record_id=record.record_id, path=path, position=position)
+                    record_id=record_id, position=position)
             yield from self._overhead(new_record=not known)
             return stream
 
@@ -202,7 +169,7 @@ class StdioModule:
             yield from self._overhead()
             return result
 
-        available = {
+        return {
             "fopen": wrap_fopen,
             "fclose": wrap_fclose,
             "fread": wrap_fread,
@@ -211,16 +178,3 @@ class StdioModule:
             "ftell": wrap_ftell,
             "fflush": wrap_fflush,
         }
-        for name, wrapper in available.items():
-            if name in real:
-                wrappers[name] = wrapper
-        return wrappers
-
-    # -- summary helpers -----------------------------------------------------------------
-    def total_counter(self, name: str) -> int:
-        """Sum of one counter across all records."""
-        return sum(rec.counters.get(name, 0) for rec in self.records.values())
-
-    def file_count(self) -> int:
-        """Number of file records currently tracked."""
-        return len(self.records)

@@ -83,11 +83,3 @@ class FileDescriptorTable:
         ofd.closed = True
         del self._table[fd]
         return ofd
-
-    def open_count(self) -> int:
-        """Number of descriptors currently open."""
-        return len(self._table)
-
-    def open_descriptors(self):
-        """Snapshot of the open descriptors (for leak checks in tests)."""
-        return list(self._table.values())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import posixpath
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim import Environment
 from repro.storage import MountTable, PageCache, StorageBackend
@@ -61,10 +61,6 @@ class StatResult:
     st_atime: float
     st_ctime: float
     is_dir: bool = False
-
-    @property
-    def st_mode(self) -> int:
-        return 0o040755 if self.is_dir else 0o100644
 
 
 class VirtualFileSystem:
@@ -187,12 +183,6 @@ class VirtualFileSystem:
             if path == prefix or path.startswith(prefix_slash):
                 out.append(inode)
         return sorted(out, key=lambda i: i.path)
-
-    def iter_files(self) -> Iterator[Inode]:
-        """All regular files in the namespace."""
-        for inode in self._inodes.values():
-            if not inode.is_dir:
-                yield inode
 
     def total_bytes_under(self, prefix: str) -> int:
         """Total size of all files under a prefix."""

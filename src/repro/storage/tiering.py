@@ -103,9 +103,6 @@ class MountTable:
         """Remove a per-file placement override."""
         self._placement_overrides.pop(_normalize(path), None)
 
-    def placement_overrides(self) -> Dict[str, StorageBackend]:
-        return dict(self._placement_overrides)
-
 
 @dataclass
 class StagingResult:

@@ -7,6 +7,10 @@ read file operation consists of a loop that performs pread.  The function
 returns only upon pread returning zero").  Writable files (checkpoints) go
 through buffered ``fwrite``.  All calls are issued through the simulated
 process's symbol table, which is what makes them visible to Darshan.
+
+The filesystem and its writable files receive the simulated OS image (and
+the read chunk size) from the runtime that owns them, not the runtime
+itself, so nothing here points back at the runtime.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from repro.posix.simbytes import BytesLike, SimBytes
 class WritableFile:
     """TensorFlow's ``WritableFile``: buffered appends through STDIO."""
 
-    def __init__(self, runtime, path: str):
-        self.runtime = runtime
+    def __init__(self, os_image, path: str):
+        self.os = os_image
         self.path = path
         self._stream = None
         self.bytes_written = 0
@@ -28,30 +32,31 @@ class WritableFile:
 
     def open(self) -> Generator:
         """Open the underlying stream (``fopen(path, "wb")``)."""
-        self._stream = yield from self.runtime.os.call("fopen", self.path, "wb")
+        self._stream = yield from self.os.call("fopen", self.path, "wb")
         return self
 
     def append(self, data: BytesLike) -> Generator:
         """Append a block of data (one ``fwrite`` call)."""
         payload = SimBytes.coerce(data)
-        written = yield from self.runtime.os.call("fwrite", self._stream, payload)
+        written = yield from self.os.call("fwrite", self._stream, payload)
         self.bytes_written += written
         self.append_calls += 1
         return written
 
     def flush(self) -> Generator:
-        yield from self.runtime.os.call("fflush", self._stream)
+        yield from self.os.call("fflush", self._stream)
 
     def close(self) -> Generator:
-        yield from self.runtime.os.call("fclose", self._stream)
+        yield from self.os.call("fclose", self._stream)
         self._stream = None
 
 
 class PosixFileSystem:
     """The subset of TF's filesystem API the workloads exercise."""
 
-    def __init__(self, runtime):
-        self.runtime = runtime
+    def __init__(self, os_image, read_buffer_size: int):
+        self.os = os_image
+        self.read_buffer_size = read_buffer_size
 
     # -- reads ------------------------------------------------------------
     def read_file_to_string(self, path: str,
@@ -63,8 +68,8 @@ class PosixFileSystem:
         EOF and it is the source of the "50 % of reads are below 100 bytes"
         observation in the paper.
         """
-        chunk = buffer_size or self.runtime.read_buffer_size
-        os_image = self.runtime.os
+        chunk = buffer_size or self.read_buffer_size
+        os_image = self.os
         fd = yield from os_image.call("open", path)
         offset = 0
         while True:
@@ -78,6 +83,6 @@ class PosixFileSystem:
     # -- writes ------------------------------------------------------------
     def new_writable_file(self, path: str) -> Generator:
         """Create a :class:`WritableFile` (used by the checkpoint writer)."""
-        handle = WritableFile(self.runtime, path)
+        handle = WritableFile(self.os, path)
         yield from handle.open()
         return handle

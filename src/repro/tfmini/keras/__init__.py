@@ -9,7 +9,6 @@ from repro.tfmini.keras.callbacks import (
 )
 from repro.tfmini.keras.checkpoint import (
     CheckpointInfo,
-    CheckpointManager,
     CheckpointWriter,
 )
 from repro.tfmini.keras.models import (
@@ -25,7 +24,6 @@ __all__ = [
     "Callback",
     "CallbackList",
     "CheckpointInfo",
-    "CheckpointManager",
     "CheckpointWriter",
     "History",
     "MalwareCNN",

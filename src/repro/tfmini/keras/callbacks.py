@@ -106,12 +106,6 @@ class History(Callback):
             self.epochs.append(dict(logs))
         return None
 
-    @property
-    def final_loss(self) -> Optional[float]:
-        if self.epochs:
-            return self.epochs[-1].get("loss")
-        return None
-
 
 class ModelCheckpoint(Callback):
     """Write a checkpoint every ``save_freq`` steps (or every epoch)."""

@@ -10,8 +10,8 @@ calls scales with the model size the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from dataclasses import dataclass
+from typing import Generator, List
 
 from repro.posix.simbytes import SimBytes
 
@@ -83,32 +83,3 @@ class CheckpointWriter:
                                     bytes=bytes_written)
         return info
 
-
-class CheckpointManager:
-    """Keeps the most recent ``max_to_keep`` checkpoints, like TF's manager."""
-
-    def __init__(self, runtime, directory: str, max_to_keep: Optional[int] = 5):
-        self.runtime = runtime
-        self.directory = directory.rstrip("/")
-        self.max_to_keep = max_to_keep
-        self.writer = CheckpointWriter(runtime)
-        self._saved: List[CheckpointInfo] = []
-        self._counter = 0
-
-    @property
-    def checkpoints(self) -> List[str]:
-        return [info.path for info in self._saved]
-
-    def save(self, model) -> Generator:
-        """Write the next numbered checkpoint and prune old ones."""
-        self._counter += 1
-        path = f"{self.directory}/ckpt-{self._counter}"
-        info = yield from self.writer.save(model, path)
-        self._saved.append(info)
-        while (self.max_to_keep is not None
-               and len(self._saved) > self.max_to_keep):
-            old = self._saved.pop(0)
-            for victim in (old.data_file, old.index_file):
-                if self.runtime.os.vfs.exists(victim):
-                    yield from self.runtime.os.call("unlink", victim)
-        return info

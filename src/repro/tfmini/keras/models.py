@@ -68,7 +68,6 @@ class Model:
         self.variables: List[Variable] = list(variables)
         self.config = config or TrainingConfig()
         self.compiled = False
-        self.history: Optional["History"] = None
 
     # -- introspection -------------------------------------------------------
     def parameter_count(self) -> int:
@@ -136,7 +135,6 @@ class Model:
         callback_list = CallbackList(callbacks, model=self, runtime=runtime)
         history = History()
         callback_list.append(history)
-        self.history = history
 
         yield from callback_list.on_train_begin()
         iterator: DatasetIterator = dataset.make_iterator(runtime)

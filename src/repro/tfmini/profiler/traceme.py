@@ -58,9 +58,6 @@ class TraceMeRecorder:
         events, self._events = self._events, []
         return events
 
-    def pending_events(self) -> int:
-        return len(self._events)
-
     # -- recording --------------------------------------------------------------
     def record(self, name: str, start: float, end: float, thread: str = "host",
                **metadata: Any) -> None:

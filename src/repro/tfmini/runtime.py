@@ -62,15 +62,9 @@ class TFRuntime:
         self.step_stats: List[StepStats] = []
         # Imported lazily to avoid a cycle at module import time.
         from repro.tfmini.filesystem import PosixFileSystem
-        self.filesystem = PosixFileSystem(self)
+        self.filesystem = PosixFileSystem(os_image, self.read_buffer_size)
 
     # -- profiling helpers -------------------------------------------------
-    @property
-    def profiling_active(self) -> bool:
-        """``True`` while a profiler session is running."""
-        return (self.active_profiler_session is not None
-                and self.active_profiler_session.active)
-
     def record_step(self, stats: StepStats) -> None:
         """Called by the training loop after every step."""
         self.step_stats.append(stats)

@@ -57,9 +57,6 @@ class SyntheticDataset:
     def bytes_below(self, threshold: int) -> int:
         return int(sum(s for s in self.sizes if s < threshold))
 
-    def size_of(self, path: str) -> int:
-        return self.sizes[self.paths.index(path)]
-
     def summary_row(self) -> List[str]:
         """The Table II style row for this dataset."""
         return [

@@ -48,12 +48,6 @@ class Platform:
     def devices(self):
         return self.os.devices()
 
-    def device_named(self, name: str):
-        for device in self.devices():
-            if device.name == name:
-                return device
-        raise KeyError(name)
-
 
 def greendog(env: Optional[Environment] = None,
              cpu_cores: int = 8,

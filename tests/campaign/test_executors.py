@@ -3,7 +3,6 @@
 import pytest
 
 from repro.campaign import (
-    AsyncExecutor,
     CampaignResult,
     MultiprocessingExecutor,
     SerialExecutor,
@@ -39,43 +38,6 @@ def _double(x):
 def test_multiprocessing_single_item_runs_inline():
     executor = MultiprocessingExecutor(processes=4)
     assert executor.map(_double, [21]) == [42]
-
-
-def test_async_executor_preserves_order():
-    executor = AsyncExecutor(max_workers=4)
-    items = list(range(50))
-    assert executor.map(_double, items) == [2 * i for i in items]
-    assert executor.map(_double, []) == []
-    assert executor.map(_double, [21]) == [42]
-    assert executor.name == "async"
-
-
-def test_async_executor_runs_threads_in_one_process():
-    import os
-    import threading
-    import time
-
-    def probe(_x):
-        time.sleep(0.01)  # hold the thread so the pool must fan out
-        return os.getpid(), threading.get_ident()
-
-    seen = AsyncExecutor(max_workers=4).map(probe, range(16))
-    assert {pid for pid, _tid in seen} == {os.getpid()}  # no pickling/forking
-    assert len({tid for _pid, tid in seen}) > 1  # genuinely overlapped
-
-
-def test_async_executor_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        AsyncExecutor(max_workers=0)
-
-
-def test_identical_aggregates_under_serial_and_async():
-    spec = _spec()
-    serial = run_campaign(spec, executor=SerialExecutor())
-    threaded = run_campaign(spec, executor=AsyncExecutor(max_workers=4))
-    assert serial.ok and threaded.ok
-    assert serial.aggregate_fingerprint() == threaded.aggregate_fingerprint()
-    assert threaded.executor == "async"
 
 
 def test_identical_aggregates_under_serial_and_parallel():

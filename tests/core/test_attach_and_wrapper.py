@@ -64,18 +64,18 @@ def test_attach_leaves_a_shared_darshan_config_alone(runtime, os_image, env):
     paths = make_files(os_image, 2, 10_000)
 
     def proc():
-        traced = get_attachment(
-            runtime, TfDarshanOptions(enable_dxt=True, darshan=shared))
+        traced = get_attachment(runtime, TfDarshanOptions(darshan=shared))
         yield from traced.attach()
         yield from io_ops.read_file(runtime, paths[0])
         yield from get_attachment(
-            other, TfDarshanOptions(enable_dxt=False, darshan=shared)).attach()
+            other, TfDarshanOptions(darshan=shared)).attach()
         yield from io_ops.read_file(runtime, paths[1])
         return traced
 
     traced = run(env, proc())
     assert set(traced.posix_module.dxt_records) == \
         {darshan_record_id(path) for path in paths}
+    assert traced.core.config is shared
     assert shared == DarshanConfig()
 
 

@@ -10,9 +10,11 @@ from repro.core import (
     ThreadingAdvisor,
     build_plugin_data,
     enable,
+    get_attachment,
     last_profile,
     zero_length_read_files,
 )
+from repro.darshan import DarshanConfig
 from repro.tfmini import Dataset, io_ops
 from repro.tfmini.keras import Model, TensorBoard, Variable
 from repro.tfmini.profiler import read_trace_json
@@ -173,7 +175,7 @@ def test_darshan_plane_added_to_xspace(runtime, os_image, tmp_path):
 
 def test_dxt_disabled_skips_trace_plane(runtime, os_image):
     paths = make_files(os_image, 4, 10_000)
-    enable(runtime, TfDarshanOptions(enable_dxt=False))
+    enable(runtime, TfDarshanOptions(darshan=DarshanConfig(enable_dxt=False)))
     session = TfDarshanSession(runtime)
 
     def proc():
@@ -184,7 +186,8 @@ def test_dxt_disabled_skips_trace_plane(runtime, os_image):
 
     run(runtime.env, proc())
     assert runtime.last_profile.xspace.find_plane(DARSHAN_PLANE_NAME) is None
-    # Counters still work without DXT.
+    # No DXT segment was recorded, and the counters still work.
+    assert not get_attachment(runtime).posix_module.dxt_records
     assert last_profile(runtime).posix_opens == 4
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.tfmini import Dataset, io_ops
 from repro.tfmini.keras import (
     AlexNet,
-    CheckpointManager,
+    CheckpointWriter,
     MalwareCNN,
     Model,
     ModelCheckpoint,
@@ -111,8 +111,8 @@ def test_fit_uses_gpu_kernels(runtime, os_image):
 
 def test_checkpoint_writer_goes_through_fwrite(runtime, os_image):
     model = AlexNet()
-    manager = CheckpointManager(runtime, "/data/ckpts", max_to_keep=None)
-    info = run(runtime.env, manager.save(model))
+    writer = CheckpointWriter(runtime)
+    info = run(runtime.env, writer.save(model, "/data/ckpts/ckpt-1"))
     # The data file holds all variables plus headers.
     assert info.bytes_written > model.variables_nbytes()
     assert info.fwrite_calls > 100
@@ -123,32 +123,17 @@ def test_checkpoint_writer_goes_through_fwrite(runtime, os_image):
 def test_alexnet_ten_checkpoints_make_about_1400_fwrites(runtime, os_image):
     """Fig. 6: ten per-step checkpoints of AlexNet produce ~1 400 fwrites."""
     model = AlexNet()
-    manager = CheckpointManager(runtime, "/data/ckpts", max_to_keep=None)
+    writer = CheckpointWriter(runtime)
 
     def proc():
         total = 0
-        for _ in range(10):
-            info = yield from manager.save(model)
+        for step in range(1, 11):
+            info = yield from writer.save(model, f"/data/ckpts/ckpt-{step}")
             total += info.fwrite_calls
         return total
 
     total_fwrites = run(runtime.env, proc())
     assert 1200 <= total_fwrites <= 1600
-
-
-def test_checkpoint_manager_prunes_old_checkpoints(runtime, os_image):
-    model = tiny_model()
-    manager = CheckpointManager(runtime, "/data/ckpts", max_to_keep=2)
-
-    def proc():
-        for _ in range(4):
-            yield from manager.save(model)
-
-    run(runtime.env, proc())
-    assert len(manager.checkpoints) == 2
-    remaining = [i.path for i in os_image.vfs.files_under("/data/ckpts")]
-    assert not any("ckpt-1." in path for path in remaining)
-    assert any("ckpt-4." in path for path in remaining)
 
 
 def test_model_checkpoint_callback_saves_every_n_steps(runtime, os_image):
