@@ -68,8 +68,8 @@ def test_fig8_timeline_structure(benchmark):
             yield from session.stop()
 
         env.run(until=env.process(proc()))
-        delta = runtime.last_io_delta
-        attachment = runtime._tf_darshan_attachment
+        delta = runtime.tf_darshan.delta
+        attachment = runtime.tf_darshan.attachment
         files_with_zero = zero_length_read_files(delta, attachment.core.lookup_name)
         timelines = {}
         for record_id, segments in delta.dxt_posix.items():

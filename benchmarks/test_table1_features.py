@@ -73,7 +73,7 @@ def _exercise(tmp_path):
     results["tfdarshan_exports"] = list(
         (tmp_path / "tb").glob("*")) if (tmp_path / "tb").exists() else []
     results["tfdarshan_modules"] = sorted(
-        runtime._tf_darshan_attachment.core.modules)
+        runtime.tf_darshan.attachment.core.modules)
     return results
 
 

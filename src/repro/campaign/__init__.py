@@ -16,8 +16,8 @@ such a grid into a first-class object:
 >>> xs, ys = result.series("threads", "posix_bandwidth")
 
 Jobs carry content-derived identities and seeds, execute through pluggable
-executors (serial, thread-pool ``async``, ``multiprocessing``, or a
-distributed worker fleet — see :mod:`repro.campaign.dist`), results are
+executors (serial, ``multiprocessing``, or a distributed worker fleet —
+see :mod:`repro.campaign.dist`), results are
 content-hash cached — in a directory or behind the HTTP broker, via the
 same pluggable transports as the work queue
 (:func:`~repro.campaign.cache.open_cache`) — so re-running an unchanged

@@ -1,10 +1,11 @@
 """Span recording with Chrome-trace/Perfetto-compatible output.
 
 Fleet spans share the event-shape conventions of
-:class:`repro.tfmini.profiler.traceme.TraceMeEvent` — ``name``, ``start``,
-``end``, ``thread``, ``metadata``, with a derived ``duration`` — so fleet
-traces (queue-wait → run → store per job) and the simulated workload's
-profiler traces can be read by the same tooling and viewed side by side.
+:class:`repro.tfmini.profiler.xplane.XEvent` — ``name``, ``start``,
+``duration`` and ``metadata``, on the timeline of one ``thread`` (an
+``XLine``) — so fleet traces (queue-wait → run → store per job) and the
+simulated workload's profiler traces can be read by the same tooling and
+viewed side by side.
 
 Two output formats, both Chrome trace event format (the JSON the
 ``chrome://tracing`` viewer and https://ui.perfetto.dev load natively):
@@ -40,7 +41,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
 @dataclass(frozen=True)
 class Span:
-    """One completed activity span (TraceMeEvent field conventions)."""
+    """One completed activity span (XEvent field conventions)."""
 
     name: str
     start: float

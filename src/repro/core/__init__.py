@@ -7,14 +7,14 @@ Profile-plugin extension and the optimization advisors used in the case
 studies.
 """
 
-from repro.core.analysis import AccessPattern, FileIOStats, InSituAnalyzer, IOProfile
+from repro.core.analysis import AccessPattern, IOProfile
 from repro.core.advisor import (
     StagingAdvisor,
     StagingRecommendation,
     ThreadingAdvisor,
     ThreadingRecommendation,
 )
-from repro.core.attach import RuntimeAttachment, get_attachment
+from repro.core.attach import RuntimeAttachment
 from repro.core.config import TfDarshanCosts, TfDarshanOptions
 from repro.core.events import (
     DARSHAN_PLANE_NAME,
@@ -28,11 +28,10 @@ from repro.core.session import (
     TfDarshanSession,
     WindowResult,
     enable,
-    is_enabled,
     last_profile,
 )
 from repro.core.tensorboard import ProfilePluginData, build_plugin_data, render_histogram
-from repro.core.tracer import DarshanTracer, register_tf_darshan
+from repro.core.tracer import DarshanTracer
 from repro.core.wrapper import (
     DarshanMiddleman,
     RecordDelta,
@@ -46,9 +45,7 @@ __all__ = [
     "DARSHAN_STDIO_PLANE_NAME",
     "DarshanMiddleman",
     "DarshanTracer",
-    "FileIOStats",
     "IOProfile",
-    "InSituAnalyzer",
     "ProfilePluginData",
     "RecordDelta",
     "RuntimeAttachment",
@@ -66,11 +63,8 @@ __all__ = [
     "build_posix_plane",
     "build_stdio_plane",
     "enable",
-    "get_attachment",
-    "is_enabled",
     "last_profile",
     "reads_overlapping",
-    "register_tf_darshan",
     "render_histogram",
     "zero_length_read_files",
 ]

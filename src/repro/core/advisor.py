@@ -11,8 +11,8 @@ the discussion section points to as future work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.analysis import IOProfile
 

@@ -10,32 +10,11 @@ Analysis page (Fig. 7a, Fig. 9).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator
 
 from repro.darshan.counters import SIZE_BUCKET_LABELS, size_bucket
-from repro.core.config import TfDarshanCosts
+from repro.core.config import COSTS
 from repro.core.wrapper import RecordDelta, SnapshotDelta
-
-
-@dataclass
-class FileIOStats:
-    """Per-file statistics over the profiling window."""
-
-    path: str
-    record_id: int
-    opens: int = 0
-    reads: int = 0
-    writes: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    seq_reads: int = 0
-    consec_reads: int = 0
-    zero_reads: int = 0
-    read_time: float = 0.0
-    write_time: float = 0.0
-    meta_time: float = 0.0
-    #: Highest byte touched plus one — a size estimate for staging decisions.
-    observed_size: int = 0
 
 
 @dataclass
@@ -88,7 +67,10 @@ class IOProfile:
     stdio_writes: int = 0
     stdio_bytes_read: int = 0
     stdio_bytes_written: int = 0
-    files: List[FileIOStats] = field(default_factory=list)
+    #: Observed size of each file with activity in the window (highest
+    #: byte touched plus one), by path; the window's per-file counters are
+    #: in its :class:`~repro.core.wrapper.SnapshotDelta`.
+    files: Dict[str, int] = field(default_factory=dict)
 
     # -- derived quantities ---------------------------------------------------
     @property
@@ -118,7 +100,7 @@ class IOProfile:
 
     def file_sizes(self) -> Dict[str, int]:
         """Observed per-file sizes (used by the staging advisor)."""
-        return {f.path: f.observed_size for f in self.files}
+        return dict(self.files)
 
     def summary(self) -> str:
         """The text the tf-Darshan TensorBoard panel shows."""
@@ -151,93 +133,66 @@ class IOProfile:
         return "\n".join(lines)
 
 
-class InSituAnalyzer:
-    """Turns a :class:`SnapshotDelta` into an :class:`IOProfile`."""
+def analyze(env, delta: SnapshotDelta) -> Generator:
+    """Turn a :class:`SnapshotDelta` into an :class:`IOProfile`.
 
-    def __init__(self, env, costs: Optional[TfDarshanCosts] = None):
-        self.env = env
-        self.costs = costs or TfDarshanCosts()
+    The simulated cost scales with the records and DXT segments analysed.
+    """
+    profile = IOProfile(window_start=delta.window_start,
+                        window_end=delta.window_end)
+    for record in delta.posix:
+        _accumulate_posix(profile, record)
+    for record in delta.stdio:
+        profile.stdio_opens += record.get("STDIO_OPENS")
+        profile.stdio_reads += record.get("STDIO_READS")
+        profile.stdio_writes += record.get("STDIO_WRITES")
+        profile.stdio_bytes_read += record.get("STDIO_BYTES_READ")
+        profile.stdio_bytes_written += record.get("STDIO_BYTES_WRITTEN")
+    cost = (COSTS.analysis_per_record * (len(delta.posix) + len(delta.stdio))
+            + COSTS.analysis_per_segment * delta.segment_count)
+    if cost > 0:
+        yield env.timeout(cost)
+    return profile
 
-    def analyze(self, delta: SnapshotDelta) -> Generator:
-        """Analyse the delta; cost scales with records and DXT segments."""
-        profile = self._build_profile(delta)
-        cost = (self.costs.analysis_per_record * (len(delta.posix) + len(delta.stdio))
-                + self.costs.analysis_per_segment * delta.segment_count)
-        if cost > 0:
-            yield self.env.timeout(cost)
-        return profile
 
-    # -- pure computation (reused by tests without charging time) --------------
-    def _build_profile(self, delta: SnapshotDelta) -> IOProfile:
-        profile = IOProfile(window_start=delta.window_start,
-                            window_end=delta.window_end)
-        for record in delta.posix:
-            self._accumulate_posix(profile, record)
-        for record in delta.stdio:
-            profile.stdio_opens += record.get("STDIO_OPENS")
-            profile.stdio_reads += record.get("STDIO_READS")
-            profile.stdio_writes += record.get("STDIO_WRITES")
-            profile.stdio_bytes_read += record.get("STDIO_BYTES_READ")
-            profile.stdio_bytes_written += record.get("STDIO_BYTES_WRITTEN")
-        return profile
+def _accumulate_posix(profile: IOProfile, record: RecordDelta) -> None:
+    reads = record.get("POSIX_READS")
+    writes = record.get("POSIX_WRITES")
+    opens = record.get("POSIX_OPENS")
+    if not (reads or writes or opens or record.get("POSIX_STATS")):
+        return
+    profile.posix_opens += opens
+    profile.posix_reads += reads
+    profile.posix_writes += writes
+    profile.posix_seeks += record.get("POSIX_SEEKS")
+    profile.posix_stats += record.get("POSIX_STATS")
+    profile.posix_bytes_read += record.get("POSIX_BYTES_READ")
+    profile.posix_bytes_written += record.get("POSIX_BYTES_WRITTEN")
+    profile.zero_byte_reads += max(0, record.get("POSIX_SIZE_READ_0_100"))
+    fcounters = record.fcounters
+    profile.read_time += fcounters.get("POSIX_F_READ_TIME", 0.0)
+    profile.write_time += fcounters.get("POSIX_F_WRITE_TIME", 0.0)
+    profile.meta_time += fcounters.get("POSIX_F_META_TIME", 0.0)
 
-    def _accumulate_posix(self, profile: IOProfile, record: RecordDelta) -> None:
-        reads = record.get("POSIX_READS")
-        writes = record.get("POSIX_WRITES")
-        opens = record.get("POSIX_OPENS")
-        if not (reads or writes or opens or record.get("POSIX_STATS")):
-            return
-        profile.posix_opens += opens
-        profile.posix_reads += reads
-        profile.posix_writes += writes
-        profile.posix_seeks += record.get("POSIX_SEEKS")
-        profile.posix_stats += record.get("POSIX_STATS")
-        profile.posix_bytes_read += record.get("POSIX_BYTES_READ")
-        profile.posix_bytes_written += record.get("POSIX_BYTES_WRITTEN")
-        profile.zero_byte_reads += max(0, record.get("POSIX_SIZE_READ_0_100"))
-        fcounters = record.fcounters
-        read_time = fcounters.get("POSIX_F_READ_TIME", 0.0)
-        write_time = fcounters.get("POSIX_F_WRITE_TIME", 0.0)
-        meta_time = fcounters.get("POSIX_F_META_TIME", 0.0)
-        profile.read_time += read_time
-        profile.write_time += write_time
-        profile.meta_time += meta_time
+    for label in SIZE_BUCKET_LABELS:
+        read_count = record.get(f"POSIX_SIZE_READ_{label}")
+        if read_count:
+            profile.read_size_histogram[label] = (
+                profile.read_size_histogram.get(label, 0) + read_count)
+        write_count = record.get(f"POSIX_SIZE_WRITE_{label}")
+        if write_count:
+            profile.write_size_histogram[label] = (
+                profile.write_size_histogram.get(label, 0) + write_count)
 
-        for label in SIZE_BUCKET_LABELS:
-            read_count = record.get(f"POSIX_SIZE_READ_{label}")
-            if read_count:
-                profile.read_size_histogram[label] = (
-                    profile.read_size_histogram.get(label, 0) + read_count)
-            write_count = record.get(f"POSIX_SIZE_WRITE_{label}")
-            if write_count:
-                profile.write_size_histogram[label] = (
-                    profile.write_size_histogram.get(label, 0) + write_count)
+    profile.access_pattern.total_reads += reads
+    profile.access_pattern.sequential += record.get("POSIX_SEQ_READS")
+    profile.access_pattern.consecutive += record.get("POSIX_CONSEC_READS")
 
-        profile.access_pattern.total_reads += reads
-        profile.access_pattern.sequential += record.get("POSIX_SEQ_READS")
-        profile.access_pattern.consecutive += record.get("POSIX_CONSEC_READS")
-
-        end_counters = record.end_counters
-        observed_size = max(
-            end_counters.get("POSIX_MAX_BYTE_READ", 0),
-            end_counters.get("POSIX_MAX_BYTE_WRITTEN", 0)) + 1
-        size_label = size_bucket(max(0, observed_size))
-        profile.file_size_histogram[size_label] = (
-            profile.file_size_histogram.get(size_label, 0) + 1)
-
-        profile.files.append(FileIOStats(
-            path=record.path or f"record-{record.record_id:#x}",
-            record_id=record.record_id,
-            opens=opens,
-            reads=reads,
-            writes=writes,
-            bytes_read=record.get("POSIX_BYTES_READ"),
-            bytes_written=record.get("POSIX_BYTES_WRITTEN"),
-            seq_reads=record.get("POSIX_SEQ_READS"),
-            consec_reads=record.get("POSIX_CONSEC_READS"),
-            zero_reads=record.get("POSIX_SIZE_READ_0_100"),
-            read_time=read_time,
-            write_time=write_time,
-            meta_time=meta_time,
-            observed_size=observed_size,
-        ))
+    end_counters = record.end_counters
+    observed_size = max(
+        end_counters.get("POSIX_MAX_BYTE_READ", 0),
+        end_counters.get("POSIX_MAX_BYTE_WRITTEN", 0)) + 1
+    size_label = size_bucket(max(0, observed_size))
+    profile.file_size_histogram[size_label] = (
+        profile.file_size_histogram.get(size_label, 0) + 1)
+    profile.files[record.path or f"record-{record.record_id:#x}"] = observed_size

@@ -26,7 +26,7 @@ from typing import Dict, Generator, List, Optional
 from repro.darshan.posix_module import PosixModule
 from repro.darshan.runtime import DarshanCore
 from repro.darshan.stdio_module import StdioModule
-from repro.core.config import TfDarshanOptions
+from repro.core.config import COSTS, TfDarshanOptions
 from repro.posix.dispatch import SymbolTable
 from repro.sim import Environment
 
@@ -75,7 +75,7 @@ class RuntimeAttachment:
             self.symbols.patch(name, wrapper)
             self.patched_symbols.append(name)
 
-        yield self.env.timeout(self.options.costs.attach)
+        yield self.env.timeout(COSTS.attach)
         self.attached = True
         return self
 
@@ -86,16 +86,7 @@ class RuntimeAttachment:
         for name in self.patched_symbols:
             self.symbols.restore(name)
         self.patched_symbols = []
-        yield self.env.timeout(self.options.costs.detach)
+        yield self.env.timeout(COSTS.detach)
         self.attached = False
         return self
 
-
-def get_attachment(runtime, options: Optional[TfDarshanOptions] = None
-                   ) -> RuntimeAttachment:
-    """The per-process attachment singleton (one Darshan per process)."""
-    existing = getattr(runtime, "_tf_darshan_attachment", None)
-    if existing is None:
-        existing = RuntimeAttachment(runtime.env, runtime.os.symbols, options)
-        runtime._tf_darshan_attachment = existing
-    return existing

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.darshan.runtime import DarshanConfig
 from repro.posix.dispatch import IO_SYMBOLS
 
 
-@dataclass
+@dataclass(frozen=True)
 class TfDarshanCosts:
     """Simulated cost model of tf-Darshan's own work.
 
@@ -44,6 +44,10 @@ class TfDarshanCosts:
     per_session: float = 40e-3
 
 
+#: The one calibration tf-Darshan's own work charges.
+COSTS = TfDarshanCosts()
+
+
 @dataclass
 class TfDarshanOptions:
     """User-facing options of the tf-Darshan tracer."""
@@ -54,8 +58,6 @@ class TfDarshanOptions:
     #: ``enable_dxt`` also switches the TraceViewer timelines built from
     #: the DXT segments.
     darshan: DarshanConfig = field(default_factory=DarshanConfig)
-    #: Cost model (exposed for the ablation benchmarks).
-    costs: TfDarshanCosts = field(default_factory=TfDarshanCosts)
     #: Force full/lite export regardless of whether a logdir is set
     #: (None = decide from the profiler session's logdir).
     export_mode: Optional[str] = None

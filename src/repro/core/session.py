@@ -1,9 +1,12 @@
 """High-level tf-Darshan session API.
 
-``enable(runtime)`` is all a user needs: it registers the DarshanTracer with
-the runtime's profiler registry so every subsequent profiling session —
-Keras TensorBoard callback, manual ``profiler_start``/``profiler_stop`` or
-the interactive server — transparently includes fine-grained I/O profiling.
+``enable(runtime)`` is all a user needs: it builds the process's one
+tf-Darshan state, the :class:`~repro.core.wrapper.DarshanMiddleman` holding
+the runtime attachment, keeps it as ``runtime.tf_darshan`` and registers
+the DarshanTracer with the runtime's profiler registry, so every subsequent
+profiling session — Keras TensorBoard callback, manual
+``profiler_start``/``profiler_stop`` or the interactive server —
+transparently includes fine-grained I/O profiling.
 :class:`TfDarshanSession` additionally offers the manual start/stop pattern
 used by the STREAM validation experiment (profile a window, read the
 bandwidth, repeat).
@@ -11,38 +14,40 @@ bandwidth, repeat).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, List, Optional
 
-from repro.tfmini.profiler.session import (
-    ProfilerOptions,
-    profiler_start,
-    profiler_stop,
-)
+from repro.tfmini.profiler.session import profiler_start, profiler_stop
 from repro.core.analysis import IOProfile
+from repro.core.attach import RuntimeAttachment
 from repro.core.config import TfDarshanOptions
 from repro.core.tensorboard import ProfilePluginData, build_plugin_data
-from repro.core.tracer import register_tf_darshan
+from repro.core.tracer import DarshanTracer
+from repro.core.wrapper import DarshanMiddleman
 
 
-def enable(runtime, options: Optional[TfDarshanOptions] = None):
-    """Enable tf-Darshan on a runtime (idempotent); returns the options used."""
-    if getattr(runtime, "_tf_darshan_enabled", False):
-        return runtime._tf_darshan_options
-    opts = options or TfDarshanOptions()
-    register_tf_darshan(runtime, opts)
-    runtime._tf_darshan_enabled = True
-    return opts
+def enable(runtime, options: Optional[TfDarshanOptions] = None
+           ) -> DarshanMiddleman:
+    """Enable tf-Darshan on a runtime; returns the process's middleman.
 
-
-def is_enabled(runtime) -> bool:
-    """``True`` once :func:`enable` has been called on the runtime."""
-    return bool(getattr(runtime, "_tf_darshan_enabled", False))
+    The first call builds the attachment from ``options`` (it attaches at
+    the first profiling session) and registers the tracer factory.  Later
+    calls return the same middleman and ignore ``options``: one Darshan
+    per process.
+    """
+    if runtime.tf_darshan is None:
+        middleman = DarshanMiddleman(
+            RuntimeAttachment(runtime.env, runtime.os.symbols, options))
+        runtime.profiler_registry.register(
+            lambda _runtime, logdir: DarshanTracer(middleman, logdir))
+        runtime.tf_darshan = middleman
+    return runtime.tf_darshan
 
 
 def last_profile(runtime) -> Optional[IOProfile]:
     """The I/O profile collected by the most recent profiling session."""
-    return getattr(runtime, "last_io_profile", None)
+    state = runtime.tf_darshan
+    return state.profile if state is not None else None
 
 
 @dataclass
@@ -67,21 +72,16 @@ class TfDarshanSession:
     """Manual profiling sessions on a tf-Darshan-enabled runtime."""
 
     def __init__(self, runtime, options: Optional[TfDarshanOptions] = None,
-                 logdir: Optional[str] = None,
-                 profiler_options: Optional[ProfilerOptions] = None):
+                 logdir: Optional[str] = None):
         self.runtime = runtime
-        self.options = enable(runtime, options)
+        self.middleman = enable(runtime, options)
         self.logdir = logdir
-        self.profiler_options = profiler_options
         self.windows: List[WindowResult] = []
-        self._window_start: Optional[float] = None
 
     # -- manual start / stop ----------------------------------------------------
     def start(self) -> Generator:
         """Start a profiling window (``tf.profiler.experimental.start``)."""
-        yield from profiler_start(self.runtime, logdir=self.logdir,
-                                  options=self.profiler_options)
-        self._window_start = self.runtime.env.now
+        yield from profiler_start(self.runtime, logdir=self.logdir)
 
     def stop(self) -> Generator:
         """Stop the window; returns the :class:`WindowResult`."""
@@ -90,10 +90,9 @@ class TfDarshanSession:
             index=len(self.windows),
             start=result.start_time,
             end=result.end_time,
-            io_profile=last_profile(self.runtime),
+            io_profile=self.middleman.profile,
         )
         self.windows.append(window)
-        self._window_start = None
         return window
 
     # -- reporting ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os as host_os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.darshan.counters import SIZE_BUCKET_LABELS

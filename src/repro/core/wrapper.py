@@ -33,7 +33,7 @@ from repro.darshan.extraction import (  # noqa: F401
 from repro.darshan.counters import CounterLayout
 from repro.darshan.records import CounterRecord, CounterView
 from repro.core.attach import RuntimeAttachment
-from repro.core.config import TfDarshanCosts
+from repro.core.config import COSTS
 
 
 @dataclass
@@ -121,12 +121,20 @@ class SnapshotDelta:
 
 
 class DarshanMiddleman:
-    """Takes snapshots of the live Darshan buffers and diffs them."""
+    """tf-Darshan's per-process wrapper: the attachment and the profile data.
 
-    def __init__(self, attachment: RuntimeAttachment, costs: Optional[TfDarshanCosts] = None):
+    It snapshots the live Darshan buffers, diffs two snapshots and keeps the
+    last profiled window's delta and in-situ profile.  ``enable(runtime)``
+    builds the one middleman of a process.
+    """
+
+    def __init__(self, attachment: RuntimeAttachment):
         self.attachment = attachment
         self.env = attachment.env
-        self.costs = costs or attachment.options.costs
+        #: The last profiled window's delta and its
+        #: :class:`~repro.core.analysis.IOProfile` (None before the first).
+        self.delta: Optional[SnapshotDelta] = None
+        self.profile = None
 
     # -- snapshots ------------------------------------------------------------
     def take_snapshot(self) -> Generator:
@@ -139,7 +147,7 @@ class DarshanMiddleman:
             if self.attachment.options.darshan.enable_dxt:
                 snapshot.dxt_posix = snapshot_records(core, "POSIX", dxt=True)
                 snapshot.dxt_stdio = snapshot_records(core, "STDIO", dxt=True)
-        cost = self.costs.snapshot_per_record * snapshot.record_count
+        cost = COSTS.snapshot_per_record * snapshot.record_count
         if cost > 0:
             yield self.env.timeout(cost)
         return snapshot

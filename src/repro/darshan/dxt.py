@@ -8,8 +8,8 @@ timelines (one line per file, Fig. 8 and Fig. 10 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ while the application keeps running.  :func:`get_module_records` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.darshan.dxt import DxtRecord

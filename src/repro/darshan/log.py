@@ -17,9 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.darshan.counters import SIZE_BUCKET_LABELS, read_size_histogram
+from repro.darshan.counters import read_size_histogram
 from repro.darshan.dxt import DxtRecord
 from repro.darshan.records import CounterRecord
 from repro.darshan.runtime import DarshanCore

@@ -40,7 +40,6 @@ from repro.darshan.records import CounterRecord, NameTable
 from repro.sim import Environment
 
 MODULE_NAME = "POSIX"
-DXT_MODULE_NAME = "DXT_POSIX"
 
 _INDEX, _FINDEX = POSIX_LAYOUT.index, POSIX_LAYOUT.findex
 _OPENS = _INDEX["POSIX_OPENS"]

@@ -19,7 +19,6 @@ from repro.darshan.records import NameTable
 from repro.sim import Environment
 
 MODULE_NAME = "STDIO"
-DXT_MODULE_NAME = "DXT_STDIO"
 
 _INDEX, _FINDEX = STDIO_LAYOUT.index, STDIO_LAYOUT.findex
 _OPENS = _INDEX["STDIO_OPENS"]

@@ -14,7 +14,7 @@ property the paper exploits.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Iterable, List, Optional
+from typing import Callable, Dict, Generator, List
 
 #: POSIX symbols the reproduction routes through the table.
 POSIX_SYMBOLS = (

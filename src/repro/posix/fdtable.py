@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.posix.errors import Errno, SimOSError
 from repro.posix.vfs import Inode
@@ -51,17 +51,18 @@ class FileDescriptorTable:
 
     #: First descriptor handed out (0-2 are reserved for std streams).
     FIRST_FD = 3
+    #: Open descriptors allowed at once (``RLIMIT_NOFILE``).
+    MAX_OPEN_FILES = 65536
 
-    def __init__(self, max_open_files: int = 65536):
+    def __init__(self):
         self._table: Dict[int, OpenFileDescription] = {}
         self._next_fd = self.FIRST_FD
-        self.max_open_files = max_open_files
         #: Running count of every descriptor ever opened (for reports).
         self.total_opened = 0
 
     def allocate(self, inode: Inode, flags: int) -> OpenFileDescription:
         """Create a new open-file description for ``inode``."""
-        if len(self._table) >= self.max_open_files:
+        if len(self._table) >= self.MAX_OPEN_FILES:
             raise SimOSError(Errno.EMFILE, "too many open files", inode.path)
         fd = self._next_fd
         self._next_fd += 1

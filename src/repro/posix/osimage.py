@@ -15,7 +15,7 @@ from repro.sim import Environment
 from repro.storage import MountTable, PageCache, StorageBackend
 from repro.posix.dispatch import SymbolTable
 from repro.posix.stdio import StdioLayer
-from repro.posix.syscalls import PosixCosts, PosixLayer
+from repro.posix.syscalls import PosixLayer
 from repro.posix.vfs import VirtualFileSystem
 
 
@@ -27,14 +27,13 @@ class SimulatedOS:
         env: Environment,
         mount_table: Optional[MountTable] = None,
         page_cache: Optional[PageCache] = None,
-        posix_costs: Optional[PosixCosts] = None,
         enable_page_cache: bool = True,
     ):
         self.env = env
         self.vfs = VirtualFileSystem(
             env, mount_table=mount_table, page_cache=page_cache,
             enable_page_cache=enable_page_cache)
-        self.posix = PosixLayer(env, self.vfs, costs=posix_costs)
+        self.posix = PosixLayer(env, self.vfs)
         self.stdio = StdioLayer(env, self.posix)
         self.symbols = SymbolTable()
         self.symbols.register_many(self.posix.bindings())

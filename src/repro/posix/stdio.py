@@ -11,13 +11,13 @@ does not double-count ``fwrite`` traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator
 
 from repro.sim import Environment
 from repro.posix.errors import Errno, SimOSError
-from repro.posix.fdtable import O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, SEEK_CUR, SEEK_END, SEEK_SET
+from repro.posix.fdtable import O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, SEEK_CUR, SEEK_SET
 from repro.posix.simbytes import BytesLike, SimBytes
 from repro.posix.syscalls import PosixLayer
 
@@ -59,13 +59,14 @@ class FileStream:
 class StdioLayer:
     """``fopen``/``fread``/``fwrite``/... over the POSIX layer."""
 
+    #: libc bookkeeping per stream call (seconds).
+    OP_OVERHEAD = 0.4e-6
+
     def __init__(self, env: Environment, posix: PosixLayer,
-                 buffer_size: int = DEFAULT_BUFFER_SIZE,
-                 op_overhead: float = 0.4e-6):
+                 buffer_size: int = DEFAULT_BUFFER_SIZE):
         self.env = env
         self.posix = posix
         self.buffer_size = int(buffer_size)
-        self.op_overhead = float(op_overhead)
         self._streams: Dict[int, FileStream] = {}
         self._ids = count(start=1)
 
@@ -78,7 +79,7 @@ class StdioLayer:
         return fs
 
     def _charge(self) -> Generator:
-        yield self.env.timeout(self.op_overhead)
+        yield self.env.timeout(self.OP_OVERHEAD)
 
     # -- API -----------------------------------------------------------------
     def fopen(self, path: str, mode: str = "r") -> Generator:

@@ -11,7 +11,7 @@ interposable by Darshan exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.sim import Environment
 from repro.posix.errors import Errno, SimOSError
@@ -19,9 +19,7 @@ from repro.posix.fdtable import (
     O_APPEND,
     O_CREAT,
     O_RDONLY,
-    O_RDWR,
     O_TRUNC,
-    O_WRONLY,
     SEEK_CUR,
     SEEK_END,
     SEEK_SET,
@@ -32,7 +30,7 @@ from repro.posix.simbytes import BytesLike, SimBytes
 from repro.posix.vfs import Inode, StatResult, VirtualFileSystem
 
 
-@dataclass
+@dataclass(frozen=True)
 class PosixCosts:
     """Fixed CPU costs of syscall handling (seconds)."""
 
@@ -44,24 +42,26 @@ class PosixCosts:
     page_cache_bandwidth: float = 9.0e9
 
 
+#: The one calibration every syscall charges.
+COSTS = PosixCosts()
+
+
 class PosixLayer:
     """Implementation of the POSIX file API over the VFS and storage stack."""
 
-    def __init__(self, env: Environment, vfs: VirtualFileSystem,
-                 costs: Optional[PosixCosts] = None):
+    def __init__(self, env: Environment, vfs: VirtualFileSystem):
         self.env = env
         self.vfs = vfs
         self.fds = FileDescriptorTable()
-        self.costs = costs or PosixCosts()
         #: Total syscalls served, by name (useful for sanity checks).
         self.call_counts: dict = {}
 
     # -- small helpers ---------------------------------------------------------
     def _charge(self, name: str, payload_bytes: int = 0) -> Generator:
         self.call_counts[name] = self.call_counts.get(name, 0) + 1
-        cost = self.costs.syscall_overhead
+        cost = COSTS.syscall_overhead
         if payload_bytes > 0:
-            cost += payload_bytes / self.costs.copy_bandwidth
+            cost += payload_bytes / COSTS.copy_bandwidth
         yield self.env.timeout(cost)
 
     # -- open / close ------------------------------------------------------------
@@ -121,7 +121,7 @@ class PosixLayer:
         else:
             uncached = nbytes
         if cached > 0:
-            yield self.env.timeout(cached / self.costs.page_cache_bandwidth)
+            yield self.env.timeout(cached / COSTS.page_cache_bandwidth)
         if uncached > 0:
             backend = self.vfs.backend_for(inode.path)
             yield from backend.read(inode.key, offset + cached, uncached,

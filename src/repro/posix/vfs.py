@@ -10,9 +10,9 @@ layer cost simulated time on the backing devices.
 from __future__ import annotations
 
 import posixpath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.sim import Environment
 from repro.storage import MountTable, PageCache, StorageBackend

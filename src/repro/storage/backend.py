@@ -10,10 +10,10 @@ delegates data movement here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Set
+from typing import Generator, List, Optional, Set
 
 from repro.sim import Environment
-from repro.storage.device import DeviceOp, StorageDevice
+from repro.storage.device import StorageDevice
 
 
 @dataclass
@@ -89,19 +89,19 @@ class LocalFilesystem(StorageBackend):
 
     #: Size of the on-disk metadata read that a cold open performs.
     METADATA_READ_BYTES = 4096
+    #: Kernel time of a metadata lookup served from the dentry cache.
+    CACHED_METADATA_TIME = 15e-6
+    #: Kernel time of creating a file.
+    CREATE_TIME = 60e-6
 
     def __init__(
         self,
         env: Environment,
         device: StorageDevice,
         name: Optional[str] = None,
-        cached_metadata_time: float = 15e-6,
-        create_time: float = 60e-6,
     ):
         super().__init__(env, name or f"ext4({device.name})")
         self.device = device
-        self.cached_metadata_time = cached_metadata_time
-        self.create_time = create_time
         self._dentry_cache: Set[object] = set()
 
     @property
@@ -112,7 +112,7 @@ class LocalFilesystem(StorageBackend):
     def _metadata_lookup(self, file_key: object) -> Generator:
         start = self.env.now
         if file_key in self._dentry_cache:
-            yield self.env.timeout(self.cached_metadata_time)
+            yield self.env.timeout(self.CACHED_METADATA_TIME)
             ops = 0
         else:
             yield from self.device.read(
@@ -130,7 +130,7 @@ class LocalFilesystem(StorageBackend):
 
     def create(self, file_key: object) -> Generator:
         start = self.env.now
-        yield self.env.timeout(self.create_time)
+        yield self.env.timeout(self.CREATE_TIME)
         self._dentry_cache.add(file_key)
         self.device.metrics.record_metadata_op()
         return BackendOp(0, start, self.env.now, device_ops=0)

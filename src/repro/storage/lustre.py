@@ -54,6 +54,9 @@ class LustreFilesystem(StorageBackend):
         by all OST traffic of this client.
     """
 
+    #: Time of a metadata request the client's cache serves (no MDS RPC).
+    CACHED_METADATA_TIME = 30e-6
+
     def __init__(
         self,
         env: Environment,
@@ -62,7 +65,6 @@ class LustreFilesystem(StorageBackend):
         name: str = "lustre",
         mds_latency: float = 3.2e-3,
         mds_concurrency: int = 1,
-        cached_metadata_time: float = 30e-6,
         stripe_size: int = 1 << 20,
         stripe_count: int = 1,
         network_bandwidth: float = 12.0e9,
@@ -74,7 +76,6 @@ class LustreFilesystem(StorageBackend):
             raise ValueError("at least one OST is required")
         self.osts: List[StorageDevice] = list(osts)
         self.mds_latency = mds_latency
-        self.cached_metadata_time = cached_metadata_time
         self.stripe_size = int(stripe_size)
         self.stripe_count = max(1, min(int(stripe_count), len(self.osts)))
         self._mds = Resource(env, capacity=max(1, int(mds_concurrency)))
@@ -102,7 +103,7 @@ class LustreFilesystem(StorageBackend):
     def _mds_request(self, file_key: object) -> Generator:
         start = self.env.now
         if file_key in self._client_metadata_cache:
-            yield self.env.timeout(self.cached_metadata_time)
+            yield self.env.timeout(self.CACHED_METADATA_TIME)
         else:
             self.mds_requests += 1
             grant = self._mds.request()

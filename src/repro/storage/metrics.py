@@ -10,7 +10,7 @@ ground-truth bandwidth independently of what tf-Darshan reports.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np

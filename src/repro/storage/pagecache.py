@@ -15,7 +15,7 @@ LRU eviction policy over files and a byte-capacity limit.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class PageCache:
@@ -70,16 +70,16 @@ class PageCache:
         if nbytes <= 0:
             return
         current = self._resident.get(key, 0)
-        new_prefix = max(current, min(offset, current) + 0)
         if offset <= current:
             new_prefix = max(current, offset + nbytes)
         else:
-            # A hole would be needed; approximate by extending to the end of
-            # this write only if it starts within one page of the prefix.
+            # The bytes start past the resident prefix; the prefix model
+            # cannot hold the hole between them, so the prefix stays.
             new_prefix = current
         grow = new_prefix - current
         if grow <= 0:
-            self._resident.move_to_end(key, last=True) if key in self._resident else None
+            if key in self._resident:
+                self._resident.move_to_end(key)
             return
         self._resident[key] = new_prefix
         self._resident.move_to_end(key)

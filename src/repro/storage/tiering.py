@@ -12,8 +12,8 @@ workloads oblivious to the optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Generator, Iterable, List, Tuple
 
 from repro.storage.backend import StorageBackend
 from repro.storage.device import StorageDevice

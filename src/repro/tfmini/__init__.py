@@ -12,7 +12,7 @@ from repro.tfmini.data import AUTOTUNE, Batch, Dataset, DatasetIterator, OutOfRa
 from repro.tfmini.device import GPUDevice, KernelEvent, rtx2060, v100
 from repro.tfmini.filesystem import PosixFileSystem, WritableFile
 from repro.tfmini.io_ops import OpCosts, Tensor
-from repro.tfmini.runtime import ProfilerCosts, TFRuntime
+from repro.tfmini.runtime import TFRuntime
 
 __all__ = [
     "AUTOTUNE",
@@ -24,7 +24,6 @@ __all__ = [
     "OpCosts",
     "OutOfRangeError",
     "PosixFileSystem",
-    "ProfilerCosts",
     "TFRuntime",
     "Tensor",
     "WritableFile",

@@ -88,6 +88,9 @@ class _SourceStage(_Stage):
 
 
 class _MapStage(_Stage):
+    #: Per-element scheduling overhead of the executor (seconds).
+    INTER_OP_OVERHEAD = 120e-6
+
     def __init__(self, runtime, upstream: _Stage, fn,
                  num_parallel_calls: Optional[int]):
         super().__init__(runtime, upstream)
@@ -113,8 +116,7 @@ class _MapStage(_Stage):
                 item = yield self.upstream.output.get()
                 if item is _EOD:
                     break
-                if self.runtime.inter_op_overhead > 0:
-                    yield self.env.timeout(self.runtime.inter_op_overhead)
+                yield self.env.timeout(self.INTER_OP_OVERHEAD)
                 done = self.pool.submit(
                     lambda item=item: self.fn(self.runtime, item))
                 yield self._pending.put(done)

@@ -10,8 +10,8 @@ a kernel log that the CUPTI-like device tracer reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from dataclasses import dataclass
+from typing import Generator, List
 
 from repro.sim import Environment, Resource
 

@@ -8,14 +8,9 @@ runtime collects data from every registered tracer — including tf-Darshan's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Generator, List, Optional, Sequence, Tuple, Union
 
-from repro.tfmini.profiler.session import (
-    ProfilerOptions,
-    profiler_start,
-    profiler_stop,
-)
+from repro.tfmini.profiler.session import profiler_start, profiler_stop
 
 
 class Callback:
@@ -110,12 +105,10 @@ class History(Callback):
 class ModelCheckpoint(Callback):
     """Write a checkpoint every ``save_freq`` steps (or every epoch)."""
 
-    def __init__(self, filepath: str, save_freq: Union[int, str] = "epoch",
-                 keep_all: bool = True):
+    def __init__(self, filepath: str, save_freq: Union[int, str] = "epoch"):
         super().__init__()
         self.filepath = filepath
         self.save_freq = save_freq
-        self.keep_all = keep_all
         self.saves: List = []
         self._writer = None
 
@@ -150,8 +143,7 @@ class TensorBoard(Callback):
     training run, as the paper notes.
     """
 
-    def __init__(self, log_dir: str, profile_batch: Union[int, Tuple[int, int]] = 2,
-                 profiler_options: Optional[ProfilerOptions] = None):
+    def __init__(self, log_dir: str, profile_batch: Union[int, Tuple[int, int]] = 2):
         super().__init__()
         self.log_dir = log_dir
         if isinstance(profile_batch, int):
@@ -160,7 +152,6 @@ class TensorBoard(Callback):
             self.profile_range = (int(profile_batch[0]), int(profile_batch[1]))
         if self.profile_range[0] > self.profile_range[1]:
             raise ValueError("profile_batch range must be increasing")
-        self.profiler_options = profiler_options
         self.profile_result = None
         self._profiling = False
 
@@ -182,8 +173,7 @@ class TensorBoard(Callback):
         return None
 
     def _start_profiler(self) -> Generator:
-        yield from profiler_start(self.runtime, logdir=self.log_dir,
-                                  options=self.profiler_options)
+        yield from profiler_start(self.runtime, logdir=self.log_dir)
         self._profiling = True
 
     def _stop_profiler(self) -> Generator:

@@ -10,7 +10,7 @@ small two-layer CNN for the malware detection case study.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.sim import Environment
@@ -189,8 +189,9 @@ class Model:
 # The two models used in the paper's case studies
 # ---------------------------------------------------------------------------
 
-def _alexnet_variables(num_classes: int = 1000) -> List[Variable]:
-    """Standard AlexNet layer shapes (~61 M parameters)."""
+def _alexnet_variables() -> List[Variable]:
+    """Standard AlexNet layer shapes for ImageNet's 1000 classes (~61 M
+    parameters)."""
     return [
         Variable("conv1/kernel", (11, 11, 3, 96)),
         Variable("conv1/bias", (96,)),
@@ -206,8 +207,8 @@ def _alexnet_variables(num_classes: int = 1000) -> List[Variable]:
         Variable("fc6/bias", (4096,)),
         Variable("fc7/kernel", (4096, 4096)),
         Variable("fc7/bias", (4096,)),
-        Variable("fc8/kernel", (4096, num_classes)),
-        Variable("fc8/bias", (num_classes,)),
+        Variable("fc8/kernel", (4096, 1000)),
+        Variable("fc8/bias", (1000,)),
     ]
 
 
@@ -224,14 +225,14 @@ class AlexNet(Model):
         ("apply_gradients", 0.1),
     )
 
-    def __init__(self, num_classes: int = 1000):
-        super().__init__("alexnet", _alexnet_variables(num_classes))
+    def __init__(self):
+        super().__init__("alexnet", _alexnet_variables())
 
 
-def _malware_cnn_variables(num_classes: int = 9,
-                           image_side: int = 256) -> List[Variable]:
-    """A small two-layer CNN over grayscale bytecode images."""
-    flat = (image_side // 4) * (image_side // 4) * 32
+def _malware_cnn_variables() -> List[Variable]:
+    """A small two-layer CNN over 256x256 grayscale bytecode images, for
+    BIG-2015's nine malware families."""
+    flat = (256 // 4) * (256 // 4) * 32
     return [
         Variable("conv1/kernel", (3, 3, 1, 16)),
         Variable("conv1/bias", (16,)),
@@ -239,8 +240,8 @@ def _malware_cnn_variables(num_classes: int = 9,
         Variable("conv2/bias", (32,)),
         Variable("dense/kernel", (flat, 64)),
         Variable("dense/bias", (64,)),
-        Variable("logits/kernel", (64, num_classes)),
-        Variable("logits/bias", (num_classes,)),
+        Variable("logits/kernel", (64, 9)),
+        Variable("logits/bias", (9,)),
     ]
 
 
@@ -257,6 +258,5 @@ class MalwareCNN(Model):
         ("apply_gradients", 0.1),
     )
 
-    def __init__(self, num_classes: int = 9, image_side: int = 256):
-        super().__init__("malware_cnn",
-                         _malware_cnn_variables(num_classes, image_side))
+    def __init__(self):
+        super().__init__("malware_cnn", _malware_cnn_variables())

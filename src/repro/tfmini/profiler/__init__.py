@@ -10,14 +10,13 @@ from repro.tfmini.profiler.analysis import (
 )
 from repro.tfmini.profiler.session import (
     ProfileResult,
-    ProfilerOptions,
     ProfilerRegistry,
     ProfilerServer,
     ProfilerSession,
     profiler_start,
     profiler_stop,
 )
-from repro.tfmini.profiler.traceme import TraceMeEvent, TraceMeRecorder
+from repro.tfmini.profiler.traceme import TraceMeRecorder
 from repro.tfmini.profiler.tracers import (
     GPU_PLANE_PREFIX,
     HOST_PLANE_NAME,
@@ -45,12 +44,10 @@ __all__ = [
     "OverviewPage",
     "ProfileResult",
     "ProfilerInterface",
-    "ProfilerOptions",
     "ProfilerRegistry",
     "ProfilerServer",
     "ProfilerSession",
     "StepStats",
-    "TraceMeEvent",
     "TraceMeRecorder",
     "TracerCosts",
     "XEvent",

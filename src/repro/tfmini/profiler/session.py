@@ -13,24 +13,15 @@ supported by the reproduction (Section III-A of the paper):
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Generator, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Generator, List, Optional
 
 from repro.tfmini.profiler.tracers import DeviceTracer, HostTracer, ProfilerInterface
-from repro.tfmini.profiler.xplane import XSpace, write_trace_json
+from repro.tfmini.profiler.xplane import XSpace
 
-
-@dataclass
-class ProfilerOptions:
-    """Options of one profiling session."""
-
-    host_tracer: bool = True
-    device_tracer: bool = True
-    #: Export trace.json.gz and the analysis protos to the log directory
-    #: (None keeps the profile in memory only — the "lite" mode the manual
-    #: STREAM validation uses).
-    logdir: Optional[str] = None
+#: Seconds per exported event (protobuf/JSON serialization + gzip): the
+#: cost of writing a collected profile to the log directory.
+PER_EXPORTED_EVENT = 55e-6
 
 
 @dataclass
@@ -42,15 +33,15 @@ class ProfileResult:
     end_time: float
     logdir: Optional[str] = None
     exported_files: List[str] = field(default_factory=list)
-    tracer_data: Dict[str, object] = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
         return self.end_time - self.start_time
 
 
-#: A tracer factory, called with the runtime and the session's options.
-TracerFactory = Callable[[object, ProfilerOptions], ProfilerInterface]
+#: A tracer factory, called with the runtime and the session's log
+#: directory.
+TracerFactory = Callable[[object, Optional[str]], ProfilerInterface]
 
 
 class ProfilerRegistry:
@@ -60,40 +51,36 @@ class ProfilerRegistry:
         self._factories: List[TracerFactory] = []
 
     def register(self, factory: TracerFactory) -> None:
-        """Register a factory called with ``(runtime, options)`` at session
+        """Register a factory called with ``(runtime, logdir)`` at session
         start."""
         self._factories.append(factory)
 
-    def unregister(self, factory) -> None:
-        self._factories.remove(factory)
-
-    def create_tracers(self, runtime, options: ProfilerOptions
+    def create_tracers(self, runtime, logdir: Optional[str]
                        ) -> List[ProfilerInterface]:
-        tracers: List[ProfilerInterface] = []
-        if options.host_tracer:
-            tracers.append(HostTracer(runtime))
-        if options.device_tracer and runtime.gpus:
+        tracers: List[ProfilerInterface] = [HostTracer(runtime)]
+        if runtime.gpus:
             tracers.append(DeviceTracer(runtime))
         for factory in self._factories:
-            tracers.append(factory(runtime, options))
+            tracers.append(factory(runtime, logdir))
         return tracers
 
 
 class ProfilerSession:
-    """One start→stop profiling window."""
+    """One start→stop profiling window.
 
-    def __init__(self, runtime, options: Optional[ProfilerOptions] = None):
+    With a ``logdir`` the session exports trace.json.gz and the analysis
+    protos there; without one the profile stays in memory only (the "lite"
+    mode the manual STREAM validation uses).
+    """
+
+    def __init__(self, runtime, logdir: Optional[str] = None):
         self.runtime = runtime
         self.env = runtime.env
-        self.options = options or ProfilerOptions()
-        self.tracers = runtime.profiler_registry.create_tracers(runtime, self.options)
+        self.logdir = logdir
+        self.tracers = runtime.profiler_registry.create_tracers(runtime, logdir)
         self.start_time: Optional[float] = None
         self.result: Optional[ProfileResult] = None
         self._active = False
-
-    @property
-    def active(self) -> bool:
-        return self._active
 
     def start(self) -> Generator:
         """Start every tracer."""
@@ -118,18 +105,14 @@ class ProfilerSession:
             yield from tracer.stop()
         space = XSpace(start_time=self.start_time, end_time=self.env.now)
         result = ProfileResult(xspace=space, start_time=self.start_time,
-                               end_time=self.env.now, logdir=self.options.logdir)
+                               end_time=self.env.now, logdir=self.logdir)
         for tracer in self.tracers:
             yield from tracer.collect_data(space)
-            data = getattr(tracer, "last_collected", None)
-            if data is not None:
-                result.tracer_data[tracer.name] = data
-        if self.options.logdir is not None:
-            exported = self.runtime.export_profile(space, self.options.logdir)
+        if self.logdir is not None:
+            exported = self.runtime.export_profile(space, self.logdir)
             result.exported_files.extend(exported)
             # Serialization cost proportional to the exported volume.
-            yield self.env.timeout(self.runtime.profiler_costs.per_exported_event
-                                   * space.event_count)
+            yield self.env.timeout(PER_EXPORTED_EVENT * space.event_count)
         self.result = result
         self.runtime.last_profile = result
         return result
@@ -150,9 +133,9 @@ class ProfilerServer:
         self.captures: List[ProfileResult] = []
 
     def capture(self, duration: float,
-                options: Optional[ProfilerOptions] = None) -> Generator:
+                logdir: Optional[str] = None) -> Generator:
         """Profile for ``duration`` simulated seconds and return the result."""
-        session = ProfilerSession(self.runtime, options)
+        session = ProfilerSession(self.runtime, logdir)
         yield from session.start()
         yield self.runtime.env.timeout(duration)
         result = yield from session.stop()
@@ -162,16 +145,11 @@ class ProfilerServer:
 
 # -- module-level API mirroring tf.profiler.experimental -------------------------
 
-def profiler_start(runtime, logdir: Optional[str] = None,
-                   options: Optional[ProfilerOptions] = None) -> Generator:
+def profiler_start(runtime, logdir: Optional[str] = None) -> Generator:
     """Start a global profiling session on the runtime (manual mode)."""
     if runtime.active_profiler_session is not None:
         raise RuntimeError("a profiler session is already active")
-    opts = options or ProfilerOptions()
-    if logdir is not None:
-        # A copy: the caller's options may be shared with later sessions.
-        opts = replace(opts, logdir=logdir)
-    session = ProfilerSession(runtime, opts)
+    session = ProfilerSession(runtime, logdir)
     yield from session.start()
     runtime.active_profiler_session = session
     return session

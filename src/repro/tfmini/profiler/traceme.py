@@ -4,47 +4,28 @@ TensorFlow annotates host work with ``TraceMe`` objects; while a profiling
 session is active the recorder keeps the events, and the host tracer turns
 them into the trace the TensorBoard TraceViewer shows.  The recorder is
 always installed but only records while started, so instrumentation is free
-when profiling is off — mirroring the real implementation.
+when profiling is off — mirroring the real implementation.  Each span is
+recorded once, as the :class:`~repro.tfmini.profiler.xplane.XEvent` the host
+plane exports, on its thread's :class:`~repro.tfmini.profiler.xplane.XLine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict
 
-from repro.sim import Environment
-
-
-@dataclass(frozen=True)
-class TraceMeEvent:
-    """One host activity span."""
-
-    name: str
-    start: float
-    end: float
-    thread: str = "host"
-    metadata: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+from repro.tfmini.profiler.xplane import XEvent, XLine
 
 
 class TraceMeRecorder:
-    """Collects :class:`TraceMeEvent` objects while recording is active."""
+    """Collects host spans, one line per thread, while recording is active."""
 
-    def __init__(self, env: Environment):
-        self.env = env
+    def __init__(self):
         self._active = False
-        self._events: List[TraceMeEvent] = []
+        self._lines: Dict[str, XLine] = {}
         #: Events recorded since the recorder was created (for statistics).
         self.total_recorded = 0
 
     # -- lifecycle -----------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        return self._active
-
     def start(self) -> None:
         """Begin recording host events."""
         self._active = True
@@ -53,10 +34,11 @@ class TraceMeRecorder:
         """Stop recording host events (already recorded events are kept)."""
         self._active = False
 
-    def consume(self) -> List[TraceMeEvent]:
-        """Return and clear the recorded events (called by the host tracer)."""
-        events, self._events = self._events, []
-        return events
+    def consume(self) -> Dict[str, XLine]:
+        """Return and clear the recorded lines, in the order of their first
+        events (called by the host tracer)."""
+        lines, self._lines = self._lines, {}
+        return lines
 
     # -- recording --------------------------------------------------------------
     def record(self, name: str, start: float, end: float, thread: str = "host",
@@ -64,14 +46,8 @@ class TraceMeRecorder:
         """Record one completed span (no-op while inactive)."""
         if not self._active:
             return
-        self._events.append(TraceMeEvent(name=name, start=start, end=end,
-                                         thread=thread, metadata=dict(metadata)))
+        line = self._lines.get(thread)
+        if line is None:
+            line = self._lines[thread] = XLine(thread)
+        line.add(XEvent(name, start, end - start, metadata))
         self.total_recorded += 1
-
-    def trace(self, name: str, generator: Generator, thread: str = "host",
-              **metadata: Any) -> Generator:
-        """Run ``generator`` and record its span (use with ``yield from``)."""
-        start = self.env.now
-        result = yield from generator
-        self.record(name, start, self.env.now, thread=thread, **metadata)
-        return result

@@ -12,7 +12,7 @@ the GPU kernel logs — and tf-Darshan's ``DarshanTracer`` (in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
 from repro.tfmini.profiler.xplane import XEvent, XSpace
 
@@ -21,7 +21,7 @@ HOST_PLANE_NAME = "/host:CPU"
 GPU_PLANE_PREFIX = "/device:GPU"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TracerCosts:
     """Simulated cost of profiler data handling (the TF Profiler overhead)."""
 
@@ -31,6 +31,10 @@ class TracerCosts:
     per_device_event: float = 12e-6
     #: Fixed cost of starting or stopping one tracer.
     per_session: float = 2e-3
+
+
+#: The one calibration the built-in tracers charge.
+COSTS = TracerCosts()
 
 
 class ProfilerInterface:
@@ -59,34 +63,32 @@ class HostTracer(ProfilerInterface):
 
     name = "host_tracer"
 
-    def __init__(self, runtime, costs: Optional[TracerCosts] = None):
+    def __init__(self, runtime):
         self.runtime = runtime
         self.env = runtime.env
-        self.costs = costs or TracerCosts()
-        self._events = []
+        self._lines = {}
         self._running = False
 
     def start(self) -> Generator:
-        yield self.env.timeout(self.costs.per_session)
+        yield self.env.timeout(COSTS.per_session)
         self.runtime.traceme.start()
         self._running = True
 
     def stop(self) -> Generator:
         if self._running:
             self.runtime.traceme.stop()
-            self._events = self.runtime.traceme.consume()
+            self._lines = self.runtime.traceme.consume()
             self._running = False
-        yield self.env.timeout(self.costs.per_session)
+        yield self.env.timeout(COSTS.per_session)
 
     def collect_data(self, space: XSpace) -> Generator:
-        events = self._events
-        self._events = []
-        yield self.env.timeout(self.costs.per_host_event * len(events))
+        """Hand the recorder's lines, events and all, to the host plane."""
+        lines = self._lines
+        self._lines = {}
+        count = sum(line.event_count for line in lines.values())
+        yield self.env.timeout(COSTS.per_host_event * count)
         plane = space.plane(HOST_PLANE_NAME)
-        for event in events:
-            plane.line(event.thread).add(XEvent(
-                name=event.name, start=event.start,
-                duration=event.duration, metadata=dict(event.metadata)))
+        plane.lines.update(lines)
         plane.stats["num_events"] = plane.event_count
 
 
@@ -95,21 +97,20 @@ class DeviceTracer(ProfilerInterface):
 
     name = "device_tracer"
 
-    def __init__(self, runtime, costs: Optional[TracerCosts] = None):
+    def __init__(self, runtime):
         self.runtime = runtime
         self.env = runtime.env
-        self.costs = costs or TracerCosts()
         self._window_start: Optional[float] = None
         self._window_end: Optional[float] = None
 
     def start(self) -> Generator:
-        yield self.env.timeout(self.costs.per_session)
+        yield self.env.timeout(COSTS.per_session)
         self._window_start = self.env.now
         self._window_end = None
 
     def stop(self) -> Generator:
         self._window_end = self.env.now
-        yield self.env.timeout(self.costs.per_session)
+        yield self.env.timeout(COSTS.per_session)
 
     def collect_data(self, space: XSpace) -> Generator:
         if self._window_start is None:
@@ -127,4 +128,4 @@ class DeviceTracer(ProfilerInterface):
                                 duration=kernel.duration,
                                 metadata={"correlation_id": kernel.correlation_id}))
             plane.stats["device_utilization"] = gpu.utilization(t0, t1)
-        yield self.env.timeout(self.costs.per_device_event * total_events)
+        yield self.env.timeout(COSTS.per_device_event * total_events)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gzip
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os as host_os
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sim import CPUPool, Environment
@@ -22,16 +21,12 @@ from repro.tfmini.profiler.traceme import TraceMeRecorder
 from repro.tfmini.profiler.xplane import XSpace, write_trace_json
 
 
-@dataclass
-class ProfilerCosts:
-    """Cost of serializing the collected profile to the log directory."""
-
-    #: Seconds per exported event (protobuf/JSON serialization + gzip).
-    per_exported_event: float = 55e-6
-
-
 class TFRuntime:
     """One TensorFlow process bound to a simulated OS and devices."""
+
+    #: tf-Darshan's per-process state, the ``DarshanMiddleman`` that
+    #: ``repro.core.enable`` sets once; None while tf-Darshan is off.
+    tf_darshan = None
 
     def __init__(
         self,
@@ -40,7 +35,6 @@ class TFRuntime:
         cpu_cores: int = 8,
         gpus: Optional[List[GPUDevice]] = None,
         read_buffer_size: int = 1 << 20,
-        inter_op_overhead: float = 120e-6,
         name: str = "tensorflow",
     ):
         self.env = env
@@ -51,11 +45,8 @@ class TFRuntime:
         self.gpus: List[GPUDevice] = list(gpus or [])
         #: Chunk size of the POSIX filesystem plugin's read loop.
         self.read_buffer_size = int(read_buffer_size)
-        #: Per-operation scheduling overhead of the executor.
-        self.inter_op_overhead = float(inter_op_overhead)
-        self.traceme = TraceMeRecorder(env)
+        self.traceme = TraceMeRecorder()
         self.profiler_registry = ProfilerRegistry()
-        self.profiler_costs = ProfilerCosts()
         self.active_profiler_session: Optional[ProfilerSession] = None
         self.last_profile = None
         #: Step statistics appended by the Keras training loop.

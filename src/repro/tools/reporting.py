@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, List, Sequence
 
 MIB = 1 << 20
 GIB = 1 << 30

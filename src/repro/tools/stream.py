@@ -61,7 +61,6 @@ class StreamBenchmark:
         prefetch: int = 10,
         profile_every_steps: Optional[int] = 5,
         profiler: str = "tfdarshan",
-        monitor_devices: Optional[Sequence] = None,
     ):
         if profiler not in ("tfdarshan", "tf", "none"):
             raise ValueError("profiler must be 'tfdarshan', 'tf' or 'none'")
@@ -72,9 +71,7 @@ class StreamBenchmark:
         self.prefetch = prefetch
         self.profile_every_steps = profile_every_steps
         self.profiler = profiler
-        devices = (monitor_devices if monitor_devices is not None
-                   else runtime.os.devices())
-        self.dstat = DstatMonitor(runtime.env, devices)
+        self.dstat = DstatMonitor(runtime.env, runtime.os.devices())
         self.session: Optional[TfDarshanSession] = None
 
     def build_dataset(self, steps: int) -> Dataset:
@@ -87,8 +84,6 @@ class StreamBenchmark:
 
     def run(self, steps: int) -> Generator:
         """Run ``steps`` batches; returns a :class:`StreamResult`."""
-        from repro.tfmini.profiler.session import profiler_start, profiler_stop
-
         env = self.runtime.env
         if self.profiler == "tfdarshan":
             self.session = TfDarshanSession(self.runtime)

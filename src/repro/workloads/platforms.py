@@ -10,12 +10,10 @@ Lustre parallel filesystem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.sim import Environment
 from repro.storage import (
-    LocalFilesystem,
-    LustreFilesystem,
     PageCache,
     StorageBackend,
     greendog_hdd_filesystem,
@@ -25,7 +23,7 @@ from repro.storage import (
 )
 from repro.posix import SimulatedOS
 from repro.tfmini import TFRuntime
-from repro.tfmini.device import GPUDevice, rtx2060, v100
+from repro.tfmini.device import rtx2060, v100
 
 
 @dataclass

@@ -19,7 +19,6 @@ from repro.tools.stream import StreamBenchmark, StreamResult
 from repro.core import StagingAdvisor, TfDarshanOptions, enable, last_profile
 from repro.core.analysis import IOProfile
 from repro.workloads.datasets import (
-    SyntheticDataset,
     build_imagenet_dataset,
     build_malware_dataset,
 )
@@ -116,7 +115,7 @@ def _run_training(platform: Platform, case: str, dataset_paths: Sequence[str],
         checkpoint_fwrites = sum(info.fwrite_calls
                                  for info in checkpoint_callback.saves)
     stdio_writes = 0
-    attachment = getattr(runtime, "_tf_darshan_attachment", None)
+    attachment = runtime.tf_darshan.attachment if runtime.tf_darshan else None
     if attachment is not None and attachment.stdio_module is not None:
         stdio_writes = attachment.stdio_module.total_counter("STDIO_WRITES")
     analysis = runtime.input_pipeline_analysis()

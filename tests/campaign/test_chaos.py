@@ -34,7 +34,7 @@ from repro.campaign.dist import (
     WorkQueue,
 )
 from repro.campaign.dist.worker import Worker, main as worker_main
-from repro.campaign.jobs import execute_job, register_case
+from repro.campaign.jobs import _CASES, execute_job
 from repro.campaign.obs import MetricsRegistry, counter_total, series_value
 
 
@@ -48,13 +48,20 @@ class _Clock:
         return self.t
 
 
-@register_case("chaos-nap")
 def _chaos_nap(params, seed):
     """Deterministic metrics with a real (wall-clock) execution cost, so
     a chaos campaign is guaranteed to still be running when a scheduled
     partition window opens."""
     time.sleep(float(params.get("nap", 0.05)))
     return {"value": float(params.get("x", 0.0)) * (seed + 1)}
+
+
+@pytest.fixture
+def chaos_nap(monkeypatch):
+    """The ``chaos-nap`` case, registered for one test only.  Its chaos
+    campaigns run on thread fleets (a ``ChaosTransport`` has no address),
+    so registering it in this process is enough."""
+    monkeypatch.setitem(_CASES, "chaos-nap", _chaos_nap)
 
 
 # -- FaultPlan: deterministic, seeded, op-scoped -----------------------------
@@ -302,7 +309,7 @@ def test_worker_cli_chaos_zero_budget_still_exits_3():
 
 # -- orchestrator riding out a window ----------------------------------------
 
-def test_executor_chaos_drain_poll_rides_out_a_partition_window():
+def test_executor_chaos_drain_poll_rides_out_a_partition_window(chaos_nap):
     """The orchestrator's drain loop keeps polling through a transport
     outage instead of dying on the first failed listing."""
     spec = SweepSpec(name="chaos-drain", case="chaos-nap",
@@ -321,7 +328,8 @@ def test_executor_chaos_drain_poll_rides_out_a_partition_window():
 
 # -- the acceptance property -------------------------------------------------
 
-def test_chaos_partitioned_broker_completes_grid_exactly_once(monkeypatch):
+def test_chaos_partitioned_broker_completes_grid_exactly_once(monkeypatch,
+                                                              chaos_nap):
     """The headline chaos acceptance: the fleet's one broker disappears
     behind a partition window mid-campaign *and* tears half its
     post-enqueue writes — settles, requeues, heartbeats (applied, then

@@ -5,7 +5,7 @@ import pytest
 from repro.core import (
     DarshanMiddleman,
     TfDarshanOptions,
-    get_attachment,
+    enable,
 )
 from repro.darshan import DarshanConfig, darshan_record_id
 from repro.tfmini import io_ops
@@ -13,7 +13,7 @@ from tests.core.conftest import make_files, make_os, make_runtime, run
 
 
 def test_attach_patches_io_symbols(runtime, os_image, env):
-    attachment = get_attachment(runtime)
+    attachment = enable(runtime).attachment
     assert not attachment.attached
     run(env, attachment.attach())
     assert attachment.attached
@@ -23,7 +23,7 @@ def test_attach_patches_io_symbols(runtime, os_image, env):
 
 
 def test_attach_is_idempotent(runtime, env):
-    attachment = get_attachment(runtime)
+    attachment = enable(runtime).attachment
     run(env, attachment.attach())
     first_patch_count = len(attachment.patched_symbols)
     run(env, attachment.attach())
@@ -32,14 +32,14 @@ def test_attach_is_idempotent(runtime, env):
 
 
 def test_attach_costs_time(runtime, env):
-    attachment = get_attachment(runtime)
+    attachment = enable(runtime).attachment
     before = env.now
     run(env, attachment.attach())
     assert env.now > before
 
 
 def test_detach_restores_symbols(runtime, os_image, env):
-    attachment = get_attachment(runtime)
+    attachment = enable(runtime).attachment
     run(env, attachment.attach())
     run(env, attachment.detach())
     assert os_image.symbols.patched_symbols() == []
@@ -47,12 +47,12 @@ def test_detach_restores_symbols(runtime, os_image, env):
 
 
 def test_attachment_is_per_runtime_singleton(runtime):
-    assert get_attachment(runtime) is get_attachment(runtime)
+    assert enable(runtime).attachment is enable(runtime).attachment
 
 
 def test_symbol_selection_respected(runtime, os_image, env):
     options = TfDarshanOptions(symbols=("open", "pread", "close"))
-    attachment = get_attachment(runtime, options)
+    attachment = enable(runtime, options).attachment
     run(env, attachment.attach())
     patched = os_image.symbols.patched_symbols()
     assert set(patched) == {"open", "pread", "close"}
@@ -64,11 +64,11 @@ def test_attach_leaves_a_shared_darshan_config_alone(runtime, os_image, env):
     paths = make_files(os_image, 2, 10_000)
 
     def proc():
-        traced = get_attachment(runtime, TfDarshanOptions(darshan=shared))
+        traced = enable(runtime, TfDarshanOptions(darshan=shared)).attachment
         yield from traced.attach()
         yield from io_ops.read_file(runtime, paths[0])
-        yield from get_attachment(
-            other, TfDarshanOptions(darshan=shared)).attach()
+        yield from enable(
+            other, TfDarshanOptions(darshan=shared)).attachment.attach()
         yield from io_ops.read_file(runtime, paths[1])
         return traced
 
@@ -85,7 +85,7 @@ def test_io_before_attachment_not_counted(runtime, os_image, env):
 
     def proc():
         yield from io_ops.read_file(runtime, paths[0])
-        attachment = get_attachment(runtime)
+        attachment = enable(runtime).attachment
         yield from attachment.attach()
         for path in paths[1:]:
             yield from io_ops.read_file(runtime, path)
@@ -99,7 +99,7 @@ def test_snapshot_diff_isolates_profiling_window(runtime, os_image, env):
     paths = make_files(os_image, 6, 100_000)
 
     def proc():
-        attachment = get_attachment(runtime)
+        attachment = enable(runtime).attachment
         yield from attachment.attach()
         middleman = DarshanMiddleman(attachment)
         # Pre-window I/O.
@@ -126,7 +126,7 @@ def test_snapshot_copies_are_isolated_from_live_records(runtime, os_image, env):
     paths = make_files(os_image, 2, 50_000)
 
     def proc():
-        attachment = get_attachment(runtime)
+        attachment = enable(runtime).attachment
         yield from attachment.attach()
         middleman = DarshanMiddleman(attachment)
         for path in paths:
@@ -146,7 +146,7 @@ def test_runtime_info_exposed_through_middleman(runtime, os_image, env):
     paths = make_files(os_image, 3, 10_000)
 
     def proc():
-        attachment = get_attachment(runtime)
+        attachment = enable(runtime).attachment
         yield from attachment.attach()
         middleman = DarshanMiddleman(attachment)
         for path in paths:

@@ -9,7 +9,7 @@ from repro.core import (
     DarshanMiddleman,
     Snapshot,
     TfDarshanOptions,
-    get_attachment,
+    enable,
 )
 from repro.darshan import (
     DarshanConfig,
@@ -114,7 +114,7 @@ def test_snapshots_and_diffs_equal_full_copies_under_random_io(
     paths = make_files(os_image, 5, 30_000)
 
     def proc():
-        attachment = get_attachment(runtime, options)
+        attachment = enable(runtime, options).attachment
         yield from attachment.attach()
         middleman = DarshanMiddleman(attachment)
         taken = []
@@ -148,7 +148,7 @@ def test_stop_snapshot_reuses_the_copies_of_untouched_records(
     paths = make_files(os_image, n, 20_000)
 
     def proc():
-        attachment = get_attachment(runtime)
+        attachment = enable(runtime).attachment
         yield from attachment.attach()
         for path in paths:
             yield from io_ops.read_file(runtime, path)
@@ -173,7 +173,7 @@ def test_reattached_runtime_reuses_nothing(runtime, os_image, env):
     paths = make_files(os_image, 4, 20_000)
 
     def proc():
-        attachment = get_attachment(runtime)
+        attachment = enable(runtime).attachment
         middleman = DarshanMiddleman(attachment)
         yield from attachment.attach()
         for path in paths:
@@ -199,7 +199,7 @@ def test_sessions_share_records_until_the_module_writes_one(
     paths = make_files(os_image, n, 20_000)
 
     def proc():
-        attachment = get_attachment(runtime)
+        attachment = enable(runtime).attachment
         yield from attachment.attach()
         # Two middlemen stand for two profiling sessions of one process.
         first = DarshanMiddleman(attachment)

@@ -4,13 +4,13 @@ import pytest
 
 from repro.core import (
     DARSHAN_PLANE_NAME,
+    DarshanTracer,
     StagingAdvisor,
     TfDarshanOptions,
     TfDarshanSession,
     ThreadingAdvisor,
     build_plugin_data,
     enable,
-    get_attachment,
     last_profile,
     zero_length_read_files,
 )
@@ -60,6 +60,19 @@ def test_manual_session_produces_io_profile(runtime, os_image):
     assert profile.posix_bytes_read == 880_000
     assert profile.posix_read_bandwidth > 0
     assert last_profile(runtime) is profile
+
+
+def test_enable_builds_one_state_per_process(runtime, os_image):
+    """enable() builds the one state; a window adds one runtime attribute."""
+    before = set(vars(runtime))
+    state = enable(runtime)
+    assert enable(runtime, TfDarshanOptions()) is state
+    tracers = runtime.profiler_registry.create_tracers(runtime, None)
+    assert sum(isinstance(t, DarshanTracer) for t in tracers) == 1
+    _, window = profile_reads(runtime, make_files(os_image, 3, 10_000))
+    assert set(vars(runtime)) - before == {"tf_darshan"}
+    assert last_profile(runtime) is state.profile is window.io_profile
+    assert window.io_profile.posix_opens == 3
 
 
 def test_profile_access_pattern_matches_paper_semantics(runtime, os_image):
@@ -149,9 +162,9 @@ def test_multiple_windows_report_separate_bandwidths(runtime, os_image):
 def test_zero_length_read_files_listed(runtime, os_image):
     paths = make_files(os_image, 5, 50_000)
     _, window = profile_reads(runtime, paths)
-    delta = runtime.last_io_delta
-    attachment = runtime._tf_darshan_attachment
-    files = zero_length_read_files(delta, attachment.core.lookup_name)
+    middleman = enable(runtime)
+    files = zero_length_read_files(middleman.delta,
+                                   middleman.attachment.core.lookup_name)
     assert sorted(files) == sorted(paths)
 
 
@@ -187,7 +200,7 @@ def test_dxt_disabled_skips_trace_plane(runtime, os_image):
     run(runtime.env, proc())
     assert runtime.last_profile.xspace.find_plane(DARSHAN_PLANE_NAME) is None
     # No DXT segment was recorded, and the counters still work.
-    assert not get_attachment(runtime).posix_module.dxt_records
+    assert not enable(runtime).attachment.posix_module.dxt_records
     assert last_profile(runtime).posix_opens == 4
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core import DarshanMiddleman, get_attachment
+from repro.core import DarshanMiddleman, enable
 from repro.tfmini import io_ops
 from tests.core.conftest import make_files, run
 
@@ -13,7 +13,7 @@ from tests.core.conftest import make_files, run
 def _window(runtime, env, before, during):
     """Start and stop snapshots around reading the ``during`` files."""
     def proc():
-        attachment = get_attachment(runtime)
+        attachment = enable(runtime).attachment
         yield from attachment.attach()
         for path in before:
             yield from io_ops.read_file(runtime, path)

@@ -276,6 +276,21 @@ def test_page_cache_lru_eviction_respects_capacity():
     assert cache.resident_bytes("b") == 600
 
 
+def test_page_cache_insert_past_the_prefix_only_refreshes_lru():
+    cache = PageCache(capacity_bytes=1000)
+    cache.insert("a", 0, 400)
+    cache.insert("b", 0, 400)
+    # Bytes 500-600 of "a" would leave a hole after its 400-byte prefix.
+    cache.insert("a", 500, 100)
+    assert cache.resident_bytes("a") == 400
+    assert cache.used_bytes == 800
+    # "a" is now the most recently used file, so "b" is evicted first.
+    cache.insert("c", 0, 400)
+    assert cache.resident_bytes("b") == 0
+    assert cache.resident_bytes("a") == 400
+    assert cache.resident_bytes("c") == 400
+
+
 def test_page_cache_invalidate_single_file():
     cache = PageCache(capacity_bytes=10_000)
     cache.insert("a", 0, 100)

@@ -14,7 +14,6 @@ from repro.tfmini.keras import (
 )
 from repro.tfmini.profiler import (
     HOST_PLANE_NAME,
-    ProfilerOptions,
     ProfilerServer,
     analyze_input_pipeline,
     build_overview,
@@ -201,13 +200,12 @@ def test_stop_without_start_rejected(runtime):
 
 def test_session_logdir_does_not_leak_into_shared_options(runtime, os_image,
                                                           tmp_path):
-    """A logdir given to one session stays with that session: options shared
-    with a later session without a logdir must not make it export."""
+    """A logdir given to one session stays with that session: a later
+    session without a logdir must not export."""
     paths = make_files(os_image, 4, 10_000)
-    shared = ProfilerOptions()
 
     def window(logdir):
-        yield from profiler_start(runtime, logdir=logdir, options=shared)
+        yield from profiler_start(runtime, logdir=logdir)
         for path in paths:
             yield from io_ops.read_file(runtime, path)
         result = yield from profiler_stop(runtime)
@@ -215,7 +213,6 @@ def test_session_logdir_does_not_leak_into_shared_options(runtime, os_image,
 
     first = run(runtime.env, window(str(tmp_path)))
     assert first.exported_files
-    assert shared.logdir is None
     second = run(runtime.env, window(None))
     assert second.logdir is None
     assert second.exported_files == []
@@ -224,13 +221,13 @@ def test_session_logdir_does_not_leak_into_shared_options(runtime, os_image,
 def test_tracer_factory_error_surfaces_from_its_only_call(runtime):
     calls = []
 
-    def factory(rt, options=None):
-        calls.append(options)
+    def factory(rt, logdir=None):
+        calls.append(logdir)
         raise TypeError("tracer constructor failed")
 
     runtime.profiler_registry.register(factory)
     with pytest.raises(TypeError, match="tracer constructor failed"):
-        runtime.profiler_registry.create_tracers(runtime, ProfilerOptions())
+        runtime.profiler_registry.create_tracers(runtime, None)
     assert len(calls) == 1
 
 
