@@ -19,8 +19,7 @@ from repro.core.config import TfDarshanCosts, TfDarshanOptions
 from repro.core.events import (
     DARSHAN_PLANE_NAME,
     DARSHAN_STDIO_PLANE_NAME,
-    build_posix_plane,
-    build_stdio_plane,
+    build_plane,
     reads_overlapping,
     zero_length_read_files,
 )
@@ -59,9 +58,8 @@ __all__ = [
     "ThreadingAdvisor",
     "ThreadingRecommendation",
     "WindowResult",
+    "build_plane",
     "build_plugin_data",
-    "build_posix_plane",
-    "build_stdio_plane",
     "enable",
     "last_profile",
     "reads_overlapping",

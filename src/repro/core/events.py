@@ -1,9 +1,11 @@
 """Conversion of DXT segments into TraceViewer timelines.
 
-tf-Darshan adds a plane to the collected profile in which every file Darshan
-saw becomes one timeline and every POSIX read/write segment becomes one
-event — the view used in Fig. 8 (zero-length reads terminating every file)
-and Fig. 10 (the POSIX segments belonging to one TensorFlow ReadFile op).
+For a profile that is exported to a log directory, tf-Darshan adds a plane
+in which every file Darshan saw becomes one timeline and every POSIX
+read/write segment becomes one event — the view used in Fig. 8 (zero-length
+reads terminating every file) and Fig. 10 (the POSIX segments belonging to
+one TensorFlow ReadFile op) — and a second plane for the STDIO (checkpoint)
+segments.
 """
 
 from __future__ import annotations
@@ -18,48 +20,32 @@ from repro.core.wrapper import SnapshotDelta
 DARSHAN_PLANE_NAME = "/host:tf-Darshan POSIX"
 DARSHAN_STDIO_PLANE_NAME = "/host:tf-Darshan STDIO"
 
-
-def segment_to_event(segment: DxtSegment) -> XEvent:
-    """One DXT segment becomes one TraceViewer event."""
-    name = "pread" if segment.op == "read" else "pwrite"
-    if segment.op == "read" and segment.length == 0:
-        name = "pread (zero-length)"
-    return XEvent(
-        name=name,
-        start=segment.start_time,
-        duration=segment.duration,
-        metadata={"offset": segment.offset, "length": segment.length,
-                  "op": segment.op},
-    )
+#: Per module: its plane's name and the event names of a zero-length read,
+#: a read and a write segment.
+_PLANES = {
+    "POSIX": (DARSHAN_PLANE_NAME, ("pread (zero-length)", "pread", "pwrite")),
+    "STDIO": (DARSHAN_STDIO_PLANE_NAME, ("fread", "fread", "fwrite")),
+}
 
 
-def build_posix_plane(delta: SnapshotDelta,
-                      resolve_name: Callable[[int], Optional[str]],
-                      plane_name: str = DARSHAN_PLANE_NAME) -> XPlane:
-    """Build the per-file POSIX timeline plane from a snapshot delta."""
+def build_plane(module: str, dxt: Dict[int, List[DxtSegment]],
+                resolve_name: Callable[[int], Optional[str]]) -> XPlane:
+    """The ``POSIX`` or ``STDIO`` timeline plane of a window's DXT segments
+    ``dxt``: one line per file, one event per segment, in segment order."""
+    plane_name, (zero_read, read, write) = _PLANES[module]
     plane = XPlane(plane_name)
-    for record_id, segments in sorted(delta.dxt_posix.items()):
-        path = resolve_name(record_id) or f"record-{record_id:#x}"
-        line = plane.line(path)
+    for record_id, segments in sorted(dxt.items()):
+        line = plane.line(resolve_name(record_id) or f"record-{record_id:#x}")
         for segment in segments:
-            line.add(segment_to_event(segment))
-    plane.stats["num_files"] = len(delta.dxt_posix)
-    plane.stats["num_events"] = plane.event_count
-    return plane
-
-
-def build_stdio_plane(delta: SnapshotDelta,
-                      resolve_name: Callable[[int], Optional[str]]) -> XPlane:
-    """Build the STDIO (checkpoint traffic) timeline plane."""
-    plane = XPlane(DARSHAN_STDIO_PLANE_NAME)
-    for record_id, segments in sorted(delta.dxt_stdio.items()):
-        path = resolve_name(record_id) or f"record-{record_id:#x}"
-        line = plane.line(path)
-        for segment in segments:
-            event = segment_to_event(segment)
-            event.name = "fread" if segment.op == "read" else "fwrite"
-            line.add(event)
-    plane.stats["num_files"] = len(delta.dxt_stdio)
+            if segment.op == "read":
+                name = read if segment.length else zero_read
+            else:
+                name = write
+            line.add(XEvent(
+                name, segment.start_time, segment.duration,
+                {"offset": segment.offset, "length": segment.length,
+                 "op": segment.op}))
+    plane.stats["num_files"] = len(dxt)
     plane.stats["num_events"] = plane.event_count
     return plane
 

@@ -6,7 +6,8 @@ profiling session regardless of how the session was initiated (TensorBoard
 callback, manual API, or the interactive server).  On start it makes sure
 Darshan is attached and snapshots the live records; on stop it snapshots
 again; at collection time it diffs the snapshots, runs the in-situ analysis
-and (optionally) converts the DXT segments into TraceViewer timelines.
+and, for a session that exports its profile, converts the DXT segments into
+TraceViewer timelines.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.tfmini.profiler.tracers import ProfilerInterface
 from repro.tfmini.profiler.xplane import XSpace
 from repro.core.analysis import analyze
 from repro.core.config import COSTS
-from repro.core.events import build_posix_plane, build_stdio_plane
+from repro.core.events import build_plane
 from repro.core.wrapper import DarshanMiddleman, Snapshot
 
 
@@ -67,14 +68,18 @@ class DarshanTracer(ProfilerInterface):
         export_cost = (COSTS.per_session + per_record * n_records
                        + per_segment * delta.segment_count)
 
-        if options.darshan.enable_dxt:
-            posix_plane = build_posix_plane(delta, middleman.resolve_name)
+        # Only an exported profile is read as timelines; the window delta
+        # keeps every segment for the in-situ analyses either way.
+        if options.darshan.enable_dxt and self.logdir is not None:
+            posix_plane = build_plane("POSIX", delta.dxt_posix,
+                                      middleman.resolve_name)
             posix_plane.stats["summary"] = profile.summary()
             posix_plane.stats["read_bandwidth_mbps"] = (
                 profile.posix_read_bandwidth / 1e6)
             space.planes[posix_plane.name] = posix_plane
             if delta.dxt_stdio:
-                stdio_plane = build_stdio_plane(delta, middleman.resolve_name)
+                stdio_plane = build_plane("STDIO", delta.dxt_stdio,
+                                          middleman.resolve_name)
                 space.planes[stdio_plane.name] = stdio_plane
 
         if export_cost > 0:

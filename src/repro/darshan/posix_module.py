@@ -177,33 +177,33 @@ class PosixModule(InstrumentationModule):
         def wrap_read(fd, count):
             ref = self._fd_refs.get(fd)
             start = self.env.now
-            data = yield from real["read"](fd, count)
+            nbytes = yield from real["read"](fd, count)
             end = self.env.now
             if ref is not None:
                 offset = ref.offset
-                self._track_transfer(ref, False, offset, data.nbytes, start, end)
-                ref.offset = offset + data.nbytes
+                self._track_transfer(ref, False, offset, nbytes, start, end)
+                ref.offset = offset + nbytes
             else:
                 self.untracked_ops += 1
             yield from self._overhead()
-            return data
+            return nbytes
 
         def wrap_pread(fd, count, offset):
             ref = self._fd_refs.get(fd)
             start = self.env.now
-            data = yield from real["pread"](fd, count, offset)
+            nbytes = yield from real["pread"](fd, count, offset)
             end = self.env.now
             if ref is not None:
-                self._track_transfer(ref, False, offset, data.nbytes, start, end)
+                self._track_transfer(ref, False, offset, nbytes, start, end)
             else:
                 self.untracked_ops += 1
             yield from self._overhead()
-            return data
+            return nbytes
 
-        def wrap_write(fd, data):
+        def wrap_write(fd, nbytes):
             ref = self._fd_refs.get(fd)
             start = self.env.now
-            written = yield from real["write"](fd, data)
+            written = yield from real["write"](fd, nbytes)
             end = self.env.now
             if ref is not None:
                 offset = ref.offset
@@ -214,10 +214,10 @@ class PosixModule(InstrumentationModule):
             yield from self._overhead()
             return written
 
-        def wrap_pwrite(fd, data, offset):
+        def wrap_pwrite(fd, nbytes, offset):
             ref = self._fd_refs.get(fd)
             start = self.env.now
-            written = yield from real["pwrite"](fd, data, offset)
+            written = yield from real["pwrite"](fd, nbytes, offset)
             end = self.env.now
             if ref is not None:
                 self._track_transfer(ref, True, offset, written, start, end)

@@ -113,19 +113,19 @@ class StdioModule(InstrumentationModule):
         def wrap_fread(stream, nbytes):
             ref = self._ref_for(stream)
             start = self.env.now
-            data = yield from real["fread"](stream, nbytes)
+            nread = yield from real["fread"](stream, nbytes)
             end = self.env.now
             if ref is not None:
-                self._track_transfer(ref, False, data.nbytes, start, end)
+                self._track_transfer(ref, False, nread, start, end)
             else:
                 self.untracked_ops += 1
             yield from self._overhead()
-            return data
+            return nread
 
-        def wrap_fwrite(stream, data):
+        def wrap_fwrite(stream, nbytes):
             ref = self._ref_for(stream)
             start = self.env.now
-            written = yield from real["fwrite"](stream, data)
+            written = yield from real["fwrite"](stream, nbytes)
             end = self.env.now
             if ref is not None:
                 self._track_transfer(ref, True, written, start, end)

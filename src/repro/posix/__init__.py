@@ -7,7 +7,7 @@ from repro.posix.dispatch import (
     SymbolNotFound,
     SymbolTable,
 )
-from repro.posix.errors import Errno, SimOSError
+from repro.posix.errors import SimOSError
 from repro.posix.fdtable import (
     O_APPEND,
     O_CREAT,
@@ -22,14 +22,12 @@ from repro.posix.fdtable import (
     OpenFileDescription,
 )
 from repro.posix.osimage import SimulatedOS
-from repro.posix.simbytes import SimBytes
 from repro.posix.stdio import DEFAULT_BUFFER_SIZE, FileStream, StdioLayer
 from repro.posix.syscalls import PosixCosts, PosixLayer
 from repro.posix.vfs import Inode, StatResult, VirtualFileSystem, normalize_path
 
 __all__ = [
     "DEFAULT_BUFFER_SIZE",
-    "Errno",
     "FileDescriptorTable",
     "FileStream",
     "IO_SYMBOLS",
@@ -48,7 +46,6 @@ __all__ = [
     "SEEK_END",
     "SEEK_SET",
     "STDIO_SYMBOLS",
-    "SimBytes",
     "SimOSError",
     "SimulatedOS",
     "StatResult",

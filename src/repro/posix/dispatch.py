@@ -46,7 +46,6 @@ class SymbolTable:
     def __init__(self):
         self._current: Dict[str, Callable[..., Generator]] = {}
         self._original: Dict[str, Callable[..., Generator]] = {}
-        self._patch_log: List[tuple] = []
 
     # -- link-time registration ------------------------------------------------
     def register(self, name: str, func: Callable[..., Generator]) -> None:
@@ -73,13 +72,6 @@ class SymbolTable:
         except KeyError:
             raise SymbolNotFound(name) from None
 
-    def original(self, name: str) -> Callable[..., Generator]:
-        """The original (libc) binding, regardless of patches."""
-        try:
-            return self._original[name]
-        except KeyError:
-            raise SymbolNotFound(name) from None
-
     def call(self, name: str, *args, **kwargs) -> Generator:
         """Invoke a symbol through the table (use with ``yield from``)."""
         func = self.resolve(name)
@@ -101,7 +93,6 @@ class SymbolTable:
         if not callable(func):
             raise TypeError("patch target must be callable")
         self._current[name] = func
-        self._patch_log.append((name, "patch"))
         return previous
 
     def restore(self, name: str) -> None:
@@ -109,19 +100,12 @@ class SymbolTable:
         if name not in self._original:
             raise SymbolNotFound(name)
         self._current[name] = self._original[name]
-        self._patch_log.append((name, "restore"))
 
     def restore_all(self) -> None:
         """Undo every patch (detaching the instrumentation completely)."""
         for name in list(self._current):
             self._current[name] = self._original[name]
-        self._patch_log.append(("*", "restore_all"))
 
     def patched_symbols(self) -> List[str]:
         """Names currently redirected away from their originals."""
         return sorted(n for n in self._current if self.is_patched(n))
-
-    @property
-    def patch_log(self) -> List[tuple]:
-        """History of patch/restore operations (used in tests and reports)."""
-        return list(self._patch_log)

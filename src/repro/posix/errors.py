@@ -2,53 +2,22 @@
 
 from __future__ import annotations
 
-
-class Errno:
-    """Subset of errno values used by the simulated syscalls."""
-
-    EPERM = 1
-    ENOENT = 2
-    EBADF = 9
-    EACCES = 13
-    EEXIST = 17
-    ENOTDIR = 20
-    EISDIR = 21
-    EINVAL = 22
-    EMFILE = 24
-    ENOSPC = 28
-    ESPIPE = 29
-
-    _NAMES = {
-        1: "EPERM",
-        2: "ENOENT",
-        9: "EBADF",
-        13: "EACCES",
-        17: "EEXIST",
-        20: "ENOTDIR",
-        21: "EISDIR",
-        22: "EINVAL",
-        24: "EMFILE",
-        28: "ENOSPC",
-        29: "ESPIPE",
-    }
-
-    @classmethod
-    def name(cls, code: int) -> str:
-        """Symbolic name of an errno value."""
-        return cls._NAMES.get(code, f"E{code}")
+import errno
 
 
 class SimOSError(OSError):
     """OSError raised by the simulated POSIX layer.
 
-    Carries the simulated errno in ``errno`` so callers (and tests) can
-    check failure modes exactly as they would against a real kernel.
+    Carries the simulated errno, a standard :mod:`errno` code, in ``errno``
+    so callers (and tests) can check failure modes exactly as they would
+    against a real kernel.
     """
 
     def __init__(self, errno_code: int, message: str = "", path: str = ""):
         self.errno = errno_code
         self.path = path
-        detail = f"[{Errno.name(errno_code)}] {message}"
+        name = errno.errorcode.get(errno_code, f"E{errno_code}")
+        detail = f"[{name}] {message}"
         if path:
             detail += f": {path!r}"
         super().__init__(errno_code, detail)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.posix.errors import Errno, SimOSError
+from repro.posix.errors import SimOSError
 from repro.posix.vfs import Inode
 
 #: Flag bits mirroring the small subset of fcntl.h the reproduction needs.
@@ -29,7 +30,6 @@ class OpenFileDescription:
     inode: Inode
     flags: int = O_RDONLY
     offset: int = 0
-    closed: bool = False
 
     @property
     def readable(self) -> bool:
@@ -57,30 +57,26 @@ class FileDescriptorTable:
     def __init__(self):
         self._table: Dict[int, OpenFileDescription] = {}
         self._next_fd = self.FIRST_FD
-        #: Running count of every descriptor ever opened (for reports).
-        self.total_opened = 0
 
     def allocate(self, inode: Inode, flags: int) -> OpenFileDescription:
         """Create a new open-file description for ``inode``."""
         if len(self._table) >= self.MAX_OPEN_FILES:
-            raise SimOSError(Errno.EMFILE, "too many open files", inode.path)
+            raise SimOSError(errno.EMFILE, "too many open files", inode.path)
         fd = self._next_fd
         self._next_fd += 1
         ofd = OpenFileDescription(fd=fd, inode=inode, flags=flags)
         self._table[fd] = ofd
-        self.total_opened += 1
         return ofd
 
     def get(self, fd: int) -> OpenFileDescription:
         """Resolve a descriptor, raising EBADF for unknown/closed ones."""
         ofd = self._table.get(fd)
-        if ofd is None or ofd.closed:
-            raise SimOSError(Errno.EBADF, "bad file descriptor", str(fd))
+        if ofd is None:
+            raise SimOSError(errno.EBADF, "bad file descriptor", str(fd))
         return ofd
 
     def close(self, fd: int) -> OpenFileDescription:
         """Close a descriptor and return its description."""
         ofd = self.get(fd)
-        ofd.closed = True
         del self._table[fd]
         return ofd

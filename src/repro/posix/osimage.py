@@ -31,7 +31,7 @@ class SimulatedOS:
     ):
         self.env = env
         self.vfs = VirtualFileSystem(
-            env, mount_table=mount_table, page_cache=page_cache,
+            mount_table=mount_table, page_cache=page_cache,
             enable_page_cache=enable_page_cache)
         self.posix = PosixLayer(env, self.vfs)
         self.stdio = StdioLayer(env, self.posix)

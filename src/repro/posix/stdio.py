@@ -11,14 +11,14 @@ does not double-count ``fwrite`` traffic.
 
 from __future__ import annotations
 
+import errno
 from dataclasses import dataclass
 from itertools import count
 from typing import Dict, Generator
 
 from repro.sim import Environment
-from repro.posix.errors import Errno, SimOSError
+from repro.posix.errors import SimOSError
 from repro.posix.fdtable import O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, SEEK_CUR, SEEK_SET
-from repro.posix.simbytes import BytesLike, SimBytes
 from repro.posix.syscalls import PosixLayer
 
 #: Default stdio buffer size (glibc's BUFSIZ is 8 KiB).
@@ -43,13 +43,11 @@ class FileStream:
     stream_id: int
     path: str
     fd: int
-    mode: str
     buffer_size: int = DEFAULT_BUFFER_SIZE
     #: Bytes buffered in user space, waiting to be written.
     pending_write_bytes: int = 0
     #: Logical stream position (offset of the *next* fread/fwrite).
     position: int = 0
-    closed: bool = False
     #: Per-stream operation counters (used in tests).
     writes: int = 0
     reads: int = 0
@@ -74,8 +72,8 @@ class StdioLayer:
     def _get(self, stream: object) -> FileStream:
         stream_id = stream.stream_id if isinstance(stream, FileStream) else int(stream)
         fs = self._streams.get(stream_id)
-        if fs is None or fs.closed:
-            raise SimOSError(Errno.EBADF, "bad stream", str(stream))
+        if fs is None:
+            raise SimOSError(errno.EBADF, "bad stream", str(stream))
         return fs
 
     def _charge(self) -> Generator:
@@ -87,10 +85,10 @@ class StdioLayer:
         yield from self._charge()
         flags = _MODE_FLAGS.get(mode)
         if flags is None:
-            raise SimOSError(Errno.EINVAL, f"unsupported mode {mode!r}", path)
+            raise SimOSError(errno.EINVAL, f"unsupported mode {mode!r}", path)
         fd = yield from self.posix.open(path, flags)
         stream = FileStream(stream_id=next(self._ids), path=path, fd=fd,
-                            mode=mode, buffer_size=self.buffer_size)
+                            buffer_size=self.buffer_size)
         if flags & O_APPEND:
             stat = yield from self.posix.fstat(fd)
             stream.position = stat.st_size
@@ -98,25 +96,28 @@ class StdioLayer:
         return stream
 
     def fread(self, stream: object, nbytes: int) -> Generator:
-        """Read up to ``nbytes`` from the stream position."""
+        """Read up to ``nbytes`` from the stream position; returns the
+        number of bytes read (0 at end of file)."""
         yield from self._charge()
         fs = self._get(stream)
         fs.reads += 1
-        data = yield from self.posix.pread(fs.fd, nbytes, fs.position)
-        fs.position += data.nbytes
-        return data
+        nread = yield from self.posix.pread(fs.fd, nbytes, fs.position)
+        fs.position += nread
+        return nread
 
-    def fwrite(self, stream: object, data: BytesLike) -> Generator:
-        """Buffered write; flushes to POSIX when the buffer fills."""
+    def fwrite(self, stream: object, nbytes: int) -> Generator:
+        """Buffered write of ``nbytes``; flushes to POSIX when the buffer
+        fills."""
         yield from self._charge()
         fs = self._get(stream)
-        payload = SimBytes.coerce(data)
+        if nbytes < 0:
+            raise SimOSError(errno.EINVAL, "negative count", fs.path)
         fs.writes += 1
-        fs.pending_write_bytes += payload.nbytes
-        fs.position += payload.nbytes
+        fs.pending_write_bytes += nbytes
+        fs.position += nbytes
         if fs.pending_write_bytes >= fs.buffer_size:
             yield from self._flush(fs)
-        return payload.nbytes
+        return nbytes
 
     def fseek(self, stream: object, offset: int, whence: int = SEEK_SET
               ) -> Generator:
@@ -132,7 +133,7 @@ class StdioLayer:
             stat = yield from self.posix.fstat(fs.fd)
             fs.position = stat.st_size + offset
         if fs.position < 0:
-            raise SimOSError(Errno.EINVAL, "negative stream position", fs.path)
+            raise SimOSError(errno.EINVAL, "negative stream position", fs.path)
         return 0
 
     def ftell(self, stream: object) -> Generator:
@@ -155,7 +156,6 @@ class StdioLayer:
         fs = self._get(stream)
         yield from self._flush(fs)
         yield from self.posix.close(fs.fd)
-        fs.closed = True
         del self._streams[fs.stream_id]
         return 0
 
@@ -166,7 +166,7 @@ class StdioLayer:
         nbytes = fs.pending_write_bytes
         offset = fs.position - nbytes
         fs.pending_write_bytes = 0
-        yield from self.posix.pwrite(fs.fd, SimBytes(nbytes), offset)
+        yield from self.posix.pwrite(fs.fd, nbytes, offset)
 
     # -- registration --------------------------------------------------------------
     def bindings(self) -> dict:

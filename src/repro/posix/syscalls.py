@@ -3,18 +3,22 @@
 Every function is a simulation generator: it charges the cost of the call
 (syscall entry, page-cache lookups, device transfers through the storage
 backend) to the simulated clock and returns the same result a real libc call
-would.  The functions are registered in the
+would.  Data moves as byte counts, not buffers: ``read`` and ``pread``
+return the number of bytes read (0 at end of file) and ``write`` and
+``pwrite`` take the number of bytes to write, the counts a real call
+returns and takes.  The functions are registered in the
 :class:`~repro.posix.dispatch.SymbolTable`, which is what makes them
 interposable by Darshan exactly as in the paper.
 """
 
 from __future__ import annotations
 
+import errno
 from dataclasses import dataclass
 from typing import Generator
 
 from repro.sim import Environment
-from repro.posix.errors import Errno, SimOSError
+from repro.posix.errors import SimOSError
 from repro.posix.fdtable import (
     O_APPEND,
     O_CREAT,
@@ -26,7 +30,6 @@ from repro.posix.fdtable import (
     FileDescriptorTable,
     OpenFileDescription,
 )
-from repro.posix.simbytes import BytesLike, SimBytes
 from repro.posix.vfs import Inode, StatResult, VirtualFileSystem
 
 
@@ -77,7 +80,7 @@ class PosixLayer:
             inode = self.vfs.create_file(path, size=0)
             created = True
         if inode.is_dir and (flags & 0o3) != O_RDONLY:
-            raise SimOSError(Errno.EISDIR, "cannot write a directory", path)
+            raise SimOSError(errno.EISDIR, "cannot write a directory", path)
         backend = self.vfs.backend_for(inode.path)
         if created:
             yield from backend.create(inode.key)
@@ -85,12 +88,10 @@ class PosixLayer:
             yield from backend.open(inode.key, inode.size)
         if flags & O_TRUNC and not inode.is_dir:
             inode.size = 0
-            inode.content = None
             self.vfs.page_cache.invalidate(inode.key)
         ofd = self.fds.allocate(inode, flags)
         if flags & O_APPEND:
             ofd.offset = inode.size
-        inode.atime = self.env.now
         return ofd.fd
 
     def close(self, fd: int) -> Generator:
@@ -106,14 +107,14 @@ class PosixLayer:
                  ) -> Generator:
         inode = ofd.inode
         if not ofd.readable:
-            raise SimOSError(Errno.EBADF, "descriptor not open for reading",
+            raise SimOSError(errno.EBADF, "descriptor not open for reading",
                              inode.path)
         if count < 0 or offset < 0:
-            raise SimOSError(Errno.EINVAL, "negative count or offset", inode.path)
+            raise SimOSError(errno.EINVAL, "negative count or offset", inode.path)
         nbytes = max(0, min(count, inode.size - offset))
         if nbytes == 0:
             # End of file: a zero-length read costs only the syscall itself.
-            return SimBytes(0)
+            return 0
         cached = uncached = 0
         if self.vfs.enable_page_cache:
             cached, uncached = self.vfs.page_cache.split_request(
@@ -128,56 +129,58 @@ class PosixLayer:
                                     inode.size)
             if self.vfs.enable_page_cache:
                 self.vfs.page_cache.insert(inode.key, offset + cached, uncached)
-        inode.atime = self.env.now
-        return self.vfs.read_span(inode, offset, nbytes)
+        return nbytes
 
     def read(self, fd: int, count: int) -> Generator:
-        """``read(2)``: read from the descriptor's current offset."""
+        """``read(2)``: read from the descriptor's current offset; returns
+        the number of bytes read."""
         ofd = self.fds.get(fd)
         yield from self._charge("read", min(count, max(0, ofd.inode.size - ofd.offset)))
-        data = yield from self._do_read(ofd, count, ofd.offset)
-        ofd.offset += data.nbytes
-        return data
+        nbytes = yield from self._do_read(ofd, count, ofd.offset)
+        ofd.offset += nbytes
+        return nbytes
 
     def pread(self, fd: int, count: int, offset: int) -> Generator:
         """``pread(2)``: positional read, does not move the file offset."""
         ofd = self.fds.get(fd)
         yield from self._charge("pread", min(count, max(0, ofd.inode.size - offset)))
-        data = yield from self._do_read(ofd, count, offset)
-        return data
+        nbytes = yield from self._do_read(ofd, count, offset)
+        return nbytes
 
-    def _do_write(self, ofd: OpenFileDescription, data: BytesLike, offset: int
+    def _do_write(self, ofd: OpenFileDescription, nbytes: int, offset: int
                   ) -> Generator:
         inode = ofd.inode
         if not ofd.writable:
-            raise SimOSError(Errno.EBADF, "descriptor not open for writing",
+            raise SimOSError(errno.EBADF, "descriptor not open for writing",
                              inode.path)
-        payload = SimBytes.coerce(data)
-        if payload.nbytes == 0:
+        if nbytes == 0:
             return 0
         backend = self.vfs.backend_for(inode.path)
-        yield from backend.write(inode.key, offset, payload.nbytes)
-        written = self.vfs.write_span(inode, offset, payload)
+        yield from backend.write(inode.key, offset, nbytes)
+        inode.size = max(inode.size, offset + nbytes)
         if self.vfs.enable_page_cache:
-            self.vfs.page_cache.insert(inode.key, offset, written)
-        return written
+            self.vfs.page_cache.insert(inode.key, offset, nbytes)
+        return nbytes
 
-    def write(self, fd: int, data: BytesLike) -> Generator:
-        """``write(2)``: write at the descriptor's current offset."""
+    def write(self, fd: int, nbytes: int) -> Generator:
+        """``write(2)``: write ``nbytes`` at the descriptor's current offset;
+        returns the number written."""
         ofd = self.fds.get(fd)
-        payload = SimBytes.coerce(data)
-        yield from self._charge("write", payload.nbytes)
+        if nbytes < 0:
+            raise SimOSError(errno.EINVAL, "negative count", ofd.inode.path)
+        yield from self._charge("write", nbytes)
         offset = ofd.inode.size if ofd.append else ofd.offset
-        written = yield from self._do_write(ofd, payload, offset)
+        written = yield from self._do_write(ofd, nbytes, offset)
         ofd.offset = offset + written
         return written
 
-    def pwrite(self, fd: int, data: BytesLike, offset: int) -> Generator:
+    def pwrite(self, fd: int, nbytes: int, offset: int) -> Generator:
         """``pwrite(2)``: positional write, does not move the file offset."""
         ofd = self.fds.get(fd)
-        payload = SimBytes.coerce(data)
-        yield from self._charge("pwrite", payload.nbytes)
-        written = yield from self._do_write(ofd, payload, offset)
+        if nbytes < 0:
+            raise SimOSError(errno.EINVAL, "negative count", ofd.inode.path)
+        yield from self._charge("pwrite", nbytes)
+        written = yield from self._do_write(ofd, nbytes, offset)
         return written
 
     # -- metadata ---------------------------------------------------------------------
@@ -192,17 +195,15 @@ class PosixLayer:
         elif whence == SEEK_END:
             new_offset = ofd.inode.size + offset
         else:
-            raise SimOSError(Errno.EINVAL, f"bad whence {whence}", ofd.inode.path)
+            raise SimOSError(errno.EINVAL, f"bad whence {whence}", ofd.inode.path)
         if new_offset < 0:
-            raise SimOSError(Errno.EINVAL, "negative resulting offset",
+            raise SimOSError(errno.EINVAL, "negative resulting offset",
                              ofd.inode.path)
         ofd.offset = new_offset
         return new_offset
 
     def _stat_result(self, inode: Inode) -> StatResult:
-        return StatResult(
-            st_ino=inode.ino, st_size=inode.size, st_mtime=inode.mtime,
-            st_atime=inode.atime, st_ctime=inode.ctime, is_dir=inode.is_dir)
+        return StatResult(st_size=inode.size, is_dir=inode.is_dir)
 
     def stat(self, path: str) -> Generator:
         """``stat(2)``: metadata lookup by path."""

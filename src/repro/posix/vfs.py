@@ -9,24 +9,20 @@ layer cost simulated time on the backing devices.
 
 from __future__ import annotations
 
+import errno
 import posixpath
 from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional
 
-from repro.sim import Environment
 from repro.storage import MountTable, PageCache, StorageBackend
-from repro.posix.errors import Errno, SimOSError
-from repro.posix.simbytes import SimBytes
-
-#: Real file content larger than this is dropped and tracked as synthetic.
-MAX_REAL_CONTENT = 16 << 20
+from repro.posix.errors import SimOSError
 
 
 def normalize_path(path: str) -> str:
     """Normalize an absolute POSIX path."""
     if not path or not path.startswith("/"):
-        raise SimOSError(Errno.EINVAL, "path must be absolute", path)
+        raise SimOSError(errno.EINVAL, "path must be absolute", path)
     norm = posixpath.normpath(path)
     return norm
 
@@ -39,11 +35,6 @@ class Inode:
     path: str
     is_dir: bool = False
     size: int = 0
-    content: Optional[bytes] = None
-    ctime: float = 0.0
-    mtime: float = 0.0
-    atime: float = 0.0
-    nlink: int = 1
 
     @property
     def key(self) -> int:
@@ -53,13 +44,9 @@ class Inode:
 
 @dataclass
 class StatResult:
-    """Result of ``stat()`` / ``fstat()``."""
+    """Result of ``stat()`` / ``fstat()``: the fields its callers read."""
 
-    st_ino: int
     st_size: int
-    st_mtime: float
-    st_atime: float
-    st_ctime: float
     is_dir: bool = False
 
 
@@ -68,12 +55,10 @@ class VirtualFileSystem:
 
     def __init__(
         self,
-        env: Environment,
         mount_table: Optional[MountTable] = None,
         page_cache: Optional[PageCache] = None,
         enable_page_cache: bool = True,
     ):
-        self.env = env
         self.mount_table = mount_table if mount_table is not None else MountTable()
         self.page_cache = page_cache if page_cache is not None else PageCache()
         self.enable_page_cache = enable_page_cache
@@ -95,21 +80,19 @@ class VirtualFileSystem:
             current += "/" + part
             if current not in self._inodes:
                 self._inodes[current] = Inode(
-                    ino=next(self._ino_counter), path=current, is_dir=True,
-                    ctime=self.env.now, mtime=self.env.now, atime=self.env.now)
+                    ino=next(self._ino_counter), path=current, is_dir=True)
             elif not self._inodes[current].is_dir:
-                raise SimOSError(Errno.ENOTDIR, "path component is a file", current)
+                raise SimOSError(errno.ENOTDIR, "path component is a file", current)
 
     def mkdir(self, path: str) -> Inode:
         """Create a directory (and its parents)."""
         path = normalize_path(path)
         if path in self._inodes and not self._inodes[path].is_dir:
-            raise SimOSError(Errno.EEXIST, "file exists", path)
+            raise SimOSError(errno.EEXIST, "file exists", path)
         self._ensure_dirs(path)
         return self._inodes[path]
 
-    def create_file(self, path: str, size: int = 0,
-                    content: Optional[bytes] = None) -> Inode:
+    def create_file(self, path: str, size: int = 0) -> Inode:
         """Register a file in the namespace (no simulated time is charged).
 
         Use this to lay out synthetic datasets before an experiment.  Files
@@ -119,16 +102,10 @@ class VirtualFileSystem:
         """
         path = normalize_path(path)
         if path in self._inodes:
-            raise SimOSError(Errno.EEXIST, "file exists", path)
-        if content is not None:
-            size = len(content)
-            if size > MAX_REAL_CONTENT:
-                content = None
+            raise SimOSError(errno.EEXIST, "file exists", path)
         self._ensure_dirs(posixpath.dirname(path))
-        inode = Inode(
-            ino=next(self._ino_counter), path=path, is_dir=False, size=int(size),
-            content=content, ctime=self.env.now, mtime=self.env.now,
-            atime=self.env.now)
+        inode = Inode(ino=next(self._ino_counter), path=path, is_dir=False,
+                      size=int(size))
         self._inodes[path] = inode
         return inode
 
@@ -137,7 +114,7 @@ class VirtualFileSystem:
         path = normalize_path(path)
         inode = self.lookup(path)
         if inode.is_dir:
-            raise SimOSError(Errno.EISDIR, "is a directory", path)
+            raise SimOSError(errno.EISDIR, "is a directory", path)
         del self._inodes[path]
         self.page_cache.invalidate(inode.key)
         self.mount_table.clear_placement(path)
@@ -154,7 +131,7 @@ class VirtualFileSystem:
         path = normalize_path(path)
         inode = self._inodes.get(path)
         if inode is None:
-            raise SimOSError(Errno.ENOENT, "no such file or directory", path)
+            raise SimOSError(errno.ENOENT, "no such file or directory", path)
         return inode
 
     def listdir(self, path: str) -> List[str]:
@@ -162,7 +139,7 @@ class VirtualFileSystem:
         path = normalize_path(path)
         directory = self.lookup(path)
         if not directory.is_dir:
-            raise SimOSError(Errno.ENOTDIR, "not a directory", path)
+            raise SimOSError(errno.ENOTDIR, "not a directory", path)
         prefix = path if path.endswith("/") else path + "/"
         names = set()
         for other in self._inodes:
@@ -211,28 +188,3 @@ class VirtualFileSystem:
         self.page_cache.drop()
         for backend in self.mount_table.backends():
             backend.drop_caches()
-
-    # -- content helpers -----------------------------------------------------------
-    def read_span(self, inode: Inode, offset: int, nbytes: int) -> SimBytes:
-        """Data of [offset, offset+nbytes) of a file (bounded by its size)."""
-        nbytes = max(0, min(nbytes, inode.size - offset))
-        if nbytes <= 0:
-            return SimBytes(0)
-        if inode.content is not None:
-            return SimBytes(nbytes, inode.content[offset:offset + nbytes])
-        return SimBytes(nbytes)
-
-    def write_span(self, inode: Inode, offset: int, data: SimBytes) -> int:
-        """Apply a write to the inode (size growth and optional content)."""
-        end = offset + data.nbytes
-        if data.content is not None and end <= MAX_REAL_CONTENT:
-            existing = bytearray(inode.content or b"")
-            if len(existing) < end:
-                existing.extend(b"\0" * (end - len(existing)))
-            existing[offset:end] = data.content
-            inode.content = bytes(existing)
-        elif data.nbytes > 0 and inode.content is not None and end > MAX_REAL_CONTENT:
-            inode.content = None
-        inode.size = max(inode.size, end)
-        inode.mtime = self.env.now
-        return data.nbytes

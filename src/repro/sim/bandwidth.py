@@ -207,7 +207,6 @@ class CPUPool(SharedBandwidth):
         if cores <= 0:
             raise ValueError("cores must be positive")
         super().__init__(env, rate=float(cores), per_flow_rate=1.0, name=name)
-        self.cores = int(cores)
 
     def compute(self, seconds: float) -> Event:
         """Perform ``seconds`` of single-threaded CPU work."""

@@ -30,7 +30,6 @@ class Request(Event):
 
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
-        self.resource = resource
         resource._do_request(self)
 
     # Support "with"-less usage from generators; explicit release required.

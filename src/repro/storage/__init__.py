@@ -1,12 +1,7 @@
 """Storage substrate: device models, filesystems, tiering and metrics."""
 
-from repro.storage.backend import BackendOp, LocalFilesystem, StorageBackend
-from repro.storage.device import (
-    DeviceOp,
-    RotationalDevice,
-    StorageDevice,
-    StreamingDevice,
-)
+from repro.storage.backend import LocalFilesystem, StorageBackend
+from repro.storage.device import RotationalDevice, StorageDevice, StreamingDevice
 from repro.storage.lustre import LustreFilesystem
 from repro.storage.metrics import DeviceMetrics, TransferInterval, merge_timelines
 from repro.storage.pagecache import PageCache
@@ -26,9 +21,7 @@ from repro.storage.presets import (
 from repro.storage.tiering import Mount, MountTable, StagingManager, StagingResult
 
 __all__ = [
-    "BackendOp",
     "DeviceMetrics",
-    "DeviceOp",
     "GIB",
     "KIB",
     "LocalFilesystem",

@@ -4,30 +4,17 @@ A backend turns file-level operations (open, read at an offset, write,
 stat) into device-level operations, adding the metadata costs of the
 filesystem it models.  The POSIX virtual filesystem asks the
 :class:`~repro.storage.tiering.MountTable` which backend holds a file and
-delegates data movement here.
+delegates data movement here.  Every operation is a simulation generator
+that returns nothing: its cost is the simulated time it takes, and the data
+it moves is recorded by the devices below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, List, Optional, Set
 
 from repro.sim import Environment
 from repro.storage.device import StorageDevice
-
-
-@dataclass
-class BackendOp:
-    """Result of a backend-level operation."""
-
-    nbytes: int
-    start: float
-    end: float
-    device_ops: int = 1
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class StorageBackend:
@@ -54,7 +41,6 @@ class StorageBackend:
     def close(self, file_key: object) -> Generator:
         """Cost of closing a file (usually negligible)."""
         yield self.env.timeout(0.0)
-        return BackendOp(0, self.env.now, self.env.now, device_ops=0)
 
     def stat(self, file_key: object) -> Generator:
         """Metadata cost of a stat() on the file."""
@@ -110,44 +96,34 @@ class LocalFilesystem(StorageBackend):
 
     # -- metadata ---------------------------------------------------------
     def _metadata_lookup(self, file_key: object) -> Generator:
-        start = self.env.now
         if file_key in self._dentry_cache:
             yield self.env.timeout(self.CACHED_METADATA_TIME)
-            ops = 0
         else:
             yield from self.device.read(
                 self.METADATA_READ_BYTES, stream_id=("meta", self.name), offset=0)
             self._dentry_cache.add(file_key)
-            ops = 1
         self.device.metrics.record_metadata_op()
-        return BackendOp(0, start, self.env.now, device_ops=ops)
 
     def open(self, file_key: object, file_size: int) -> Generator:
-        return (yield from self._metadata_lookup(file_key))
+        yield from self._metadata_lookup(file_key)
 
     def stat(self, file_key: object) -> Generator:
-        return (yield from self._metadata_lookup(file_key))
+        yield from self._metadata_lookup(file_key)
 
     def create(self, file_key: object) -> Generator:
-        start = self.env.now
         yield self.env.timeout(self.CREATE_TIME)
         self._dentry_cache.add(file_key)
         self.device.metrics.record_metadata_op()
-        return BackendOp(0, start, self.env.now, device_ops=0)
 
     # -- data -------------------------------------------------------------
     def read(self, file_key: object, offset: int, nbytes: int,
              file_size: int) -> Generator:
-        start = self.env.now
         if nbytes > 0:
             yield from self.device.read(nbytes, stream_id=file_key, offset=offset)
-        return BackendOp(nbytes, start, self.env.now)
 
     def write(self, file_key: object, offset: int, nbytes: int) -> Generator:
-        start = self.env.now
         if nbytes > 0:
             yield from self.device.write(nbytes, stream_id=file_key, offset=offset)
-        return BackendOp(nbytes, start, self.env.now)
 
     def drop_caches(self) -> None:
         self._dentry_cache.clear()

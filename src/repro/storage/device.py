@@ -13,29 +13,18 @@ Two device archetypes cover everything the paper's platforms use:
     file, then streams at the platter rate.  Concurrent streams therefore
     interleave and *reduce* aggregate throughput — the effect behind the
     malware case study's 16-thread slowdown (Fig. 11a).
+
+A read or write returns nothing: the device records each transfer once, as
+one :class:`~repro.storage.metrics.TransferInterval` in its
+:attr:`StorageDevice.metrics` (a seek shows as extra duration there).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional, Tuple
 
 from repro.sim import Environment, Resource, SharedBandwidth
 from repro.storage.metrics import DeviceMetrics
-
-
-@dataclass
-class DeviceOp:
-    """Result of one device-level read or write."""
-
-    nbytes: int
-    start: float
-    end: float
-    seeked: bool = False
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class StorageDevice:
@@ -113,19 +102,18 @@ class StreamingDevice(StorageDevice):
             self._queue.release(slot)
         if nbytes > 0:
             yield link.transfer(float(nbytes))
-        end = self.env.now
-        self.metrics.record_transfer(start, end, nbytes, is_write=is_write)
-        return DeviceOp(nbytes=nbytes, start=start, end=end, seeked=False)
+        self.metrics.record_transfer(start, self.env.now, nbytes,
+                                     is_write=is_write)
 
     def read(self, nbytes: int, stream_id: object = None, offset: int = 0
              ) -> Generator:
-        """Read ``nbytes``; returns a :class:`DeviceOp`."""
-        return (yield from self._io(int(nbytes), self._read_link, False))
+        """Read ``nbytes``."""
+        yield from self._io(int(nbytes), self._read_link, False)
 
     def write(self, nbytes: int, stream_id: object = None, offset: int = 0
               ) -> Generator:
-        """Write ``nbytes``; returns a :class:`DeviceOp`."""
-        return (yield from self._io(int(nbytes), self._write_link, True))
+        """Write ``nbytes``."""
+        yield from self._io(int(nbytes), self._write_link, True)
 
 
 class RotationalDevice(StorageDevice):
@@ -182,16 +170,15 @@ class RotationalDevice(StorageDevice):
             self._head_position = (stream_id, offset + nbytes)
         finally:
             self._head.release(grant)
-        end = self.env.now
-        self.metrics.record_transfer(start, end, nbytes, is_write=is_write)
-        return DeviceOp(nbytes=nbytes, start=start, end=end, seeked=seeked)
+        self.metrics.record_transfer(start, self.env.now, nbytes,
+                                     is_write=is_write)
 
     def read(self, nbytes: int, stream_id: object = None, offset: int = 0
              ) -> Generator:
         """Read ``nbytes`` at ``offset`` of stream ``stream_id``."""
-        return (yield from self._io(nbytes, stream_id, offset, False))
+        yield from self._io(nbytes, stream_id, offset, False)
 
     def write(self, nbytes: int, stream_id: object = None, offset: int = 0
               ) -> Generator:
         """Write ``nbytes`` at ``offset`` of stream ``stream_id``."""
-        return (yield from self._io(nbytes, stream_id, offset, True))
+        yield from self._io(nbytes, stream_id, offset, True)

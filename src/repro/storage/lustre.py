@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional, Sequence
 
 from repro.sim import Environment, Resource, SharedBandwidth
-from repro.storage.backend import BackendOp, StorageBackend
+from repro.storage.backend import StorageBackend
 from repro.storage.device import StorageDevice, StreamingDevice
 
 
@@ -101,7 +101,6 @@ class LustreFilesystem(StorageBackend):
 
     # -- metadata -----------------------------------------------------------
     def _mds_request(self, file_key: object) -> Generator:
-        start = self.env.now
         if file_key in self._client_metadata_cache:
             yield self.env.timeout(self.CACHED_METADATA_TIME)
         else:
@@ -113,19 +112,17 @@ class LustreFilesystem(StorageBackend):
             finally:
                 self._mds.release(grant)
             self._client_metadata_cache.add(file_key)
-        return BackendOp(0, start, self.env.now, device_ops=0)
 
     def open(self, file_key: object, file_size: int) -> Generator:
-        return (yield from self._mds_request(file_key))
+        yield from self._mds_request(file_key)
 
     def stat(self, file_key: object) -> Generator:
-        return (yield from self._mds_request(file_key))
+        yield from self._mds_request(file_key)
 
     def create(self, file_key: object) -> Generator:
         # Creation allocates the layout on the MDS; never cached beforehand.
         self._client_metadata_cache.discard(file_key)
-        result = yield from self._mds_request(file_key)
-        return result
+        yield from self._mds_request(file_key)
 
     # -- data ---------------------------------------------------------------
     def _split_into_stripes(self, offset: int, nbytes: int):
@@ -141,8 +138,6 @@ class LustreFilesystem(StorageBackend):
 
     def _transfer(self, file_key: object, offset: int, nbytes: int,
                   is_write: bool) -> Generator:
-        start = self.env.now
-        device_ops = 0
         for position, chunk in self._split_into_stripes(offset, nbytes):
             ost = self.ost_for_offset(file_key, position)
             network_done = self._network.transfer(float(chunk))
@@ -151,19 +146,13 @@ class LustreFilesystem(StorageBackend):
             else:
                 yield from ost.read(chunk, stream_id=file_key, offset=position)
             yield network_done
-            device_ops += 1
-        return BackendOp(nbytes, start, self.env.now, device_ops=device_ops)
 
     def read(self, file_key: object, offset: int, nbytes: int,
              file_size: int) -> Generator:
-        if nbytes <= 0:
-            return BackendOp(0, self.env.now, self.env.now, device_ops=0)
-        return (yield from self._transfer(file_key, offset, nbytes, False))
+        yield from self._transfer(file_key, offset, nbytes, False)
 
     def write(self, file_key: object, offset: int, nbytes: int) -> Generator:
-        if nbytes <= 0:
-            return BackendOp(0, self.env.now, self.env.now, device_ops=0)
-        return (yield from self._transfer(file_key, offset, nbytes, True))
+        yield from self._transfer(file_key, offset, nbytes, True)
 
     def drop_caches(self) -> None:
         self._client_metadata_cache.clear()

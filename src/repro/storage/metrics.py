@@ -41,7 +41,6 @@ class DeviceMetrics:
         self.read_ops = 0
         self.write_ops = 0
         self.metadata_ops = 0
-        self.busy_time = 0.0
 
     # -- recording -------------------------------------------------------
     def record_transfer(self, start: float, end: float, nbytes: int,
@@ -57,7 +56,6 @@ class DeviceMetrics:
         else:
             self.bytes_read += nbytes
             self.read_ops += 1
-        self.busy_time += end - start
 
     def record_metadata_op(self) -> None:
         """Record a metadata-only operation (open/stat/...)."""
@@ -135,16 +133,6 @@ class DeviceMetrics:
                 else:
                     values[i] += nbytes * (hi - lo) / duration
         return edges[:-1], np.array(values) / bin_seconds
-
-    def reset(self) -> None:
-        """Clear all recorded activity (used between benchmark repetitions)."""
-        self.intervals.clear()
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.read_ops = 0
-        self.write_ops = 0
-        self.metadata_ops = 0
-        self.busy_time = 0.0
 
 
 def merge_timelines(timelines: Iterable[Tuple[np.ndarray, np.ndarray]]

@@ -58,10 +58,6 @@ class MountTable:
         # Longest prefix first so resolve() can take the first match.
         self._mounts.sort(key=lambda m: len(m.mount_point), reverse=True)
 
-    @property
-    def mounts(self) -> List[Mount]:
-        return list(self._mounts)
-
     def backends(self) -> List[StorageBackend]:
         """All distinct mounted backends."""
         seen: List[StorageBackend] = []
@@ -111,7 +107,6 @@ class StagingResult:
     staged_paths: List[str]
     staged_bytes: int
     elapsed: float
-    target_backend: str
 
     @property
     def file_count(self) -> int:
@@ -158,5 +153,4 @@ class StagingManager:
             staged_paths=staged_paths,
             staged_bytes=staged_bytes,
             elapsed=env.now - start,
-            target_backend=target.name,
         )

@@ -35,17 +35,15 @@ class GPUDevice:
     """A serial GPU execution queue with a kernel activity log."""
 
     def __init__(self, env: Environment, name: str = "GPU:0",
-                 relative_speed: float = 1.0, memory_gb: float = 16.0):
+                 relative_speed: float = 1.0):
         if relative_speed <= 0:
             raise ValueError("relative_speed must be positive")
         self.env = env
         self.name = name
         self.relative_speed = float(relative_speed)
-        self.memory_gb = memory_gb
         self._queue = Resource(env, capacity=1)
         self.kernel_log: List[KernelEvent] = []
         self._correlation = 0
-        self.busy_time = 0.0
 
     def launch(self, kernel_name: str, duration: float) -> Generator:
         """Execute one kernel of ``duration`` seconds (at reference speed)."""
@@ -63,7 +61,6 @@ class GPUDevice:
         self.kernel_log.append(KernelEvent(
             name=kernel_name, start=start, end=end, device=self.name,
             correlation_id=self._correlation))
-        self.busy_time += end - start
         return self.kernel_log[-1]
 
     def kernels_between(self, t0: float, t1: float) -> List[KernelEvent]:
@@ -80,9 +77,9 @@ class GPUDevice:
 
 def v100(env: Environment, index: int = 0) -> GPUDevice:
     """An NVIDIA V100 (Kebnekaise)."""
-    return GPUDevice(env, name=f"GPU:{index}", relative_speed=1.0, memory_gb=16)
+    return GPUDevice(env, name=f"GPU:{index}", relative_speed=1.0)
 
 
 def rtx2060(env: Environment, index: int = 0) -> GPUDevice:
     """An NVIDIA RTX 2060 SUPER (Greendog)."""
-    return GPUDevice(env, name=f"GPU:{index}", relative_speed=0.45, memory_gb=8)
+    return GPUDevice(env, name=f"GPU:{index}", relative_speed=0.45)

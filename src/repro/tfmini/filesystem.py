@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.posix.simbytes import BytesLike, SimBytes
-
 
 class WritableFile:
     """TensorFlow's ``WritableFile``: buffered appends through STDIO."""
@@ -28,19 +26,16 @@ class WritableFile:
         self.path = path
         self._stream = None
         self.bytes_written = 0
-        self.append_calls = 0
 
     def open(self) -> Generator:
         """Open the underlying stream (``fopen(path, "wb")``)."""
         self._stream = yield from self.os.call("fopen", self.path, "wb")
         return self
 
-    def append(self, data: BytesLike) -> Generator:
-        """Append a block of data (one ``fwrite`` call)."""
-        payload = SimBytes.coerce(data)
-        written = yield from self.os.call("fwrite", self._stream, payload)
+    def append(self, nbytes: int) -> Generator:
+        """Append ``nbytes`` of data (one ``fwrite`` call)."""
+        written = yield from self.os.call("fwrite", self._stream, nbytes)
         self.bytes_written += written
-        self.append_calls += 1
         return written
 
     def flush(self) -> Generator:
@@ -63,22 +58,22 @@ class PosixFileSystem:
                             buffer_size: Optional[int] = None) -> Generator:
         """Read a whole file with the pread-until-zero loop.
 
-        Returns a :class:`SimBytes` of the file contents.  The terminating
-        zero-length ``pread`` is intentional: it is how TensorFlow detects
-        EOF and it is the source of the "50 % of reads are below 100 bytes"
-        observation in the paper.
+        Returns the number of bytes read.  The terminating zero-length
+        ``pread`` is intentional: it is how TensorFlow detects EOF and it is
+        the source of the "50 % of reads are below 100 bytes" observation in
+        the paper.
         """
         chunk = buffer_size or self.read_buffer_size
         os_image = self.os
         fd = yield from os_image.call("open", path)
         offset = 0
         while True:
-            data = yield from os_image.call("pread", fd, chunk, offset)
-            if data.nbytes == 0:
+            nbytes = yield from os_image.call("pread", fd, chunk, offset)
+            if nbytes == 0:
                 break
-            offset += data.nbytes
+            offset += nbytes
         yield from os_image.call("close", fd)
-        return SimBytes(offset)
+        return offset
 
     # -- writes ------------------------------------------------------------
     def new_writable_file(self, path: str) -> Generator:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional, Sequence, Tuple
 
-from repro.posix.simbytes import SimBytes
-
 
 @dataclass
 class Tensor:
@@ -64,15 +62,18 @@ def _charge(runtime, seconds: float, name: str, **metadata) -> Generator:
 
 
 def read_file(runtime, path: str, buffer_size: Optional[int] = None) -> Generator:
-    """``tf.io.read_file``: read a whole file through the filesystem plugin."""
+    """``tf.io.read_file``: read a whole file through the filesystem plugin.
+
+    Returns the file as a byte-string tensor of one byte per element.
+    """
     start = runtime.env.now
-    data = yield from runtime.filesystem.read_file_to_string(path, buffer_size)
+    nbytes = yield from runtime.filesystem.read_file_to_string(path, buffer_size)
     runtime.traceme.record("ReadFile", start, runtime.env.now,
-                           thread="input_pipeline", path=path, bytes=data.nbytes)
-    return data
+                           thread="input_pipeline", path=path, bytes=nbytes)
+    return Tensor(shape=(nbytes,), dtype_size=1)
 
 
-def decode_jpeg(runtime, data: SimBytes) -> Generator:
+def decode_jpeg(runtime, data: Tensor) -> Generator:
     """``tf.io.decode_jpeg``: cost scales with the encoded size."""
     seconds = COSTS.decode_jpeg_base + COSTS.decode_jpeg_per_byte * data.nbytes
     yield from _charge(runtime, seconds, "DecodeJpeg", bytes=data.nbytes)
@@ -89,7 +90,7 @@ def resize_image(runtime, image: Tensor, target: Tuple[int, int]) -> Generator:
     return Tensor(shape=(target[0], target[1], channels), dtype_size=4)
 
 
-def decode_raw(runtime, data: SimBytes) -> Generator:
+def decode_raw(runtime, data: Tensor) -> Generator:
     """``tf.io.decode_raw`` + reshape: malware bytecode to a grayscale image
     whose side is the square root of the byte count, kept within 64..2048."""
     seconds = COSTS.decode_raw_base + COSTS.decode_raw_per_byte * data.nbytes

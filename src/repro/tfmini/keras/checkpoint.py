@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List
 
-from repro.posix.simbytes import SimBytes
-
 
 @dataclass
 class CheckpointInfo:
@@ -53,13 +51,13 @@ class CheckpointWriter:
 
         handle = yield from self.runtime.filesystem.new_writable_file(data_file)
         for variable in model.variables:
-            yield from handle.append(SimBytes(self.HEADER_BYTES))
+            yield from handle.append(self.HEADER_BYTES)
             fwrites += 1
             bytes_written += self.HEADER_BYTES
             remaining = variable.nbytes
             while remaining > 0:
                 chunk = min(self.WRITE_CHUNK, remaining)
-                yield from handle.append(SimBytes(chunk))
+                yield from handle.append(chunk)
                 fwrites += 1
                 bytes_written += chunk
                 remaining -= chunk
@@ -67,8 +65,8 @@ class CheckpointWriter:
         yield from handle.close()
 
         index_handle = yield from self.runtime.filesystem.new_writable_file(index_file)
-        yield from index_handle.append(SimBytes(self.INDEX_BYTES))
-        yield from index_handle.append(SimBytes(64))
+        yield from index_handle.append(self.INDEX_BYTES)
+        yield from index_handle.append(64)
         fwrites += 2
         bytes_written += self.INDEX_BYTES + 64
         yield from index_handle.close()

@@ -5,8 +5,8 @@ The TensorFlow runtime gathers what every tracer collected into an
 and — with tf-Darshan — a POSIX I/O plane), each holding named ``XLine``
 timelines of ``XEvent`` spans.  TensorBoard's TraceViewer consumes the
 derived ``trace.json.gz`` in the Chrome trace-event format.  The
-reproduction keeps the same three layers: dataclass containers, a dict
-serialization, and a gzip-compressed Chrome trace export.
+reproduction keeps the containers as dataclasses and exports them as a
+gzip-compressed Chrome trace.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class XEvent:
     def end(self) -> float:
         return self.start + self.duration
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "start": self.start,
-                "duration": self.duration, "metadata": dict(self.metadata)}
-
 
 @dataclass
 class XLine:
@@ -48,9 +44,6 @@ class XLine:
     @property
     def event_count(self) -> int:
         return len(self.events)
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "events": [e.as_dict() for e in self.events]}
 
 
 @dataclass
@@ -69,11 +62,6 @@ class XPlane:
     @property
     def event_count(self) -> int:
         return sum(line.event_count for line in self.lines.values())
-
-    def as_dict(self) -> dict:
-        return {"name": self.name,
-                "lines": {k: v.as_dict() for k, v in self.lines.items()},
-                "stats": dict(self.stats)}
 
 
 @dataclass
@@ -96,13 +84,6 @@ class XSpace:
     @property
     def event_count(self) -> int:
         return sum(plane.event_count for plane in self.planes.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "planes": {k: v.as_dict() for k, v in self.planes.items()},
-        }
 
 
 # -- Chrome trace-event export ---------------------------------------------------

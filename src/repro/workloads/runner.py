@@ -399,8 +399,8 @@ def run_platform_case(
         for path in assigned:
             fd = yield from posix.open(path)
             while True:
-                data = yield from posix.read(fd, read_size)
-                if data.nbytes == 0:
+                nbytes = yield from posix.read(fd, read_size)
+                if nbytes == 0:
                     break
             yield from posix.close(fd)
 

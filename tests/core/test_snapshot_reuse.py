@@ -17,7 +17,7 @@ from repro.darshan import (
     get_dxt_records,
     get_module_records,
 )
-from repro.posix import O_WRONLY, SimBytes
+from repro.posix import O_WRONLY
 from repro.tfmini import io_ops
 from tests.core.conftest import make_files, run
 
@@ -89,7 +89,7 @@ def _random_op(rng, runtime, os_image, attachment, path, pause):
     elif kind == "fwrite":
         stream = yield from call("fopen", path, "ab")
         for _ in range(rng.randint(1, 4)):
-            yield from call("fwrite", stream, SimBytes(rng.randint(1, 30_000)))
+            yield from call("fwrite", stream, rng.randint(1, 30_000))
         yield from call("fflush", stream)
         yield from call("fclose", stream)
     elif kind == "fread":
@@ -207,7 +207,7 @@ def test_sessions_share_records_until_the_module_writes_one(
         for path in paths:
             yield from io_ops.read_file(runtime, path)
             stream = yield from os_image.call("fopen", path + ".ckpt", "wb")
-            yield from os_image.call("fwrite", stream, SimBytes(5_000))
+            yield from os_image.call("fwrite", stream, 5_000)
             yield from os_image.call("fclose", stream)
         stop = yield from first.take_snapshot()
         start = yield from second.take_snapshot()

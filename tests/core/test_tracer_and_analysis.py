@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     DARSHAN_PLANE_NAME,
+    DARSHAN_STDIO_PLANE_NAME,
     DarshanTracer,
     StagingAdvisor,
     TfDarshanOptions,
@@ -184,6 +185,31 @@ def test_darshan_plane_added_to_xspace(runtime, os_image, tmp_path):
     events = read_trace_json(str(tmp_path / "tb" / "trace.json.gz"))
     assert any(e.get("name", "").startswith("pread") for e in events
                if e.get("ph") == "X")
+
+
+def test_window_without_logdir_builds_no_trace_plane(runtime, os_image):
+    paths = make_files(os_image, 4, 30_000)
+    session = TfDarshanSession(runtime)
+
+    def proc():
+        yield from session.start()
+        for path in paths:
+            yield from io_ops.read_file(runtime, path)
+        handle = yield from runtime.filesystem.new_writable_file("/data/ckpt")
+        yield from handle.append(20_000)
+        yield from handle.close()
+        yield from session.stop()
+
+    run(runtime.env, proc())
+    # Nothing exports this profile, so no TraceViewer timeline is built...
+    planes = runtime.last_profile.xspace.planes
+    assert DARSHAN_PLANE_NAME not in planes
+    assert DARSHAN_STDIO_PLANE_NAME not in planes
+    # ...while the window delta keeps every segment for the analyses.
+    delta = enable(runtime).delta
+    assert len(delta.dxt_posix) == 4
+    assert all(len(segments) == 2 for segments in delta.dxt_posix.values())
+    assert delta.dxt_stdio
 
 
 def test_dxt_disabled_skips_trace_plane(runtime, os_image):

@@ -40,9 +40,9 @@ def read_file_like_tf(os_image, path, buffer_size=1 << 20):
         fd = yield from os_image.call("open", path)
         offset = 0
         while True:
-            data = yield from os_image.call("pread", fd, buffer_size, offset)
-            offset += data.nbytes
-            if data.nbytes == 0:
+            nbytes = yield from os_image.call("pread", fd, buffer_size, offset)
+            offset += nbytes
+            if nbytes == 0:
                 break
         yield from os_image.call("close", fd)
         return offset

@@ -12,7 +12,6 @@ from repro.darshan import (
     lookup_record_name,
     resolve_names,
 )
-from repro.posix import SimBytes
 from tests.darshan.conftest import read_file_like_tf, run
 
 
@@ -27,7 +26,7 @@ def traced(darshan, os_image, env):
             yield from read_file_like_tf(os_image, f"/data/in{i}.bin")
         stream = yield from os_image.call("fopen", "/data/model.ckpt", "wb")
         for _ in range(5):
-            yield from os_image.call("fwrite", stream, SimBytes(123_000))
+            yield from os_image.call("fwrite", stream, 123_000)
         yield from os_image.call("fclose", stream)
 
     run(env, proc())

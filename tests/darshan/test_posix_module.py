@@ -197,9 +197,9 @@ def test_untracked_fd_passthrough(env, os_image):
         darshan = PreloadedDarshan(env, os_image.symbols, DarshanConfig())
         darshan.install()
         state["darshan"] = darshan
-        data = yield from os_image.call("pread", fd, 1000, 0)
+        nbytes = yield from os_image.call("pread", fd, 1000, 0)
         yield from os_image.call("close", fd)
-        return data.nbytes
+        return nbytes
 
     assert run(env, proc()) == 1000
     darshan = state["darshan"]

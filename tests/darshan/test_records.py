@@ -12,7 +12,6 @@ from repro.darshan.counters import (
     POSIX_F_COUNTERS,
     POSIX_LAYOUT,
 )
-from repro.posix import SimBytes
 from tests.darshan.conftest import read_file_like_tf, run
 
 
@@ -27,7 +26,7 @@ def records(darshan, os_image, env):
             yield from read_file_like_tf(os_image, f"/data/in{i}.bin")
         stream = yield from os_image.call("fopen", "/data/model.ckpt", "wb")
         for _ in range(3):
-            yield from os_image.call("fwrite", stream, SimBytes(40_000))
+            yield from os_image.call("fwrite", stream, 40_000)
         yield from os_image.call("fclose", stream)
 
     run(env, proc())

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.darshan import darshan_record_id
-from repro.posix import SimBytes
 from tests.darshan.conftest import run
 
 
@@ -15,7 +14,7 @@ def test_fwrite_counters(darshan, os_image, env):
     def proc():
         stream = yield from os_image.call("fopen", "/data/ckpt", "wb")
         for _ in range(10):
-            yield from os_image.call("fwrite", stream, SimBytes(100_000))
+            yield from os_image.call("fwrite", stream, 100_000)
         yield from os_image.call("fclose", stream)
 
     run(env, proc())
@@ -34,9 +33,9 @@ def test_fread_counters(darshan, os_image, env):
         stream = yield from os_image.call("fopen", "/data/f", "rb")
         total = 0
         while True:
-            data = yield from os_image.call("fread", stream, 100_000)
-            total += data.nbytes
-            if data.nbytes == 0:
+            nbytes = yield from os_image.call("fread", stream, 100_000)
+            total += nbytes
+            if nbytes == 0:
                 break
         yield from os_image.call("fclose", stream)
         return total
@@ -50,10 +49,10 @@ def test_fread_counters(darshan, os_image, env):
 def test_fseek_and_fflush_counters(darshan, os_image, env):
     def proc():
         stream = yield from os_image.call("fopen", "/data/out", "wb")
-        yield from os_image.call("fwrite", stream, SimBytes(1000))
+        yield from os_image.call("fwrite", stream, 1000)
         yield from os_image.call("fflush", stream)
         yield from os_image.call("fseek", stream, 0, 0)
-        yield from os_image.call("fwrite", stream, SimBytes(10))
+        yield from os_image.call("fwrite", stream, 10)
         yield from os_image.call("fclose", stream)
 
     run(env, proc())
@@ -69,7 +68,7 @@ def test_stdio_does_not_pollute_posix_module(darshan, os_image, env):
 
     def proc():
         stream = yield from os_image.call("fopen", "/data/ckpt", "wb")
-        yield from os_image.call("fwrite", stream, SimBytes(500_000))
+        yield from os_image.call("fwrite", stream, 500_000)
         yield from os_image.call("fclose", stream)
 
     run(env, proc())
@@ -81,8 +80,8 @@ def test_stdio_does_not_pollute_posix_module(darshan, os_image, env):
 def test_stdio_dxt_segments(darshan, os_image, env):
     def proc():
         stream = yield from os_image.call("fopen", "/data/ckpt", "wb")
-        yield from os_image.call("fwrite", stream, SimBytes(1 << 20))
-        yield from os_image.call("fwrite", stream, SimBytes(1 << 20))
+        yield from os_image.call("fwrite", stream, 1 << 20)
+        yield from os_image.call("fwrite", stream, 1 << 20)
         yield from os_image.call("fclose", stream)
 
     run(env, proc())
@@ -95,7 +94,7 @@ def test_stdio_dxt_segments(darshan, os_image, env):
 def test_stdio_timestamps_ordered(darshan, os_image, env):
     def proc():
         stream = yield from os_image.call("fopen", "/data/log", "w")
-        yield from os_image.call("fwrite", stream, SimBytes(64_000))
+        yield from os_image.call("fwrite", stream, 64_000)
         yield from os_image.call("fclose", stream)
 
     run(env, proc())
@@ -109,7 +108,7 @@ def test_file_count(darshan, os_image, env):
     def proc():
         for i in range(3):
             stream = yield from os_image.call("fopen", f"/data/c{i}", "wb")
-            yield from os_image.call("fwrite", stream, SimBytes(10))
+            yield from os_image.call("fwrite", stream, 10)
             yield from os_image.call("fclose", stream)
 
     run(env, proc())

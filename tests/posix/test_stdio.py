@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.posix import SimBytes, SimOSError
+from repro.posix import SimOSError
 from tests.posix.conftest import run
 
 
@@ -11,7 +11,7 @@ def test_fopen_fwrite_fclose_writes_bytes(os_image, env):
         stream = yield from os_image.stdio.fopen("/data/ckpt.bin", "wb")
         total = 0
         for _ in range(5):
-            total += yield from os_image.stdio.fwrite(stream, SimBytes(100_000))
+            total += yield from os_image.stdio.fwrite(stream, 100_000)
         yield from os_image.stdio.fclose(stream)
         return total
 
@@ -23,8 +23,8 @@ def test_fwrite_buffers_small_writes(os_image, env):
     """Writes below the stdio buffer size must not hit the POSIX layer."""
     def proc():
         stream = yield from os_image.stdio.fopen("/data/log", "w")
-        yield from os_image.stdio.fwrite(stream, SimBytes(100))
-        yield from os_image.stdio.fwrite(stream, SimBytes(100))
+        yield from os_image.stdio.fwrite(stream, 100)
+        yield from os_image.stdio.fwrite(stream, 100)
         pending = os_image.posix.call_counts.get("pwrite", 0)
         yield from os_image.stdio.fflush(stream)
         flushed = os_image.posix.call_counts.get("pwrite", 0)
@@ -39,7 +39,7 @@ def test_fwrite_buffers_small_writes(os_image, env):
 def test_large_fwrite_flushes_immediately(os_image, env):
     def proc():
         stream = yield from os_image.stdio.fopen("/data/big", "wb")
-        yield from os_image.stdio.fwrite(stream, SimBytes(1_000_000))
+        yield from os_image.stdio.fwrite(stream, 1_000_000)
         return os_image.posix.call_counts.get("pwrite", 0)
 
     assert run(env, proc()) == 1
@@ -55,7 +55,7 @@ def test_fread_advances_position(os_image, env):
         c = yield from os_image.stdio.fread(stream, 600)
         pos = yield from os_image.stdio.ftell(stream)
         yield from os_image.stdio.fclose(stream)
-        return a.nbytes, b.nbytes, c.nbytes, pos
+        return a, b, c, pos
 
     assert run(env, proc()) == (600, 400, 0, 1000)
 
@@ -66,9 +66,9 @@ def test_fseek_repositions_stream(os_image, env):
     def proc():
         stream = yield from os_image.stdio.fopen("/data/f", "rb")
         yield from os_image.stdio.fseek(stream, 900)
-        data = yield from os_image.stdio.fread(stream, 500)
+        nbytes = yield from os_image.stdio.fread(stream, 500)
         yield from os_image.stdio.fclose(stream)
-        return data.nbytes
+        return nbytes
 
     assert run(env, proc()) == 100
 
@@ -79,7 +79,7 @@ def test_append_mode_starts_at_end(os_image, env):
     def proc():
         stream = yield from os_image.stdio.fopen("/data/log", "ab")
         pos = yield from os_image.stdio.ftell(stream)
-        yield from os_image.stdio.fwrite(stream, SimBytes(25))
+        yield from os_image.stdio.fwrite(stream, 25)
         yield from os_image.stdio.fclose(stream)
         return pos
 
@@ -115,7 +115,7 @@ def test_stream_counters(os_image, env):
     def proc():
         stream = yield from os_image.stdio.fopen("/data/out", "wb")
         for _ in range(7):
-            yield from os_image.stdio.fwrite(stream, SimBytes(10))
+            yield from os_image.stdio.fwrite(stream, 10)
         yield from os_image.stdio.fflush(stream)
         writes, flushes = stream.writes, stream.flushes
         yield from os_image.stdio.fclose(stream)
@@ -127,7 +127,7 @@ def test_stream_counters(os_image, env):
 def test_fclose_flushes_pending_data(os_image, env):
     def proc():
         stream = yield from os_image.stdio.fopen("/data/out", "wb")
-        yield from os_image.stdio.fwrite(stream, SimBytes(123))
+        yield from os_image.stdio.fwrite(stream, 123)
         yield from os_image.stdio.fclose(stream)
 
     run(env, proc())

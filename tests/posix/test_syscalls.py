@@ -1,16 +1,16 @@
 """Tests for the POSIX syscall layer."""
 
+import errno
+
 import pytest
 
 from repro.posix import (
-    Errno,
     O_APPEND,
     O_CREAT,
     O_RDONLY,
     O_WRONLY,
     SEEK_CUR,
     SEEK_END,
-    SimBytes,
     SimOSError,
 )
 from tests.posix.conftest import run
@@ -25,7 +25,7 @@ def test_open_read_close_roundtrip(os_image, env):
         rest = yield from os_image.posix.read(fd, 1_000_000)
         eof = yield from os_image.posix.read(fd, 100)
         yield from os_image.posix.close(fd)
-        return data.nbytes, rest.nbytes, eof.nbytes
+        return data, rest, eof
 
     assert run(env, proc()) == (400_000, 600_000, 0)
     assert env.now > 0
@@ -38,13 +38,13 @@ def test_open_missing_file_raises_enoent(os_image, env):
         except SimOSError as exc:
             return exc.errno
 
-    assert run(env, proc()) == Errno.ENOENT
+    assert run(env, proc()) == errno.ENOENT
 
 
 def test_open_with_creat_creates_file(os_image, env):
     def proc():
         fd = yield from os_image.posix.open("/data/new.log", O_WRONLY | O_CREAT)
-        n = yield from os_image.posix.write(fd, b"hello world")
+        n = yield from os_image.posix.write(fd, 11)
         yield from os_image.posix.close(fd)
         return n
 
@@ -60,7 +60,7 @@ def test_pread_does_not_move_offset(os_image, env):
         a = yield from os_image.posix.pread(fd, 100, 500)
         b = yield from os_image.posix.read(fd, 100)
         yield from os_image.posix.close(fd)
-        return a.nbytes, b.nbytes
+        return a, b
 
     # The pread at offset 500 must not affect the sequential read at 0.
     assert run(env, proc()) == (100, 100)
@@ -73,7 +73,7 @@ def test_pread_past_eof_returns_zero(os_image, env):
         fd = yield from os_image.posix.open("/data/f")
         z = yield from os_image.posix.pread(fd, 4096, 100)
         yield from os_image.posix.close(fd)
-        return z.nbytes
+        return z
 
     assert run(env, proc()) == 0
 
@@ -88,32 +88,53 @@ def test_read_on_write_only_fd_fails(os_image, env):
         except SimOSError as exc:
             return exc.errno
 
-    assert run(env, proc()) == Errno.EBADF
+    assert run(env, proc()) == errno.EBADF
 
 
 def test_write_then_read_back_content(os_image, env):
     def proc():
         fd = yield from os_image.posix.open("/data/cfg", O_WRONLY | O_CREAT)
-        yield from os_image.posix.write(fd, b"abcdef")
+        yield from os_image.posix.write(fd, 6)
         yield from os_image.posix.close(fd)
         fd = yield from os_image.posix.open("/data/cfg", O_RDONLY)
         data = yield from os_image.posix.read(fd, 100)
+        eof = yield from os_image.posix.read(fd, 100)
         yield from os_image.posix.close(fd)
-        return data.to_bytes()
+        return data, eof
 
-    assert run(env, proc()) == b"abcdef"
+    # The file holds what was written: six bytes, then end of file.
+    assert run(env, proc()) == (6, 0)
 
 
 def test_append_mode_writes_at_end(os_image, env):
-    os_image.vfs.create_file("/data/log", content=b"12345")
+    os_image.vfs.create_file("/data/log", size=5)
 
     def proc():
         fd = yield from os_image.posix.open("/data/log", O_WRONLY | O_APPEND)
-        yield from os_image.posix.write(fd, b"678")
+        yield from os_image.posix.write(fd, 3)
         yield from os_image.posix.close(fd)
 
     run(env, proc())
     assert os_image.vfs.lookup("/data/log").size == 8
+
+
+def test_negative_write_counts_raise_einval(os_image, env):
+    def proc():
+        fd = yield from os_image.posix.open("/data/f", O_WRONLY | O_CREAT)
+        stream = yield from os_image.stdio.fopen("/data/s", "wb")
+        codes = []
+        for call, args in ((os_image.posix.write, (fd, -1)),
+                           (os_image.posix.pwrite, (fd, -1, 0)),
+                           (os_image.stdio.fwrite, (stream, -1))):
+            try:
+                yield from call(*args)
+            except SimOSError as exc:
+                codes.append(exc.errno)
+        return codes
+
+    assert run(env, proc()) == [errno.EINVAL] * 3
+    assert os_image.posix.call_counts.get("write", 0) == 0
+    assert os_image.posix.call_counts.get("pwrite", 0) == 0
 
 
 def test_lseek_whence_variants(os_image, env):
@@ -140,7 +161,7 @@ def test_lseek_negative_offset_rejected(os_image, env):
         except SimOSError as exc:
             return exc.errno
 
-    assert run(env, proc()) == Errno.EINVAL
+    assert run(env, proc()) == errno.EINVAL
 
 
 def test_stat_and_fstat_report_size(os_image, env):
@@ -173,7 +194,7 @@ def test_bad_fd_raises_ebadf(os_image, env):
         except SimOSError as exc:
             return exc.errno
 
-    assert run(env, proc()) == Errno.EBADF
+    assert run(env, proc()) == errno.EBADF
 
 
 def test_double_close_raises(os_image, env):
@@ -187,7 +208,7 @@ def test_double_close_raises(os_image, env):
         except SimOSError as exc:
             return exc.errno
 
-    assert run(env, proc()) == Errno.EBADF
+    assert run(env, proc()) == errno.EBADF
 
 
 def test_read_time_scales_with_size(os_image, env):

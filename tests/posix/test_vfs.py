@@ -1,5 +1,7 @@
 """Tests for the virtual filesystem namespace."""
 
+import errno
+
 import pytest
 
 from repro.posix import SimOSError, SimulatedOS
@@ -40,10 +42,9 @@ def test_create_duplicate_rejected(os_image):
 
 
 def test_lookup_missing_raises_enoent(os_image):
-    from repro.posix import Errno
     with pytest.raises(SimOSError) as exc:
         os_image.vfs.lookup("/data/missing")
-    assert exc.value.errno == Errno.ENOENT
+    assert exc.value.errno == errno.ENOENT
 
 
 def test_listdir_and_files_under(os_image):
@@ -71,22 +72,6 @@ def test_remove_file(os_image):
     assert not vfs.exists("/data/a")
     with pytest.raises(SimOSError):
         vfs.remove("/data")  # directory
-
-
-def test_real_content_roundtrip(os_image):
-    vfs = os_image.vfs
-    inode = vfs.create_file("/data/cfg.json", content=b'{"a": 1}')
-    assert inode.size == 8
-    data = vfs.read_span(inode, 0, 100)
-    assert data.to_bytes() == b'{"a": 1}'
-
-
-def test_large_content_becomes_synthetic(os_image):
-    from repro.posix.vfs import MAX_REAL_CONTENT
-    vfs = os_image.vfs
-    inode = vfs.create_file("/data/huge.bin", content=b"x" * (MAX_REAL_CONTENT + 1))
-    assert inode.content is None
-    assert inode.size == MAX_REAL_CONTENT + 1
 
 
 def test_placement_override_changes_backend(os_image):

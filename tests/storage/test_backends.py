@@ -21,16 +21,19 @@ def run(env, gen):
 
 # -- LocalFilesystem ---------------------------------------------------------
 
+def timed(env, gen):
+    """Run one backend operation to completion; returns its duration."""
+    start = env.now
+    run(env, gen)
+    return env.now - start
+
+
 def test_cold_open_costs_a_metadata_read():
     env = Environment()
     fs = LocalFilesystem(env, hdd(env))
 
-    def proc():
-        op = yield from fs.open("fileA", 1000)
-        return op
-
-    op = run(env, proc())
-    assert op.duration > 1e-3  # a seek-dominated metadata read
+    duration = timed(env, fs.open("fileA", 1000))
+    assert duration > 1e-3  # a seek-dominated metadata read
     assert fs.device.metrics.metadata_ops == 1
 
 
@@ -38,27 +41,17 @@ def test_warm_open_is_cheap():
     env = Environment()
     fs = LocalFilesystem(env, hdd(env))
 
-    def proc():
-        yield from fs.open("fileA", 1000)
-        second = yield from fs.open("fileA", 1000)
-        return second
-
-    op = run(env, proc())
-    assert op.duration < 1e-4
+    run(env, fs.open("fileA", 1000))
+    assert timed(env, fs.open("fileA", 1000)) < 1e-4
 
 
 def test_drop_caches_makes_open_cold_again():
     env = Environment()
     fs = LocalFilesystem(env, hdd(env))
 
-    def proc():
-        yield from fs.open("fileA", 1000)
-        fs.drop_caches()
-        op = yield from fs.open("fileA", 1000)
-        return op
-
-    op = run(env, proc())
-    assert op.duration > 1e-3
+    run(env, fs.open("fileA", 1000))
+    fs.drop_caches()
+    assert timed(env, fs.open("fileA", 1000)) > 1e-3
 
 
 def test_local_read_moves_bytes_on_device():
@@ -66,13 +59,9 @@ def test_local_read_moves_bytes_on_device():
     device = StreamingDevice(env, "ssd", read_bandwidth=100e6, latency=0.0)
     fs = LocalFilesystem(env, device)
 
-    def proc():
-        op = yield from fs.read("f", 0, 50_000_000, 50_000_000)
-        return op
-
-    op = run(env, proc())
-    assert op.nbytes == 50_000_000
-    assert op.duration == pytest.approx(0.5, rel=1e-6)
+    duration = timed(env, fs.read("f", 0, 50_000_000, 50_000_000))
+    assert device.metrics.intervals[-1].nbytes == 50_000_000
+    assert duration == pytest.approx(0.5, rel=1e-6)
     assert device.metrics.bytes_read == 50_000_000
 
 
@@ -81,12 +70,8 @@ def test_local_zero_byte_read_costs_nothing_on_device():
     device = StreamingDevice(env, "ssd", read_bandwidth=100e6, latency=1e-3)
     fs = LocalFilesystem(env, device)
 
-    def proc():
-        op = yield from fs.read("f", 100, 0, 100)
-        return op
-
-    op = run(env, proc())
-    assert op.nbytes == 0
+    assert timed(env, fs.read("f", 100, 0, 100)) == 0
+    assert device.metrics.intervals == []
     assert device.metrics.read_ops == 0
 
 
@@ -124,12 +109,8 @@ def test_lustre_read_splits_into_stripes():
     env = Environment()
     fs = LustreFilesystem(env, n_osts=4, stripe_size=1 << 20, stripe_count=1)
 
-    def proc():
-        op = yield from fs.read("f", 0, 3 * (1 << 20), 3 * (1 << 20))
-        return op
-
-    op = run(env, proc())
-    assert op.device_ops == 3
+    run(env, fs.read("f", 0, 3 * (1 << 20), 3 * (1 << 20)))
+    assert sum(d.metrics.read_ops for d in fs.devices) == 3
     total_ost_bytes = sum(d.metrics.bytes_read for d in fs.devices)
     assert total_ost_bytes == 3 * (1 << 20)
 

@@ -1,4 +1,8 @@
-"""Tests for the block-device models."""
+"""Tests for the block-device models.
+
+A device read or write returns nothing; each transfer is one interval in the
+device's ``metrics.intervals``, which is where these tests time it.
+"""
 
 import pytest
 
@@ -15,13 +19,9 @@ def test_streaming_device_single_read_time():
     env = Environment()
     dev = StreamingDevice(env, "ssd", read_bandwidth=100e6, latency=1e-3)
 
-    def proc():
-        op = yield from dev.read(100_000_000)
-        return op
-
-    op = run_process(env, proc())
+    run_process(env, dev.read(100_000_000))
     # 1 ms latency + 1 s transfer
-    assert op.duration == pytest.approx(1.001, rel=1e-6)
+    assert dev.metrics.intervals[-1].duration == pytest.approx(1.001, rel=1e-6)
     assert dev.metrics.bytes_read == 100_000_000
     assert dev.metrics.read_ops == 1
 
@@ -29,16 +29,12 @@ def test_streaming_device_single_read_time():
 def test_streaming_device_concurrent_reads_share_bandwidth():
     env = Environment()
     dev = StreamingDevice(env, "ssd", read_bandwidth=100e6, latency=0.0)
-    ends = []
-
-    def proc():
-        op = yield from dev.read(50_000_000)
-        ends.append(op.end)
-
-    env.process(proc())
-    env.process(proc())
+    env.process(dev.read(50_000_000))
+    env.process(dev.read(50_000_000))
     env.run()
     # 100 MB total at 100 MB/s aggregate -> both finish at 1 s.
+    ends = [iv.end for iv in dev.metrics.intervals]
+    assert len(ends) == 2
     assert all(end == pytest.approx(1.0, rel=1e-6) for end in ends)
 
 
@@ -47,12 +43,8 @@ def test_streaming_device_per_stream_cap():
     dev = StreamingDevice(env, "ssd", read_bandwidth=1e9, latency=0.0,
                           per_stream_bandwidth=100e6)
 
-    def proc():
-        op = yield from dev.read(100_000_000)
-        return op
-
-    op = run_process(env, proc())
-    assert op.duration == pytest.approx(1.0, rel=1e-6)
+    run_process(env, dev.read(100_000_000))
+    assert dev.metrics.intervals[-1].duration == pytest.approx(1.0, rel=1e-6)
 
 
 def test_streaming_device_write_uses_write_bandwidth():
@@ -60,12 +52,8 @@ def test_streaming_device_write_uses_write_bandwidth():
     dev = StreamingDevice(env, "ssd", read_bandwidth=200e6,
                           write_bandwidth=100e6, latency=0.0)
 
-    def proc():
-        op = yield from dev.write(100_000_000)
-        return op
-
-    op = run_process(env, proc())
-    assert op.duration == pytest.approx(1.0, rel=1e-6)
+    run_process(env, dev.write(100_000_000))
+    assert dev.metrics.intervals[-1].duration == pytest.approx(1.0, rel=1e-6)
     assert dev.metrics.bytes_written == 100_000_000
 
 
@@ -73,16 +61,11 @@ def test_streaming_device_queue_depth_limits_latency_phase():
     env = Environment()
     dev = StreamingDevice(env, "nvme", read_bandwidth=1e12, latency=1e-3,
                           queue_depth=1)
-    ends = []
-
-    def proc():
-        op = yield from dev.read(1)
-        ends.append(op.end)
-
     for _ in range(3):
-        env.process(proc())
+        env.process(dev.read(1))
     env.run()
     # Latency phases serialize with queue depth 1 -> 1, 2, 3 ms.
+    ends = [iv.end for iv in dev.metrics.intervals]
     assert sorted(ends) == [pytest.approx(0.001), pytest.approx(0.002),
                             pytest.approx(0.003)]
 
@@ -93,14 +76,12 @@ def test_rotational_sequential_reads_skip_seek():
                            settle_time=0.0)
 
     def proc():
-        first = yield from dev.read(1_000_000, stream_id="file-a", offset=0)
-        second = yield from dev.read(1_000_000, stream_id="file-a",
-                                     offset=1_000_000)
-        return first, second
+        yield from dev.read(1_000_000, stream_id="file-a", offset=0)
+        yield from dev.read(1_000_000, stream_id="file-a", offset=1_000_000)
 
-    first, second = run_process(env, proc())
-    assert first.seeked is True
-    assert second.seeked is False
+    run_process(env, proc())
+    first, second = dev.metrics.intervals
+    # The first read seeks, the second continues where it ended.
     assert first.duration == pytest.approx(0.020, rel=1e-6)   # seek + 10ms
     assert second.duration == pytest.approx(0.010, rel=1e-6)  # stream only
 
@@ -109,13 +90,11 @@ def test_rotational_interleaved_streams_seek_every_time():
     env = Environment()
     dev = RotationalDevice(env, "hdd", bandwidth=100e6, seek_time=10e-3,
                            settle_time=0.0)
-    ops = []
 
     def reader(name, offset_base):
         for i in range(2):
-            op = yield from dev.read(1_000_000, stream_id=name,
-                                     offset=offset_base + i * 1_000_000)
-            ops.append(op)
+            yield from dev.read(1_000_000, stream_id=name,
+                                offset=offset_base + i * 1_000_000)
 
     def driver():
         # Interleave by alternating between two sequential streams.
@@ -124,8 +103,11 @@ def test_rotational_interleaved_streams_seek_every_time():
         yield env.all_of([a, b])
 
     run_process(env, driver())
-    # With two interleaved streams on one head, most requests pay the seek.
-    seeks = sum(1 for op in ops if op.seeked)
+    # The head serves the four 10 ms transfers one at a time, so each
+    # 10 ms beyond 40 ms is one seek.  With two interleaved streams on one
+    # head, most requests pay the seek.
+    assert len(dev.metrics.intervals) == 4
+    seeks = round((env.now - 4 * 0.010) / 0.010)
     assert seeks >= 3
 
 

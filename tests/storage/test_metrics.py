@@ -121,16 +121,6 @@ def test_invalid_interval_rejected():
         m.record_transfer(5.0, 4.0, 10)
 
 
-def test_reset_clears_everything():
-    m = DeviceMetrics("d")
-    m.record_transfer(0.0, 1.0, 10)
-    m.record_metadata_op()
-    m.reset()
-    assert m.total_bytes == 0
-    assert m.metadata_ops == 0
-    assert m.intervals == []
-
-
 def test_merge_timelines_sums_rates():
     a = (np.array([0.0, 1.0]), np.array([10.0, 20.0]))
     b = (np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))

@@ -1,10 +1,10 @@
-"""Tests for reporting helpers and SimBytes plus related property tests."""
+"""Tests for the reporting helpers, plus property tests of them and of
+Darshan's access-size buckets."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.posix import SimBytes
 from repro.darshan import size_bucket
 from repro.tools import (
     PaperComparison,
@@ -54,46 +54,6 @@ def test_within_factor():
 def test_within_factor_symmetric(value, factor):
     assert within_factor(value, value, factor)
     assert within_factor(value * factor * 1.01, value, factor) is False
-
-
-# -- SimBytes -----------------------------------------------------------------
-
-def test_simbytes_coerce_variants():
-    assert SimBytes.coerce(b"abc").nbytes == 3
-    assert SimBytes.coerce(10).nbytes == 10
-    original = SimBytes(5)
-    assert SimBytes.coerce(original) is original
-    with pytest.raises(TypeError):
-        SimBytes.coerce(3.5)
-
-
-def test_simbytes_validation():
-    with pytest.raises(ValueError):
-        SimBytes(-1)
-    with pytest.raises(ValueError):
-        SimBytes(3, b"ab")
-
-
-def test_simbytes_equality_and_slice():
-    real = SimBytes(4, b"abcd")
-    assert real == b"abcd"
-    assert real.slice(1, 3).to_bytes() == b"bc"
-    synthetic = SimBytes(4)
-    assert synthetic == SimBytes(4)
-    assert synthetic.is_synthetic
-    assert bool(SimBytes(0)) is False
-
-
-@given(st.integers(min_value=0, max_value=10**7),
-       st.integers(min_value=0, max_value=10**7),
-       st.integers(min_value=0, max_value=10**7))
-@settings(max_examples=100, deadline=None)
-def test_simbytes_slice_never_exceeds_bounds(nbytes, start, stop):
-    data = SimBytes(nbytes)
-    piece = data.slice(start, stop)
-    assert 0 <= piece.nbytes <= nbytes
-    if start <= stop <= nbytes:
-        assert piece.nbytes == stop - max(0, min(start, nbytes))
 
 
 # -- Darshan size buckets (property) -------------------------------------------
