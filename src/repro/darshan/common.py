@@ -17,7 +17,7 @@ from typing import Callable, Dict, Generator, Optional
 from repro.darshan.counters import CounterLayout
 from repro.darshan.dxt import DxtRecord
 from repro.darshan.records import CounterRecord, NameTable, RecordTable
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 
 Wrappers = Dict[str, Callable[..., Generator]]
 
@@ -63,12 +63,12 @@ class InstrumentationModule:
     def finalize(self) -> None:
         """Fill derived counters before the log is written (none here)."""
 
-    def _overhead(self, new_record: bool = False) -> Generator:
+    def _overhead(self, new_record: bool = False) -> Timeout:
+        """Timeout of one wrapped call's cost, for the wrapper to ``yield``."""
         cost = self.config.instrumentation_overhead
         if new_record:
             cost += self.config.record_creation_overhead
-        if cost > 0:
-            yield self.env.timeout(cost)
+        return self.env.timeout(cost)
 
     # -- wrapper construction -------------------------------------------------
     def make_wrappers(self, real: Wrappers) -> Wrappers:

@@ -156,7 +156,7 @@ class PosixModule(InstrumentationModule):
             fd = yield from real["open"](path, flags)
             end = self.env.now
             self._track_open(record_id, fd, start, end)
-            yield from self._overhead(new_record=not known)
+            yield self._overhead(new_record=not known)
             return fd
 
         def wrap_close(fd):
@@ -171,7 +171,7 @@ class PosixModule(InstrumentationModule):
                                    start, end)
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return result
 
         def wrap_read(fd, count):
@@ -185,7 +185,7 @@ class PosixModule(InstrumentationModule):
                 ref.offset = offset + nbytes
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return nbytes
 
         def wrap_pread(fd, count, offset):
@@ -197,7 +197,7 @@ class PosixModule(InstrumentationModule):
                 self._track_transfer(ref, False, offset, nbytes, start, end)
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return nbytes
 
         def wrap_write(fd, nbytes):
@@ -211,7 +211,7 @@ class PosixModule(InstrumentationModule):
                 ref.offset = offset + written
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return written
 
         def wrap_pwrite(fd, nbytes, offset):
@@ -223,7 +223,7 @@ class PosixModule(InstrumentationModule):
                 self._track_transfer(ref, True, offset, written, start, end)
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return written
 
         def wrap_lseek(fd, offset, whence=0):
@@ -237,7 +237,7 @@ class PosixModule(InstrumentationModule):
                 self._track_meta(record, _SEEKS, start, end)
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return result
 
         def wrap_stat(path):
@@ -248,7 +248,7 @@ class PosixModule(InstrumentationModule):
             end = self.env.now
             record = self._get_record(record_id)
             self._track_meta(record, _STATS, start, end)
-            yield from self._overhead(new_record=not known)
+            yield self._overhead(new_record=not known)
             return result
 
         def wrap_fstat(fd):
@@ -261,7 +261,7 @@ class PosixModule(InstrumentationModule):
                 self._track_meta(record, _STATS, start, end)
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return result
 
         def wrap_fsync(fd):
@@ -272,7 +272,7 @@ class PosixModule(InstrumentationModule):
             if ref is not None:
                 record = self.records.writable(ref.record_id)
                 self._track_meta(record, _FSYNCS, start, end)
-            yield from self._overhead()
+            yield self._overhead()
             return result
 
         return {

@@ -92,7 +92,7 @@ class StdioModule(InstrumentationModule):
                 position = getattr(stream, "position", 0)
                 self._stream_refs[stream.stream_id] = _StreamRef(
                     record_id=record_id, position=position)
-            yield from self._overhead(new_record=not known)
+            yield self._overhead(new_record=not known)
             return stream
 
         def wrap_fclose(stream):
@@ -107,7 +107,7 @@ class StdioModule(InstrumentationModule):
                                    start, end)
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return result
 
         def wrap_fread(stream, nbytes):
@@ -119,7 +119,7 @@ class StdioModule(InstrumentationModule):
                 self._track_transfer(ref, False, nread, start, end)
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return nread
 
         def wrap_fwrite(stream, nbytes):
@@ -131,7 +131,7 @@ class StdioModule(InstrumentationModule):
                 self._track_transfer(ref, True, written, start, end)
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return written
 
         def wrap_fseek(stream, offset, whence=0):
@@ -147,12 +147,12 @@ class StdioModule(InstrumentationModule):
                 ref.position = getattr(stream, "position", ref.position)
             else:
                 self.untracked_ops += 1
-            yield from self._overhead()
+            yield self._overhead()
             return result
 
         def wrap_ftell(stream):
             result = yield from real["ftell"](stream)
-            yield from self._overhead()
+            yield self._overhead()
             return result
 
         def wrap_fflush(stream):
@@ -165,7 +165,7 @@ class StdioModule(InstrumentationModule):
                 if record is not None:
                     record.values[_FLUSHES] += 1
                     record.fvalues[_META_TIME] += end - start
-            yield from self._overhead()
+            yield self._overhead()
             return result
 
         return {

@@ -38,9 +38,10 @@ class SymbolNotFound(KeyError):
 class SymbolTable:
     """A patchable mapping from symbol names to generator functions.
 
-    Every registered function is a *simulation generator*: callers invoke it
-    with ``yield from table.call("pread", fd, count, offset)`` so the I/O
-    cost is charged to the simulated clock of the calling process.
+    Every registered function returns a *simulation generator*: callers
+    invoke it with ``yield from table.resolve("pread")(fd, count, offset)``
+    so the I/O cost is charged to the simulated clock of the calling
+    process.
     """
 
     def __init__(self):
@@ -72,11 +73,6 @@ class SymbolTable:
         except KeyError:
             raise SymbolNotFound(name) from None
 
-    def call(self, name: str, *args, **kwargs) -> Generator:
-        """Invoke a symbol through the table (use with ``yield from``)."""
-        func = self.resolve(name)
-        return (yield from func(*args, **kwargs))
-
     # -- runtime patching -----------------------------------------------------------
     def is_patched(self, name: str) -> bool:
         """``True`` if ``name`` currently points away from its original."""
@@ -100,11 +96,6 @@ class SymbolTable:
         if name not in self._original:
             raise SymbolNotFound(name)
         self._current[name] = self._original[name]
-
-    def restore_all(self) -> None:
-        """Undo every patch (detaching the instrumentation completely)."""
-        for name in list(self._current):
-            self._current[name] = self._original[name]
 
     def patched_symbols(self) -> List[str]:
         """Names currently redirected away from their originals."""

@@ -15,7 +15,6 @@ class SimOSError(OSError):
 
     def __init__(self, errno_code: int, message: str = "", path: str = ""):
         self.errno = errno_code
-        self.path = path
         name = errno.errorcode.get(errno_code, f"E{errno_code}")
         detail = f"[{name}] {message}"
         if path:

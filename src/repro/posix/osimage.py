@@ -54,4 +54,4 @@ class SimulatedOS:
 
     def call(self, name: str, *args, **kwargs):
         """Issue an I/O call through the symbol table (``yield from`` this)."""
-        return self.symbols.call(name, *args, **kwargs)
+        return self.symbols.resolve(name)(*args, **kwargs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Dict, Generator
 
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 from repro.posix.errors import SimOSError
 from repro.posix.fdtable import O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, SEEK_CUR, SEEK_SET
 from repro.posix.syscalls import PosixLayer
@@ -76,13 +76,13 @@ class StdioLayer:
             raise SimOSError(errno.EBADF, "bad stream", str(stream))
         return fs
 
-    def _charge(self) -> Generator:
-        yield self.env.timeout(self.OP_OVERHEAD)
+    def _charge(self) -> Timeout:
+        return self.env.timeout(self.OP_OVERHEAD)
 
     # -- API -----------------------------------------------------------------
     def fopen(self, path: str, mode: str = "r") -> Generator:
         """Open a stream; returns a :class:`FileStream`."""
-        yield from self._charge()
+        yield self._charge()
         flags = _MODE_FLAGS.get(mode)
         if flags is None:
             raise SimOSError(errno.EINVAL, f"unsupported mode {mode!r}", path)
@@ -98,7 +98,7 @@ class StdioLayer:
     def fread(self, stream: object, nbytes: int) -> Generator:
         """Read up to ``nbytes`` from the stream position; returns the
         number of bytes read (0 at end of file)."""
-        yield from self._charge()
+        yield self._charge()
         fs = self._get(stream)
         fs.reads += 1
         nread = yield from self.posix.pread(fs.fd, nbytes, fs.position)
@@ -108,7 +108,7 @@ class StdioLayer:
     def fwrite(self, stream: object, nbytes: int) -> Generator:
         """Buffered write of ``nbytes``; flushes to POSIX when the buffer
         fills."""
-        yield from self._charge()
+        yield self._charge()
         fs = self._get(stream)
         if nbytes < 0:
             raise SimOSError(errno.EINVAL, "negative count", fs.path)
@@ -122,7 +122,7 @@ class StdioLayer:
     def fseek(self, stream: object, offset: int, whence: int = SEEK_SET
               ) -> Generator:
         """Reposition the stream (flushes pending writes first)."""
-        yield from self._charge()
+        yield self._charge()
         fs = self._get(stream)
         yield from self._flush(fs)
         if whence == SEEK_SET:
@@ -138,13 +138,13 @@ class StdioLayer:
 
     def ftell(self, stream: object) -> Generator:
         """Current logical position of the stream."""
-        yield from self._charge()
+        yield self._charge()
         fs = self._get(stream)
         return fs.position
 
     def fflush(self, stream: object) -> Generator:
         """Flush buffered writes down to the POSIX layer."""
-        yield from self._charge()
+        yield self._charge()
         fs = self._get(stream)
         fs.flushes += 1
         yield from self._flush(fs)
@@ -152,7 +152,7 @@ class StdioLayer:
 
     def fclose(self, stream: object) -> Generator:
         """Flush and close the stream and its descriptor."""
-        yield from self._charge()
+        yield self._charge()
         fs = self._get(stream)
         yield from self._flush(fs)
         yield from self.posix.close(fs.fd)

@@ -17,7 +17,7 @@ import errno
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 from repro.posix.errors import SimOSError
 from repro.posix.fdtable import (
     O_APPEND,
@@ -60,17 +60,18 @@ class PosixLayer:
         self.call_counts: dict = {}
 
     # -- small helpers ---------------------------------------------------------
-    def _charge(self, name: str, payload_bytes: int = 0) -> Generator:
+    def _charge(self, name: str, payload_bytes: int = 0) -> Timeout:
+        """Count the call; returns the timeout of its cost, to ``yield``."""
         self.call_counts[name] = self.call_counts.get(name, 0) + 1
         cost = COSTS.syscall_overhead
         if payload_bytes > 0:
             cost += payload_bytes / COSTS.copy_bandwidth
-        yield self.env.timeout(cost)
+        return self.env.timeout(cost)
 
     # -- open / close ------------------------------------------------------------
     def open(self, path: str, flags: int = O_RDONLY) -> Generator:
         """Open ``path``; returns a file descriptor (int)."""
-        yield from self._charge("open")
+        yield self._charge("open")
         created = False
         try:
             inode = self.vfs.lookup(path)
@@ -85,7 +86,7 @@ class PosixLayer:
         if created:
             yield from backend.create(inode.key)
         else:
-            yield from backend.open(inode.key, inode.size)
+            yield from backend.open(inode.key)
         if flags & O_TRUNC and not inode.is_dir:
             inode.size = 0
             self.vfs.page_cache.invalidate(inode.key)
@@ -96,7 +97,7 @@ class PosixLayer:
 
     def close(self, fd: int) -> Generator:
         """Close a file descriptor."""
-        yield from self._charge("close")
+        yield self._charge("close")
         ofd = self.fds.close(fd)
         backend = self.vfs.backend_for(ofd.inode.path)
         yield from backend.close(ofd.inode.key)
@@ -125,8 +126,7 @@ class PosixLayer:
             yield self.env.timeout(cached / COSTS.page_cache_bandwidth)
         if uncached > 0:
             backend = self.vfs.backend_for(inode.path)
-            yield from backend.read(inode.key, offset + cached, uncached,
-                                    inode.size)
+            yield from backend.read(inode.key, offset + cached, uncached)
             if self.vfs.enable_page_cache:
                 self.vfs.page_cache.insert(inode.key, offset + cached, uncached)
         return nbytes
@@ -135,7 +135,7 @@ class PosixLayer:
         """``read(2)``: read from the descriptor's current offset; returns
         the number of bytes read."""
         ofd = self.fds.get(fd)
-        yield from self._charge("read", min(count, max(0, ofd.inode.size - ofd.offset)))
+        yield self._charge("read", min(count, max(0, ofd.inode.size - ofd.offset)))
         nbytes = yield from self._do_read(ofd, count, ofd.offset)
         ofd.offset += nbytes
         return nbytes
@@ -143,7 +143,7 @@ class PosixLayer:
     def pread(self, fd: int, count: int, offset: int) -> Generator:
         """``pread(2)``: positional read, does not move the file offset."""
         ofd = self.fds.get(fd)
-        yield from self._charge("pread", min(count, max(0, ofd.inode.size - offset)))
+        yield self._charge("pread", min(count, max(0, ofd.inode.size - offset)))
         nbytes = yield from self._do_read(ofd, count, offset)
         return nbytes
 
@@ -168,7 +168,7 @@ class PosixLayer:
         ofd = self.fds.get(fd)
         if nbytes < 0:
             raise SimOSError(errno.EINVAL, "negative count", ofd.inode.path)
-        yield from self._charge("write", nbytes)
+        yield self._charge("write", nbytes)
         offset = ofd.inode.size if ofd.append else ofd.offset
         written = yield from self._do_write(ofd, nbytes, offset)
         ofd.offset = offset + written
@@ -179,14 +179,14 @@ class PosixLayer:
         ofd = self.fds.get(fd)
         if nbytes < 0:
             raise SimOSError(errno.EINVAL, "negative count", ofd.inode.path)
-        yield from self._charge("pwrite", nbytes)
+        yield self._charge("pwrite", nbytes)
         written = yield from self._do_write(ofd, nbytes, offset)
         return written
 
     # -- metadata ---------------------------------------------------------------------
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
         """``lseek(2)``: reposition the file offset."""
-        yield from self._charge("lseek")
+        yield self._charge("lseek")
         ofd = self.fds.get(fd)
         if whence == SEEK_SET:
             new_offset = offset
@@ -207,7 +207,7 @@ class PosixLayer:
 
     def stat(self, path: str) -> Generator:
         """``stat(2)``: metadata lookup by path."""
-        yield from self._charge("stat")
+        yield self._charge("stat")
         inode = self.vfs.lookup(path)
         if not inode.is_dir:
             backend = self.vfs.backend_for(inode.path)
@@ -216,31 +216,31 @@ class PosixLayer:
 
     def fstat(self, fd: int) -> Generator:
         """``fstat(2)``: metadata lookup by descriptor (no device access)."""
-        yield from self._charge("fstat")
+        yield self._charge("fstat")
         ofd = self.fds.get(fd)
         return self._stat_result(ofd.inode)
 
     def access(self, path: str) -> Generator:
         """``access(2)``: existence check; returns 0 or raises ENOENT."""
-        yield from self._charge("access")
+        yield self._charge("access")
         self.vfs.lookup(path)
         return 0
 
     def unlink(self, path: str) -> Generator:
         """``unlink(2)``: remove a file."""
-        yield from self._charge("unlink")
+        yield self._charge("unlink")
         self.vfs.remove(path)
         return 0
 
     def mkdir(self, path: str) -> Generator:
         """``mkdir(2)``: create a directory."""
-        yield from self._charge("mkdir")
+        yield self._charge("mkdir")
         self.vfs.mkdir(path)
         return 0
 
     def fsync(self, fd: int) -> Generator:
         """``fsync(2)``: for the write-through model this is a no-op delay."""
-        yield from self._charge("fsync")
+        yield self._charge("fsync")
         self.fds.get(fd)
         return 0
 

@@ -4,9 +4,10 @@ A backend turns file-level operations (open, read at an offset, write,
 stat) into device-level operations, adding the metadata costs of the
 filesystem it models.  The POSIX virtual filesystem asks the
 :class:`~repro.storage.tiering.MountTable` which backend holds a file and
-delegates data movement here.  Every operation is a simulation generator
-that returns nothing: its cost is the simulated time it takes, and the data
-it moves is recorded by the devices below.
+delegates data movement here.  Every operation returns a simulation
+generator, for the caller to ``yield from``, and the generator returns
+nothing: its cost is the simulated time it takes, and the data it moves is
+recorded by the devices below.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class StorageBackend:
         """Block devices this backend writes to (for dstat)."""
         raise NotImplementedError
 
-    def open(self, file_key: object, file_size: int) -> Generator:
+    def open(self, file_key: object) -> Generator:
         """Metadata cost of opening an existing file."""
         raise NotImplementedError
 
@@ -46,8 +47,7 @@ class StorageBackend:
         """Metadata cost of a stat() on the file."""
         raise NotImplementedError
 
-    def read(self, file_key: object, offset: int, nbytes: int,
-             file_size: int) -> Generator:
+    def read(self, file_key: object, offset: int, nbytes: int) -> Generator:
         """Move ``nbytes`` of file data from the device."""
         raise NotImplementedError
 
@@ -104,11 +104,11 @@ class LocalFilesystem(StorageBackend):
             self._dentry_cache.add(file_key)
         self.device.metrics.record_metadata_op()
 
-    def open(self, file_key: object, file_size: int) -> Generator:
-        yield from self._metadata_lookup(file_key)
+    def open(self, file_key: object) -> Generator:
+        return self._metadata_lookup(file_key)
 
     def stat(self, file_key: object) -> Generator:
-        yield from self._metadata_lookup(file_key)
+        return self._metadata_lookup(file_key)
 
     def create(self, file_key: object) -> Generator:
         yield self.env.timeout(self.CREATE_TIME)
@@ -116,8 +116,7 @@ class LocalFilesystem(StorageBackend):
         self.device.metrics.record_metadata_op()
 
     # -- data -------------------------------------------------------------
-    def read(self, file_key: object, offset: int, nbytes: int,
-             file_size: int) -> Generator:
+    def read(self, file_key: object, offset: int, nbytes: int) -> Generator:
         if nbytes > 0:
             yield from self.device.read(nbytes, stream_id=file_key, offset=offset)
 

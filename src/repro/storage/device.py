@@ -14,9 +14,10 @@ Two device archetypes cover everything the paper's platforms use:
     interleave and *reduce* aggregate throughput — the effect behind the
     malware case study's 16-thread slowdown (Fig. 11a).
 
-A read or write returns nothing: the device records each transfer once, as
-one :class:`~repro.storage.metrics.TransferInterval` in its
-:attr:`StorageDevice.metrics` (a seek shows as extra duration there).
+A read or write returns the simulation generator of the transfer, for the
+caller to ``yield from``; the generator returns nothing.  The device records
+each transfer once, as one :class:`~repro.storage.metrics.TransferInterval`
+in its :attr:`StorageDevice.metrics` (a seek shows as extra duration there).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class StorageDevice:
         self.name = name
         self.metrics = DeviceMetrics(name)
 
-    # Subclasses implement these as simulation generators.
+    # Subclasses return the simulation generator of the transfer.
     def read(self, nbytes: int, stream_id: object = None, offset: int = 0
              ) -> Generator:
         raise NotImplementedError
@@ -108,12 +109,12 @@ class StreamingDevice(StorageDevice):
     def read(self, nbytes: int, stream_id: object = None, offset: int = 0
              ) -> Generator:
         """Read ``nbytes``."""
-        yield from self._io(int(nbytes), self._read_link, False)
+        return self._io(int(nbytes), self._read_link, False)
 
     def write(self, nbytes: int, stream_id: object = None, offset: int = 0
               ) -> Generator:
         """Write ``nbytes``."""
-        yield from self._io(int(nbytes), self._write_link, True)
+        return self._io(int(nbytes), self._write_link, True)
 
 
 class RotationalDevice(StorageDevice):
@@ -176,9 +177,9 @@ class RotationalDevice(StorageDevice):
     def read(self, nbytes: int, stream_id: object = None, offset: int = 0
              ) -> Generator:
         """Read ``nbytes`` at ``offset`` of stream ``stream_id``."""
-        yield from self._io(nbytes, stream_id, offset, False)
+        return self._io(nbytes, stream_id, offset, False)
 
     def write(self, nbytes: int, stream_id: object = None, offset: int = 0
               ) -> Generator:
         """Write ``nbytes`` at ``offset`` of stream ``stream_id``."""
-        yield from self._io(nbytes, stream_id, offset, True)
+        return self._io(nbytes, stream_id, offset, True)

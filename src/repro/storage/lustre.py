@@ -113,16 +113,16 @@ class LustreFilesystem(StorageBackend):
                 self._mds.release(grant)
             self._client_metadata_cache.add(file_key)
 
-    def open(self, file_key: object, file_size: int) -> Generator:
-        yield from self._mds_request(file_key)
+    def open(self, file_key: object) -> Generator:
+        return self._mds_request(file_key)
 
     def stat(self, file_key: object) -> Generator:
-        yield from self._mds_request(file_key)
+        return self._mds_request(file_key)
 
     def create(self, file_key: object) -> Generator:
         # Creation allocates the layout on the MDS; never cached beforehand.
         self._client_metadata_cache.discard(file_key)
-        yield from self._mds_request(file_key)
+        return self._mds_request(file_key)
 
     # -- data ---------------------------------------------------------------
     def _split_into_stripes(self, offset: int, nbytes: int):
@@ -147,12 +147,11 @@ class LustreFilesystem(StorageBackend):
                 yield from ost.read(chunk, stream_id=file_key, offset=position)
             yield network_done
 
-    def read(self, file_key: object, offset: int, nbytes: int,
-             file_size: int) -> Generator:
-        yield from self._transfer(file_key, offset, nbytes, False)
+    def read(self, file_key: object, offset: int, nbytes: int) -> Generator:
+        return self._transfer(file_key, offset, nbytes, False)
 
     def write(self, file_key: object, offset: int, nbytes: int) -> Generator:
-        yield from self._transfer(file_key, offset, nbytes, True)
+        return self._transfer(file_key, offset, nbytes, True)
 
     def drop_caches(self) -> None:
         self._client_metadata_cache.clear()

@@ -138,11 +138,11 @@ class StagingManager:
             source = self.mount_table.resolve(path)
             if source is target:
                 continue
-            yield from source.open(file_key, size)
+            yield from source.open(file_key)
             offset = 0
             while offset < size:
                 chunk = min(copy_chunk, size - offset)
-                yield from source.read(file_key, offset, chunk, size)
+                yield from source.read(file_key, offset, chunk)
                 yield from target.write(file_key, offset, chunk)
                 offset += chunk
             yield from source.close(file_key)

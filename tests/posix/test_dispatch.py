@@ -71,16 +71,6 @@ def test_restore_reverts_patch(os_image, env):
     assert calls == []
 
 
-def test_restore_all_clears_every_patch(os_image):
-    def fake(*args):
-        return iter(())
-
-    os_image.symbols.patch("read", fake)
-    os_image.symbols.patch("fwrite", fake)
-    os_image.symbols.restore_all()
-    assert os_image.symbols.patched_symbols() == []
-
-
 def test_unknown_symbol_raises(os_image):
     with pytest.raises(SymbolNotFound):
         os_image.symbols.resolve("mmap")

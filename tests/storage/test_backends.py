@@ -32,7 +32,7 @@ def test_cold_open_costs_a_metadata_read():
     env = Environment()
     fs = LocalFilesystem(env, hdd(env))
 
-    duration = timed(env, fs.open("fileA", 1000))
+    duration = timed(env, fs.open("fileA"))
     assert duration > 1e-3  # a seek-dominated metadata read
     assert fs.device.metrics.metadata_ops == 1
 
@@ -41,17 +41,17 @@ def test_warm_open_is_cheap():
     env = Environment()
     fs = LocalFilesystem(env, hdd(env))
 
-    run(env, fs.open("fileA", 1000))
-    assert timed(env, fs.open("fileA", 1000)) < 1e-4
+    run(env, fs.open("fileA"))
+    assert timed(env, fs.open("fileA")) < 1e-4
 
 
 def test_drop_caches_makes_open_cold_again():
     env = Environment()
     fs = LocalFilesystem(env, hdd(env))
 
-    run(env, fs.open("fileA", 1000))
+    run(env, fs.open("fileA"))
     fs.drop_caches()
-    assert timed(env, fs.open("fileA", 1000)) > 1e-3
+    assert timed(env, fs.open("fileA")) > 1e-3
 
 
 def test_local_read_moves_bytes_on_device():
@@ -59,7 +59,7 @@ def test_local_read_moves_bytes_on_device():
     device = StreamingDevice(env, "ssd", read_bandwidth=100e6, latency=0.0)
     fs = LocalFilesystem(env, device)
 
-    duration = timed(env, fs.read("f", 0, 50_000_000, 50_000_000))
+    duration = timed(env, fs.read("f", 0, 50_000_000))
     assert device.metrics.intervals[-1].nbytes == 50_000_000
     assert duration == pytest.approx(0.5, rel=1e-6)
     assert device.metrics.bytes_read == 50_000_000
@@ -70,7 +70,7 @@ def test_local_zero_byte_read_costs_nothing_on_device():
     device = StreamingDevice(env, "ssd", read_bandwidth=100e6, latency=1e-3)
     fs = LocalFilesystem(env, device)
 
-    assert timed(env, fs.read("f", 100, 0, 100)) == 0
+    assert timed(env, fs.read("f", 100, 0)) == 0
     assert device.metrics.intervals == []
     assert device.metrics.read_ops == 0
 
@@ -83,7 +83,7 @@ def test_lustre_open_serializes_on_mds():
     done = []
 
     def opener(key):
-        yield from fs.open(key, 1000)
+        yield from fs.open(key)
         done.append(env.now)
 
     for i in range(4):
@@ -98,18 +98,27 @@ def test_lustre_cached_open_skips_mds():
     fs = LustreFilesystem(env, n_osts=2, mds_latency=2e-3)
 
     def proc():
-        yield from fs.open("f", 10)
-        yield from fs.open("f", 10)
+        yield from fs.open("f")
+        yield from fs.open("f")
 
     run(env, proc())
     assert fs.mds_requests == 1
+
+
+def test_lustre_zero_byte_transfer_costs_nothing():
+    env = Environment()
+    fs = LustreFilesystem(env, n_osts=2)
+
+    assert timed(env, fs.read("f", 100, 0)) == 0
+    assert timed(env, fs.write("f", 100, 0)) == 0
+    assert all(d.metrics.intervals == [] for d in fs.devices)
 
 
 def test_lustre_read_splits_into_stripes():
     env = Environment()
     fs = LustreFilesystem(env, n_osts=4, stripe_size=1 << 20, stripe_count=1)
 
-    run(env, fs.read("f", 0, 3 * (1 << 20), 3 * (1 << 20)))
+    run(env, fs.read("f", 0, 3 * (1 << 20)))
     assert sum(d.metrics.read_ops for d in fs.devices) == 3
     total_ost_bytes = sum(d.metrics.bytes_read for d in fs.devices)
     assert total_ost_bytes == 3 * (1 << 20)
@@ -120,7 +129,7 @@ def test_lustre_single_stripe_count_keeps_file_on_one_ost():
     fs = LustreFilesystem(env, n_osts=4, stripe_size=1 << 20, stripe_count=1)
 
     def proc():
-        yield from fs.read("f", 0, 4 * (1 << 20), 4 * (1 << 20))
+        yield from fs.read("f", 0, 4 * (1 << 20))
 
     run(env, proc())
     osts_used = [d for d in fs.devices if d.metrics.bytes_read > 0]
@@ -132,7 +141,7 @@ def test_lustre_striped_file_spreads_over_osts():
     fs = LustreFilesystem(env, n_osts=4, stripe_size=1 << 20, stripe_count=4)
 
     def proc():
-        yield from fs.read("f", 0, 4 * (1 << 20), 4 * (1 << 20))
+        yield from fs.read("f", 0, 4 * (1 << 20))
 
     run(env, proc())
     osts_used = [d for d in fs.devices if d.metrics.bytes_read > 0]

@@ -120,7 +120,7 @@ def test_dstat_monitor_observes_device_traffic():
 
     def proc():
         for i in range(5):
-            yield from hdd_fs.read(f"file{i}", 0, 50 * MIB, 50 * MIB)
+            yield from hdd_fs.read(f"file{i}", 0, 50 * MIB)
 
     env.run(until=env.process(proc()))
     monitor.stop()
