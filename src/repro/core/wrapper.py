@@ -7,6 +7,9 @@ through the extraction API, snapshots them again when the session stops,
 and the difference between the two snapshots is what the in-situ analysis
 and the TraceViewer export operate on.  A snapshot copies no record: it
 shares them with the live modules, which clone a record before writing it.
+Nor does it copy a DXT segment: each module appends its segments to one
+log that only grows, so a snapshot keeps the log and its length, and a
+window's segments are the log rows between two lengths.
 
 A window delta copies no counter of a record that is new in the window:
 its :class:`RecordDelta` holds the end snapshot's counter arrays and reads
@@ -19,15 +22,16 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from operator import sub
-from typing import Dict, Generator, List, Optional
+from operator import attrgetter, sub
+from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.darshan.dxt import DxtRecord, DxtSegment
+from repro.darshan.dxt import DxtLog, DxtSegment
 # get_module_records is not called here, but perfbench/probes.py patches it
 # on this module by name.
 from repro.darshan.extraction import (  # noqa: F401
     get_module_records,
     get_runtime_info,
+    snapshot_dxt,
     snapshot_records,
 )
 from repro.darshan.counters import CounterLayout
@@ -42,14 +46,16 @@ class Snapshot:
 
     Its records are read-only.  They are shared with the live module until
     the module next writes them, and a record that did not change between
-    two snapshots is the same object in both.
+    two snapshots is the same object in both.  ``dxt_posix`` and
+    ``dxt_stdio`` are each module's DXT log with its length at ``time``
+    (None with DXT off): the log's first ``length`` rows never change.
     """
 
     time: float
     posix: Dict[int, CounterRecord] = field(default_factory=dict)
     stdio: Dict[int, CounterRecord] = field(default_factory=dict)
-    dxt_posix: Dict[int, DxtRecord] = field(default_factory=dict)
-    dxt_stdio: Dict[int, DxtRecord] = field(default_factory=dict)
+    dxt_posix: Optional[Tuple[DxtLog, int]] = None
+    dxt_stdio: Optional[Tuple[DxtLog, int]] = None
 
     @property
     def record_count(self) -> int:
@@ -145,8 +151,8 @@ class DarshanMiddleman:
             snapshot.posix = snapshot_records(core, "POSIX")
             snapshot.stdio = snapshot_records(core, "STDIO")
             if self.attachment.options.darshan.enable_dxt:
-                snapshot.dxt_posix = snapshot_records(core, "POSIX", dxt=True)
-                snapshot.dxt_stdio = snapshot_records(core, "STDIO", dxt=True)
+                snapshot.dxt_posix = snapshot_dxt(core, "POSIX")
+                snapshot.dxt_stdio = snapshot_dxt(core, "STDIO")
         cost = COSTS.snapshot_per_record * snapshot.record_count
         if cost > 0:
             yield self.env.timeout(cost)
@@ -169,9 +175,9 @@ class DarshanMiddleman:
         delta.posix = self._diff_module(start.posix, end.posix, "POSIX")
         delta.stdio = self._diff_module(start.stdio, end.stdio, "STDIO")
         delta.dxt_posix = self._diff_dxt(start.dxt_posix, end.dxt_posix,
-                                         start.time, end.time)
+                                         end.posix, start.time, end.time)
         delta.dxt_stdio = self._diff_dxt(start.dxt_stdio, end.dxt_stdio,
-                                         start.time, end.time)
+                                         end.stdio, start.time, end.time)
         return delta
 
     def _diff_module(self, before: Dict[int, CounterRecord],
@@ -207,20 +213,31 @@ class DarshanMiddleman:
         return deltas
 
     @staticmethod
-    def _diff_dxt(before: Dict[int, DxtRecord], after: Dict[int, DxtRecord],
+    def _diff_dxt(start: Optional[Tuple[DxtLog, int]],
+                  end: Optional[Tuple[DxtLog, int]],
+                  records: Dict[int, CounterRecord],
                   window_start: float, window_end: float
                   ) -> Dict[int, List[DxtSegment]]:
+        """Per file, in the order of ``records`` (the end snapshot's), the
+        segments logged between the two snapshots that overlap the window:
+        its reads, then its writes, sorted stably by start time.
+
+        A start snapshot of another log, taken before a re-attach built a
+        new core, marks none of the end log's rows, so every row counts.
+        """
+        if end is None:
+            return {}
+        log, stop = end
+        first = start[1] if start is not None and start[0] is log else 0
+        logged = log.segments(first, stop)
         out: Dict[int, List[DxtSegment]] = {}
-        for record_id, end_rec in after.items():
-            start_rec = before.get(record_id)
-            if start_rec is end_rec:
+        for record_id in records:
+            lists = logged.get(record_id)
+            if lists is None:
                 continue
-            skip_reads = len(start_rec.read_segments) if start_rec else 0
-            skip_writes = len(start_rec.write_segments) if start_rec else 0
-            segments = (end_rec.read_segments[skip_reads:]
-                        + end_rec.write_segments[skip_writes:])
-            segments = [s for s in segments
+            reads, writes = lists
+            segments = [s for s in reads + writes
                         if s.end_time > window_start and s.start_time < window_end]
             if segments:
-                out[record_id] = sorted(segments, key=lambda s: s.start_time)
+                out[record_id] = sorted(segments, key=attrgetter("start_time"))
         return out

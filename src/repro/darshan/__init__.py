@@ -13,12 +13,12 @@ from repro.darshan.dxt import DxtRecord, DxtSegment
 from repro.darshan.extraction import (
     EXTRACTABLE_MODULES,
     RuntimeInfo,
-    copy_records,
     get_dxt_records,
     get_module_records,
     get_runtime_info,
     lookup_record_name,
     resolve_names,
+    snapshot_dxt,
     snapshot_records,
 )
 from repro.darshan.log import DarshanLog
@@ -47,7 +47,6 @@ __all__ = [
     "STDIO_COUNTERS",
     "STDIO_F_COUNTERS",
     "StdioModule",
-    "copy_records",
     "darshan_record_id",
     "get_dxt_records",
     "get_module_records",
@@ -56,5 +55,6 @@ __all__ = [
     "read_size_histogram",
     "resolve_names",
     "size_bucket",
+    "snapshot_dxt",
     "snapshot_records",
 ]

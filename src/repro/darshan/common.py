@@ -1,7 +1,7 @@
 """What Darshan's instrumentation modules share (``darshan-common.c``).
 
-:class:`InstrumentationModule` keeps a module's counter and DXT record
-tables and does, once for every module, what does not depend on the
+:class:`InstrumentationModule` keeps a module's counter record table and
+its DXT log and does, once for every module, what does not depend on the
 symbols it wraps: creating a file's record under the record limit,
 charging the per-call overhead, choosing the wrappers of the symbols that
 resolve, and summing counters.  A module receives from the core that
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, Optional
 
 from repro.darshan.counters import CounterLayout
-from repro.darshan.dxt import DxtRecord
+from repro.darshan.dxt import DxtLog, DxtRecord
 from repro.darshan.records import CounterRecord, NameTable, RecordTable
 from repro.sim import Environment, Timeout
 
@@ -23,7 +23,7 @@ Wrappers = Dict[str, Callable[..., Generator]]
 
 
 class InstrumentationModule:
-    """Per-file counter records and DXT records of one Darshan module.
+    """Per-file counter records and the DXT log of one Darshan module.
 
     A subclass names its :attr:`layout` and builds its wrappers in
     :meth:`_wrappers`.
@@ -37,7 +37,8 @@ class InstrumentationModule:
         self.config = config
         self.names = names
         self.records = RecordTable()
-        self.dxt_records = RecordTable()
+        #: Every traced segment of the module's files, in the order they ended.
+        self.dxt_log = DxtLog()
         #: Set when the record limit was hit and files went untracked.
         self.partial_flag = False
         #: Operations that passed through without instrumentation (unknown
@@ -55,10 +56,42 @@ class InstrumentationModule:
                 return None
             record = CounterRecord(record_id, self.config.rank, self.layout)
             self.records.add(record_id, record)
-            if self.config.enable_dxt:
-                self.dxt_records.add(record_id,
-                                     DxtRecord(record_id, self.config.rank))
         return record
+
+    def _trace(self, record: CounterRecord, ops: int, is_write: bool,
+               offset: int, length: int, start: float, end: float) -> None:
+        """Append a transfer to the DXT log, unless DXT is off or the record
+        already traced its bound of segments in this direction.
+
+        ``ops`` is the slot of the record's operation count in that
+        direction, which already counts this transfer, so it is the number
+        of segments the record has tried to trace.
+        """
+        config = self.config
+        if (config.enable_dxt
+                and record.values[ops] <= config.max_dxt_segments_per_record):
+            self.dxt_log.append(record.record_id, is_write, offset, length,
+                                start, end)
+
+    @property
+    def dxt_records(self) -> Dict[int, DxtRecord]:
+        """Fresh :class:`DxtRecord` objects of every tracked file, built from
+        the DXT log, or ``{}`` with DXT off.  A cold-path view: every access
+        builds every segment again."""
+        if not self.config.enable_dxt:
+            return {}
+        cap = self.config.max_dxt_segments_per_record
+        read, write = self.layout.read.ops, self.layout.write.ops
+        segments = self.dxt_log.segments()
+        out: Dict[int, DxtRecord] = {}
+        for record_id, record in self.records.items():
+            dxt = out[record_id] = DxtRecord(record_id, record.rank)
+            dxt.read_segments, dxt.write_segments = segments.get(
+                record_id, ([], []))
+            values = record.values
+            dxt.dropped_segments = (max(0, values[read] - cap)
+                                    + max(0, values[write] - cap))
+        return out
 
     def finalize(self) -> None:
         """Fill derived counters before the log is written (none here)."""

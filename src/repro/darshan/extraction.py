@@ -5,27 +5,27 @@ exits, which makes in-situ analysis impossible.  Section III-C of the paper
 adds "several data extraction functions in the Darshan shared library that
 return Darshan module buffers" plus helpers such as file-name lookup
 (resolved through ``dlsym``).  This module is the equivalent surface.
-:func:`snapshot_records` returns a module's buffers as of now, sharing the
-record objects with the live module, which clones a record before it next
-writes it (see :class:`~repro.darshan.records.RecordTable`); tf-Darshan's
-wrapper snapshots them at profile start/stop and analyses the difference
-while the application keeps running.  :func:`get_module_records` and
-:func:`get_dxt_records` return fresh copies the caller owns.
+:func:`snapshot_records` returns a module's counter records as of now,
+sharing the record objects with the live module, which clones a record
+before it next writes it (see :class:`~repro.darshan.records.RecordTable`),
+and :func:`snapshot_dxt` marks the module's append-only DXT log with its
+length; tf-Darshan's wrapper snapshots both at profile start/stop and
+analyses the difference while the application keeps running.
+:func:`get_module_records` and :func:`get_dxt_records` return fresh copies
+the caller owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.darshan.dxt import DxtRecord
+from repro.darshan.dxt import DxtLog, DxtRecord
 from repro.darshan.records import CounterRecord
 from repro.darshan.runtime import DarshanCore
 
 #: Module names whose records can be extracted.
 EXTRACTABLE_MODULES = ("POSIX", "STDIO", "DXT_POSIX", "DXT_STDIO")
-
-Record = Union[CounterRecord, DxtRecord]
 
 
 @dataclass
@@ -43,38 +43,41 @@ class RuntimeInfo:
         return max(self.file_counts.values()) if self.file_counts else 0
 
 
-def snapshot_records(core: DarshanCore, module_name: str, dxt: bool = False
-                     ) -> Dict[int, Record]:
-    """A module's counter records, or its DXT records if ``dxt``, as of now.
+def snapshot_records(core: DarshanCore, module_name: str
+                     ) -> Dict[int, CounterRecord]:
+    """A module's counter records as of now.
 
     The records are shared with the live module until it next writes them,
     so the caller must not modify them.
     """
     module = core.get_module(module_name)
-    table = getattr(module, "dxt_records" if dxt else "records", None)
-    return table.snapshot() if table is not None else {}
+    return module.records.snapshot() if module is not None else {}
 
 
-def copy_records(core: DarshanCore, module_name: str, dxt: bool = False
-                 ) -> Dict[int, Record]:
-    """Fresh copies of a module's counter records, or of its DXT records."""
-    module = core.get_module(module_name)
-    live = getattr(module, "dxt_records" if dxt else "records", None)
-    if not live:
-        return {}
-    return {rec_id: rec.copy() for rec_id, rec in live.items()}
+def snapshot_dxt(core: DarshanCore, module_name: str) -> Tuple[DxtLog, int]:
+    """A module's DXT log and its length now.
+
+    The log only grows, so its first ``length`` rows stay the segments as
+    of now.
+    """
+    log = core.get_module(module_name).dxt_log
+    return log, len(log)
 
 
 def get_module_records(core: DarshanCore, module_name: str
                        ) -> Dict[int, CounterRecord]:
     """Deep copy of the counter records of a module ("POSIX" or "STDIO")."""
-    return copy_records(core, module_name)
+    module = core.get_module(module_name)
+    if module is None:
+        return {}
+    return {rec_id: rec.copy() for rec_id, rec in module.records.items()}
 
 
 def get_dxt_records(core: DarshanCore, module_name: str = "POSIX"
                     ) -> Dict[int, DxtRecord]:
-    """Deep copy of the DXT segment records attached to a counter module."""
-    return copy_records(core, module_name, dxt=True)
+    """The DXT segment records of a counter module's files, built afresh."""
+    module = core.get_module(module_name)
+    return module.dxt_records if module is not None else {}
 
 
 def lookup_record_name(core: DarshanCore, record_id: int) -> Optional[str]:

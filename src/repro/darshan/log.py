@@ -48,9 +48,9 @@ class DarshanLog:
             recs = getattr(module, "records", None)
             if recs is not None:
                 records[name] = {rid: rec.copy() for rid, rec in recs.items()}
-            dxt = getattr(module, "dxt_records", None)
+            dxt = module.dxt_records
             if dxt:
-                dxt_records[f"DXT_{name}"] = {rid: rec.copy() for rid, rec in dxt.items()}
+                dxt_records[f"DXT_{name}"] = dxt
             if getattr(module, "partial_flag", False):
                 partial.append(name)
         return cls(

@@ -20,22 +20,20 @@ them:
 The wrappers update a record's counter arrays through the slots of
 :data:`~repro.darshan.counters.POSIX_LAYOUT`, resolved once at import, and
 hash a call's path once.  The core builds the module with its environment,
-configuration and name table; the record tables, the record limit, the
-per-call overhead and the wrapper selection come from
+configuration and name table; the record table, the DXT log, the record
+limit, the per-call overhead and the wrapper selection come from
 :class:`~repro.darshan.common.InstrumentationModule`, which the STDIO module
-shares.  Only the per-record access state and the descriptor table are
-POSIX's own.
+shares.  Only the descriptor table is POSIX's own; the per-record access
+state lives in the record.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.darshan.common import InstrumentationModule, Wrappers
 from repro.darshan.counters import POSIX_LAYOUT, size_bucket_index
-from repro.darshan.dxt import DxtSegment
 from repro.darshan.records import CounterRecord, NameTable
 from repro.sim import Environment
 
@@ -55,15 +53,6 @@ _META_TIME = _FINDEX["POSIX_F_META_TIME"]
 
 
 @dataclass
-class _RecordState:
-    """Darshan's per-record runtime bookkeeping (not written to the log)."""
-
-    last_byte_read: int = 0
-    last_byte_written: int = 0
-    last_op: Optional[str] = None
-
-
-@dataclass
 class _FdRef:
     """Association between an open descriptor and its file record."""
 
@@ -78,8 +67,6 @@ class PosixModule(InstrumentationModule):
 
     def __init__(self, env: Environment, config, names: NameTable):
         super().__init__(env, config, names)
-        #: Created at a record's first transfer.
-        self._state: Dict[int, _RecordState] = defaultdict(_RecordState)
         self._fd_refs: Dict[int, _FdRef] = {}
 
     def finalize(self) -> None:
@@ -102,7 +89,6 @@ class PosixModule(InstrumentationModule):
         record = self.records.writable(ref.record_id)
         if record is None:  # pragma: no cover - defensive
             return
-        state = self._state[ref.record_id]
         slots = POSIX_LAYOUT.write if is_write else POSIX_LAYOUT.read
         op = "write" if is_write else "read"
         values = record.values
@@ -112,33 +98,27 @@ class PosixModule(InstrumentationModule):
         values[slots.sizes[size_bucket_index(nbytes)]] += 1
         record.note_access_size(nbytes)
 
-        last_byte = state.last_byte_written if is_write else state.last_byte_read
+        last_byte = record.last_byte_written if is_write else record.last_byte_read
         if offset > last_byte:
             values[slots.seq] += 1
         if offset == last_byte + 1:
             values[slots.consec] += 1
         new_last = offset + nbytes - 1
         if is_write:
-            state.last_byte_written = new_last
+            record.last_byte_written = new_last
         else:
-            state.last_byte_read = new_last
+            record.last_byte_read = new_last
         if new_last > values[slots.max_byte]:
             values[slots.max_byte] = new_last
 
-        if state.last_op is not None and state.last_op != op:
+        if record.last_op is not None and record.last_op != op:
             values[_RW_SWITCHES] += 1
-        state.last_op = op
+        record.last_op = op
 
         record.time_op(slots.start, slots.end, slots.time, start, end)
         if end - start > record.fvalues[slots.max_time]:
             record.fvalues[slots.max_time] = end - start
-
-        if self.config.enable_dxt:
-            dxt = self.dxt_records.writable(ref.record_id)
-            if dxt is not None:
-                dxt.add(DxtSegment(op=op, offset=offset, length=nbytes,
-                                   start_time=start, end_time=end),
-                        max_segments=self.config.max_dxt_segments_per_record)
+        self._trace(record, slots.ops, is_write, offset, nbytes, start, end)
 
     def _track_meta(self, record: Optional[CounterRecord], counter: int,
                     start: float, end: float) -> None:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, Iterator, Optional, Set
 
 from repro.darshan.counters import LAYOUTS, CounterLayout
@@ -104,9 +104,16 @@ class WritableCounterView(CounterView):
 
 
 class CounterRecord:
-    """A generic Darshan record: an int64 and a double counter array."""
+    """A generic Darshan record: an int64 and a double counter array.
+
+    It also carries Darshan's per-record runtime state, which is not written
+    to the log: the last byte read and written and the last operation
+    (sequential/consecutive and read/write-switch counting), and how often
+    each access size occurred (the ACCESSx counters).
+    """
 
     __slots__ = ("record_id", "rank", "layout", "values", "fvalues",
+                 "last_byte_read", "last_byte_written", "last_op",
                  "_access_sizes")
 
     def __init__(self, record_id: int, rank: int, layout: CounterLayout,
@@ -117,10 +124,14 @@ class CounterRecord:
         self.layout = layout
         self.values = layout.zeros[:] if values is None else values
         self.fvalues = layout.fzeros[:] if fvalues is None else fvalues
-        # Frequency of access sizes, used to fill the ACCESSx counters the
-        # way darshan_common_val_counter does.  A plain dict: a clone copies
-        # it, and copying a Counter costs several times more.
-        self._access_sizes: Dict[int, int] = {}
+        self.last_byte_read = 0
+        self.last_byte_written = 0
+        #: "read", "write", or None before the first transfer.
+        self.last_op: Optional[str] = None
+        # (size, count) pairs in the order the sizes first occurred, for
+        # the ACCESSx counters as darshan_common_val_counter fills them.
+        # Uncapped, unlike Darshan's, so every size counts.
+        self._access_sizes = array("q")
 
     @property
     def counters(self) -> WritableCounterView:
@@ -149,12 +160,20 @@ class CounterRecord:
 
     def note_access_size(self, nbytes: int) -> None:
         """Track a common access size (feeds the ACCESSx_ACCESS counters)."""
-        size = int(nbytes)
-        self._access_sizes[size] = self._access_sizes.get(size, 0) + 1
+        pairs = self._access_sizes
+        for i in range(0, len(pairs), 2):
+            if pairs[i] == nbytes:
+                pairs[i + 1] += 1
+                return
+        pairs.extend((nbytes, 1))
 
     def finalize_common_accesses(self) -> None:
-        """Fill the top-4 common access size counters from the tracked sizes."""
-        top = Counter(self._access_sizes).most_common(4)
+        """Fill the top-4 common access size counters from the tracked sizes:
+        the most frequent first, ties in the order the sizes first occurred
+        (as ``Counter.most_common`` ranks them)."""
+        pairs = self._access_sizes
+        top = sorted(zip(pairs[::2], pairs[1::2]), key=itemgetter(1),
+                     reverse=True)[:4]
         values = self.values
         for i, (access, count) in enumerate(self.layout.common_accesses):
             values[access], values[count] = top[i] if i < len(top) else (0, 0)
@@ -164,7 +183,10 @@ class CounterRecord:
         """Deep copy: a clone before a write, or a caller-owned extraction."""
         clone = CounterRecord(self.record_id, self.rank, self.layout,
                               self.values[:], self.fvalues[:])
-        clone._access_sizes = dict(self._access_sizes)
+        clone.last_byte_read = self.last_byte_read
+        clone.last_byte_written = self.last_byte_written
+        clone.last_op = self.last_op
+        clone._access_sizes = self._access_sizes[:]
         return clone
 
     def as_dict(self) -> Dict[str, object]:

@@ -14,7 +14,6 @@ from typing import Dict, Optional
 
 from repro.darshan.common import InstrumentationModule, Wrappers
 from repro.darshan.counters import STDIO_LAYOUT
-from repro.darshan.dxt import DxtSegment
 from repro.darshan.records import NameTable
 from repro.sim import Environment
 
@@ -68,13 +67,7 @@ class StdioModule(InstrumentationModule):
         if end_byte > values[slots.max_byte]:
             values[slots.max_byte] = end_byte
         record.time_op(slots.start, slots.end, slots.time, start, end)
-        if self.config.enable_dxt:
-            dxt = self.dxt_records.writable(ref.record_id)
-            if dxt is not None:
-                dxt.add(DxtSegment(op="write" if is_write else "read",
-                                   offset=offset, length=nbytes,
-                                   start_time=start, end_time=end),
-                        max_segments=self.config.max_dxt_segments_per_record)
+        self._trace(record, slots.ops, is_write, offset, nbytes, start, end)
         ref.position = offset + nbytes
 
     # -- wrapper construction ---------------------------------------------------------

@@ -98,6 +98,8 @@ class StdioLayer:
     def fread(self, stream: object, nbytes: int) -> Generator:
         """Read up to ``nbytes`` from the stream position; returns the
         number of bytes read (0 at end of file)."""
+        if nbytes < 0:
+            raise SimOSError(errno.EINVAL, "negative count")
         yield self._charge()
         fs = self._get(stream)
         fs.reads += 1
@@ -108,10 +110,10 @@ class StdioLayer:
     def fwrite(self, stream: object, nbytes: int) -> Generator:
         """Buffered write of ``nbytes``; flushes to POSIX when the buffer
         fills."""
+        if nbytes < 0:
+            raise SimOSError(errno.EINVAL, "negative count")
         yield self._charge()
         fs = self._get(stream)
-        if nbytes < 0:
-            raise SimOSError(errno.EINVAL, "negative count", fs.path)
         fs.writes += 1
         fs.pending_write_bytes += nbytes
         fs.position += nbytes

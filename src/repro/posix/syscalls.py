@@ -110,8 +110,6 @@ class PosixLayer:
         if not ofd.readable:
             raise SimOSError(errno.EBADF, "descriptor not open for reading",
                              inode.path)
-        if count < 0 or offset < 0:
-            raise SimOSError(errno.EINVAL, "negative count or offset", inode.path)
         nbytes = max(0, min(count, inode.size - offset))
         if nbytes == 0:
             # End of file: a zero-length read costs only the syscall itself.
@@ -135,6 +133,8 @@ class PosixLayer:
         """``read(2)``: read from the descriptor's current offset; returns
         the number of bytes read."""
         ofd = self.fds.get(fd)
+        if count < 0:
+            raise SimOSError(errno.EINVAL, "negative count", ofd.inode.path)
         yield self._charge("read", min(count, max(0, ofd.inode.size - ofd.offset)))
         nbytes = yield from self._do_read(ofd, count, ofd.offset)
         ofd.offset += nbytes
@@ -143,6 +143,9 @@ class PosixLayer:
     def pread(self, fd: int, count: int, offset: int) -> Generator:
         """``pread(2)``: positional read, does not move the file offset."""
         ofd = self.fds.get(fd)
+        if count < 0 or offset < 0:
+            raise SimOSError(errno.EINVAL, "negative count or offset",
+                             ofd.inode.path)
         yield self._charge("pread", min(count, max(0, ofd.inode.size - offset)))
         nbytes = yield from self._do_read(ofd, count, offset)
         return nbytes
@@ -177,8 +180,9 @@ class PosixLayer:
     def pwrite(self, fd: int, nbytes: int, offset: int) -> Generator:
         """``pwrite(2)``: positional write, does not move the file offset."""
         ofd = self.fds.get(fd)
-        if nbytes < 0:
-            raise SimOSError(errno.EINVAL, "negative count", ofd.inode.path)
+        if nbytes < 0 or offset < 0:
+            raise SimOSError(errno.EINVAL, "negative count or offset",
+                             ofd.inode.path)
         yield self._charge("pwrite", nbytes)
         written = yield from self._do_write(ofd, nbytes, offset)
         return written

@@ -4,12 +4,14 @@ Every storage device records the intervals during which it transferred data.
 The :class:`repro.tools.dstat.DstatMonitor` samples these counters once per
 simulated second — exactly the role `dstat` plays in the paper's validation
 experiments (Fig. 3, 4 and 12) — and the benchmarks use them to compute
-ground-truth bandwidth independently of what tf-Darshan reports.
+ground-truth bandwidth independently of what tf-Darshan reports.  The
+transfers are kept as four typed-array columns, 25 bytes each.
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -35,7 +37,11 @@ class DeviceMetrics:
 
     def __init__(self, name: str):
         self.name = name
-        self.intervals: List[TransferInterval] = []
+        # One column per TransferInterval field, one row per transfer.
+        self._starts = array("d")
+        self._ends = array("d")
+        self._nbytes = array("q")
+        self._writes = array("b")
         self.bytes_read = 0
         self.bytes_written = 0
         self.read_ops = 0
@@ -49,7 +55,10 @@ class DeviceMetrics:
         if end < start:
             raise ValueError("transfer interval must not end before it starts")
         nbytes = int(nbytes)
-        self.intervals.append(TransferInterval(start, end, nbytes, is_write))
+        self._starts.append(start)
+        self._ends.append(end)
+        self._nbytes.append(nbytes)
+        self._writes.append(is_write)
         if is_write:
             self.bytes_written += nbytes
             self.write_ops += 1
@@ -63,8 +72,25 @@ class DeviceMetrics:
 
     # -- queries -----------------------------------------------------------
     @property
+    def intervals(self) -> List[TransferInterval]:
+        """Every transfer so far, in the order recorded, as new objects on
+        each access (a view for tests and reports, not for a loop)."""
+        return [TransferInterval(start, end, nbytes, bool(write))
+                for start, end, nbytes, write
+                in zip(self._starts, self._ends, self._nbytes, self._writes)]
+
+    @property
     def total_bytes(self) -> int:
         return self.bytes_read + self.bytes_written
+
+    def _transfers(self, writes: Optional[bool]):
+        """``(start, end, nbytes)`` of the transfers in the direction
+        ``writes`` selects (both if None), in the order recorded."""
+        rows = zip(self._starts, self._ends, self._nbytes, self._writes)
+        if writes is None:
+            return ((start, end, nbytes) for start, end, nbytes, _ in rows)
+        return ((start, end, nbytes) for start, end, nbytes, write in rows
+                if write == writes)
 
     def bytes_between(self, t0: float, t1: float,
                       writes: Optional[bool] = None) -> float:
@@ -78,20 +104,19 @@ class DeviceMetrics:
         if t1 <= t0:
             return 0.0
         total = 0.0
-        for iv in self.intervals:
-            if writes is not None and iv.is_write is not writes:
-                continue
-            lo = max(t0, iv.start)
-            hi = min(t1, iv.end)
+        for start, end, nbytes in self._transfers(writes):
+            duration = end - start
+            lo = max(t0, start)
+            hi = min(t1, end)
             if hi <= lo:
                 # instantaneous transfer exactly at a bin edge
-                if iv.duration == 0.0 and t0 <= iv.start < t1:
-                    total += iv.nbytes
+                if duration == 0.0 and t0 <= start < t1:
+                    total += nbytes
                 continue
-            if iv.duration == 0.0:
-                total += iv.nbytes
+            if duration == 0.0:
+                total += nbytes
             else:
-                total += iv.nbytes * (hi - lo) / iv.duration
+                total += nbytes * (hi - lo) / duration
         return total
 
     def throughput_timeline(self, bin_seconds: float = 1.0,
@@ -102,21 +127,18 @@ class DeviceMetrics:
 
         This is the series a dstat-style monitor would plot (Fig. 3/4/12).
         """
-        if not self.intervals:
+        if not self._ends:
             return np.array([]), np.array([])
-        t_end = until if until is not None else max(iv.end for iv in self.intervals)
+        t_end = until if until is not None else max(self._ends)
         n_bins = max(1, int(np.ceil(t_end / bin_seconds)))
         edges = np.arange(n_bins + 1) * bin_seconds
         bounds = edges.tolist()
         values = [0.0] * n_bins
-        # One pass over the intervals, in list order, visiting only the bins
-        # each one can reach.  Every bin then adds the same terms in the same
-        # order as bytes_between(bounds[i], bounds[i + 1]), so the sums are
-        # bit-identical to it; a prefix sum would round differently.
-        for iv in self.intervals:
-            if writes is not None and iv.is_write is not writes:
-                continue
-            start, end, nbytes = iv.start, iv.end, iv.nbytes
+        # One pass over the transfers, in the order recorded, visiting only
+        # the bins each one can reach.  Every bin then adds the same terms in
+        # the same order as bytes_between(bounds[i], bounds[i + 1]), so the
+        # sums are bit-identical to it; a prefix sum would round differently.
+        for start, end, nbytes in self._transfers(writes):
             duration = end - start
             first = max(0, bisect.bisect_right(bounds, start) - 1)
             stop = min(n_bins, max(first + 1, bisect.bisect_left(bounds, end)))

@@ -1,5 +1,6 @@
-"""Snapshots share unchanged records with the live modules, across
-profiling sessions too, and equal full copies."""
+"""Snapshots share unchanged counter records with the live modules, across
+profiling sessions too, and equal full copies; a DXT snapshot is a log
+length, and a window's segments equal a diff of full DXT copies."""
 
 import random
 
@@ -21,16 +22,38 @@ from repro.posix import O_WRONLY
 from repro.tfmini import io_ops
 from tests.core.conftest import make_files, run
 
-MODULES = ("posix", "stdio", "dxt_posix", "dxt_stdio")
+MODULES = ("posix", "stdio")
+DXT_MODULES = {"dxt_posix": "POSIX", "dxt_stdio": "STDIO"}
 
 
 def _full_copies(core, time):
-    """The snapshot as independent, freshly copied module buffers."""
-    return Snapshot(time=time,
-                    posix=get_module_records(core, "POSIX"),
-                    stdio=get_module_records(core, "STDIO"),
-                    dxt_posix=get_dxt_records(core, "POSIX"),
-                    dxt_stdio=get_dxt_records(core, "STDIO"))
+    """The snapshot as independent, freshly copied module buffers: a
+    counter-only :class:`Snapshot` and the DXT records by snapshot field."""
+    snapshot = Snapshot(time=time,
+                        posix=get_module_records(core, "POSIX"),
+                        stdio=get_module_records(core, "STDIO"))
+    dxt = {field: get_dxt_records(core, module)
+           for field, module in DXT_MODULES.items()}
+    return snapshot, dxt
+
+
+def _reference_dxt_diff(before, after, window_start, window_end):
+    """The window's segments from two full DXT copies, computed the way the
+    diff did when each file kept its own segment lists."""
+    out = {}
+    for record_id, end_rec in after.items():
+        start_rec = before.get(record_id)
+        if start_rec is end_rec:
+            continue
+        skip_reads = len(start_rec.read_segments) if start_rec else 0
+        skip_writes = len(start_rec.write_segments) if start_rec else 0
+        segments = (end_rec.read_segments[skip_reads:]
+                    + end_rec.write_segments[skip_writes:])
+        segments = [s for s in segments
+                    if s.end_time > window_start and s.start_time < window_end]
+        if segments:
+            out[record_id] = sorted(segments, key=lambda s: s.start_time)
+    return out
 
 
 def _assert_same_records(snapshot, full):
@@ -41,11 +64,25 @@ def _assert_same_records(snapshot, full):
             {rid: rec.as_dict() for rid, rec in want.items()}
 
 
+def _assert_capped(counter_records, dxt, cap):
+    """Each file keeps its first ``cap`` segments per direction and counts
+    the rest as dropped; its READS/WRITES counters count every attempt."""
+    assert list(dxt) == list(counter_records)
+    for record_id, record in dxt.items():
+        counter_record = counter_records[record_id]
+        prefix = counter_record.layout.prefix
+        reads = counter_record.counters[f"{prefix}_READS"]
+        writes = counter_record.counters[f"{prefix}_WRITES"]
+        assert len(record.read_segments) == min(reads, cap)
+        assert len(record.write_segments) == min(writes, cap)
+        assert record.dropped_segments == \
+            max(0, reads - cap) + max(0, writes - cap)
+
+
 def _live_tables(attachment):
     """The live record tables, under the names of the snapshot fields."""
     posix, stdio = attachment.posix_module, attachment.stdio_module
-    return {"posix": posix.records, "stdio": stdio.records,
-            "dxt_posix": posix.dxt_records, "dxt_stdio": stdio.dxt_records}
+    return {"posix": posix.records, "stdio": stdio.records}
 
 
 def _reused(before, after):
@@ -121,8 +158,9 @@ def test_snapshots_and_diffs_equal_full_copies_under_random_io(
 
         def snapshot(chance=1.0):
             if rng.random() < chance:
-                full = _full_copies(attachment.core, env.now)
-                taken.append(((yield from middleman.take_snapshot()), full))
+                full, dxt = _full_copies(attachment.core, env.now)
+                taken.append(((yield from middleman.take_snapshot()), full,
+                              dxt))
 
         for _ in range(40):
             yield from snapshot(0.15)
@@ -132,14 +170,25 @@ def test_snapshots_and_diffs_equal_full_copies_under_random_io(
         return middleman, taken
 
     middleman, taken = run(env, proc())
-    for snapshot, full in taken:
+    for snapshot, full, dxt in taken:
         _assert_same_records(snapshot, full)
-    for i, (start, full_start) in enumerate(taken):
-        for end, full_end in taken[i + 1:]:
-            assert middleman.diff(start, end) == middleman.diff(full_start,
-                                                                full_end)
+        _assert_capped(full.posix, dxt["dxt_posix"], cap)
+        _assert_capped(full.stdio, dxt["dxt_stdio"], cap)
+    for i, (start, full_start, dxt_start) in enumerate(taken):
+        for end, full_end, dxt_end in taken[i + 1:]:
+            delta = middleman.diff(start, end)
+            full = middleman.diff(full_start, full_end)
+            assert (delta.posix, delta.stdio) == (full.posix, full.stdio)
+            for field in DXT_MODULES:
+                want = _reference_dxt_diff(dxt_start[field], dxt_end[field],
+                                           start.time, end.time)
+                assert list(getattr(delta, field).items()) == \
+                    list(want.items())
     assert sum(_reused(a.posix, b.posix) + _reused(a.stdio, b.stdio)
-               for (a, _), (b, _) in zip(taken, taken[1:])) > 0
+               for (a, _, _), (b, _, _) in zip(taken, taken[1:])) > 0
+    dropped = sum(record.dropped_segments for field in DXT_MODULES
+                  for record in taken[-1][2][field].values())
+    assert (dropped > 0) == (seed % 2 == 1)
 
 
 def test_stop_snapshot_reuses_the_copies_of_untouched_records(
@@ -160,11 +209,10 @@ def test_stop_snapshot_reuses_the_copies_of_untouched_records(
 
     start, stop, delta = run(env, proc())
     touched = darshan_record_id(paths[3])
-    for module in ("posix", "dxt_posix"):
-        before, after = getattr(start, module), getattr(stop, module)
-        assert len(after) == n
-        assert {rid for rid in after if after[rid] is before[rid]} == \
-            set(after) - {touched}
+    before, after = start.posix, stop.posix
+    assert len(after) == n
+    assert {rid for rid in after if after[rid] is before[rid]} == \
+        set(after) - {touched}
     assert [rec.record_id for rec in delta.posix] == [touched]
     assert list(delta.dxt_posix) == [touched]
 
@@ -185,12 +233,19 @@ def test_reattached_runtime_reuses_nothing(runtime, os_image, env):
             yield from io_ops.read_file(runtime, path)
         full = _full_copies(attachment.core, env.now)
         after = yield from middleman.take_snapshot()
-        return before, after, full
+        return middleman, before, after, full
 
-    before, after, full = run(env, proc())
+    middleman, before, after, (full, dxt) = run(env, proc())
     for module in MODULES:
         assert _reused(getattr(before, module), getattr(after, module)) == 0
     _assert_same_records(after, full)
+    # The new core logs from an empty log, so a diff across the re-attach
+    # holds every segment the new core traced.
+    assert after.dxt_posix[0] is not before.dxt_posix[0]
+    delta = middleman.diff(before, after)
+    assert delta.dxt_posix == _reference_dxt_diff(
+        {}, dxt["dxt_posix"], before.time, after.time)
+    assert sum(map(len, delta.dxt_posix.values())) == 2 * len(paths)
 
 
 def test_sessions_share_records_until_the_module_writes_one(
@@ -213,7 +268,7 @@ def test_sessions_share_records_until_the_module_writes_one(
         start = yield from second.take_snapshot()
         live = {module: dict(table)
                 for module, table in _live_tables(attachment).items()}
-        full = _full_copies(attachment.core, env.now)
+        full, _ = _full_copies(attachment.core, env.now)
         yield from io_ops.read_file(runtime, paths[2])
         return attachment, stop, start, live, full
 
@@ -223,10 +278,14 @@ def test_sessions_share_records_until_the_module_writes_one(
         assert len(ended) == n
         assert all(began[rid] is ended[rid] is live[module][rid]
                    for rid in ended)
+    # Each file logged a data read and a zero-length read, and one fwrite.
+    for field, module, rows in (("dxt_posix", attachment.posix_module, 2 * n),
+                                ("dxt_stdio", attachment.stdio_module, n)):
+        assert getattr(stop, field) == getattr(start, field) == \
+            (module.dxt_log, rows)
     read = darshan_record_id(paths[2])
     for module, table in _live_tables(attachment).items():
         changed = {rid for rid in table if table[rid] is not live[module][rid]}
-        assert changed == ({read} if module in ("posix", "dxt_posix")
-                           else set())
+        assert changed == ({read} if module == "posix" else set())
     _assert_same_records(stop, full)
     _assert_same_records(start, full)

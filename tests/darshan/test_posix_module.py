@@ -137,6 +137,58 @@ def test_common_access_sizes_finalized(darshan, os_image, env):
     assert rec.counters["POSIX_ACCESS2_COUNT"] == 1
 
 
+def test_common_access_sizes_rank_as_counter_most_common():
+    """Most frequent first, ties in first-seen order, and no cap on the
+    number of distinct sizes."""
+    from collections import Counter
+
+    from repro.darshan import CounterRecord
+    from repro.darshan.counters import POSIX_LAYOUT
+
+    sizes = [7, 3, 3, 9, 7, 1, 9, 5] + list(range(100, 160)) + [160] * 2
+    record = CounterRecord(1, 0, POSIX_LAYOUT)
+    for size in sizes:
+        record.note_access_size(size)
+    record.copy().finalize_common_accesses()
+    record.finalize_common_accesses()
+    got = [(record.counters[f"POSIX_ACCESS{n}_ACCESS"],
+            record.counters[f"POSIX_ACCESS{n}_COUNT"]) for n in range(1, 5)]
+    assert got == Counter(sizes).most_common(4)
+    assert got == [(7, 2), (3, 2), (9, 2), (160, 2)]
+
+
+def test_a_cloned_record_continues_the_file(env, os_image):
+    """Snapshots between the calls make the module clone the record before
+    each write; the clone keeps the last byte read and written, the last
+    operation and the access sizes, so the counters come out the same."""
+    from repro.darshan import DarshanConfig, PreloadedDarshan
+    from repro.posix import O_RDWR
+
+    os_image.vfs.create_file("/data/a", size=50_000)
+    os_image.vfs.create_file("/data/b", size=50_000)
+    darshan = PreloadedDarshan(env, os_image.symbols, DarshanConfig())
+    darshan.install()
+    module = darshan.posix_module
+
+    def proc(path, snapshot):
+        fd = yield from os_image.call("open", path, O_RDWR)
+        for call, args in (("pread", (10_000, 0)), ("pread", (10_000, 10_000)),
+                           ("write", (500,)), ("pread", (7, 20_001)),
+                           ("pwrite", (500, 40_000)), ("pread", (10_000, 0))):
+            snapshot()
+            yield from os_image.call(call, fd, *args)
+        yield from os_image.call("close", fd)
+
+    run(env, proc("/data/a", lambda: None))
+    run(env, proc("/data/b", module.records.snapshot))
+    module.finalize()
+    plain, cloned = (module.records[darshan_record_id(path)]
+                     for path in ("/data/a", "/data/b"))
+    assert cloned.counters["POSIX_SEQ_READS"] == 2
+    assert cloned.counters["POSIX_RW_SWITCHES"] == 4
+    assert dict(cloned.counters) == dict(plain.counters)
+
+
 def test_dxt_segments_recorded(darshan, os_image, env):
     os_image.vfs.create_file("/data/f", size=2_500_000)
     run(env, read_file_like_tf(os_image, "/data/f", buffer_size=1 << 20))

@@ -8,6 +8,7 @@ from repro.posix import (
     O_APPEND,
     O_CREAT,
     O_RDONLY,
+    O_RDWR,
     O_WRONLY,
     SEEK_CUR,
     SEEK_END,
@@ -135,6 +136,42 @@ def test_negative_write_counts_raise_einval(os_image, env):
     assert run(env, proc()) == [errno.EINVAL] * 3
     assert os_image.posix.call_counts.get("write", 0) == 0
     assert os_image.posix.call_counts.get("pwrite", 0) == 0
+
+
+@pytest.mark.parametrize("name, args", [
+    ("read", ("fd", -1)),
+    ("pread", ("fd", -1, 0)),
+    ("pread", ("fd", 10, -5)),
+    ("write", ("fd", -1)),
+    ("pwrite", ("fd", -1, 0)),
+    ("pwrite", ("fd", 10, -5)),
+    ("fread", ("stream", -1)),
+    ("fwrite", ("stream", -1)),
+])
+def test_invalid_data_calls_raise_einval_before_any_charge(os_image, env,
+                                                           name, args):
+    """A negative count or offset costs nothing: no syscall is counted, the
+    clock does not move and the device moves no byte."""
+    os_image.vfs.create_file("/data/f", size=1000)
+    metrics = os_image.vfs.backend_for("/data/f").device.metrics
+
+    def state():
+        return (env.now, dict(os_image.posix.call_counts),
+                metrics.total_bytes, len(metrics.intervals))
+
+    def proc():
+        handles = {"fd": (yield from os_image.posix.open("/data/f", O_RDWR)),
+                   "stream": (yield from os_image.stdio.fopen("/data/f", "r+"))}
+        layer = os_image.stdio if name.startswith("f") else os_image.posix
+        before = state()
+        with pytest.raises(SimOSError) as info:
+            yield from getattr(layer, name)(*[handles.get(arg, arg)
+                                              for arg in args])
+        return info.value.errno, before
+
+    code, before = run(env, proc())
+    assert code == errno.EINVAL
+    assert state() == before
 
 
 def test_lseek_whence_variants(os_image, env):
