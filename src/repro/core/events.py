@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.darshan.dxt import DxtSegment
-from repro.tfmini.profiler.xplane import XEvent, XPlane
+from repro.tfmini.profiler.xplane import XPlane
 from repro.core.wrapper import SnapshotDelta
 
 #: Name of the plane tf-Darshan adds to the XSpace.
@@ -41,10 +41,9 @@ def build_plane(module: str, dxt: Dict[int, List[DxtSegment]],
                 name = read if segment.length else zero_read
             else:
                 name = write
-            line.add(XEvent(
-                name, segment.start_time, segment.duration,
-                {"offset": segment.offset, "length": segment.length,
-                 "op": segment.op}))
+            line.append(name, segment.start_time, segment.duration,
+                        {"offset": segment.offset, "length": segment.length,
+                         "op": segment.op})
     plane.stats["num_files"] = len(dxt)
     plane.stats["num_events"] = plane.event_count
     return plane

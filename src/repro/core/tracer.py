@@ -68,8 +68,8 @@ class DarshanTracer(ProfilerInterface):
         export_cost = (COSTS.per_session + per_record * n_records
                        + per_segment * delta.segment_count)
 
-        # Only an exported profile is read as timelines; the window delta
-        # keeps every segment for the in-situ analyses either way.
+        # Only an exported profile is read as timelines; otherwise the
+        # window delta builds its segments only if an analysis reads them.
         if options.darshan.enable_dxt and self.logdir is not None:
             posix_plane = build_plane("POSIX", delta.dxt_posix,
                                       middleman.resolve_name)

@@ -9,7 +9,8 @@ and the TraceViewer export operate on.  A snapshot copies no record: it
 shares them with the live modules, which clone a record before writing it.
 Nor does it copy a DXT segment: each module appends its segments to one
 log that only grows, so a snapshot keeps the log and its length, and a
-window's segments are the log rows between two lengths.
+window's segments are the log rows between two lengths.  A diff counts
+those rows; it builds them into segments only when a reader asks.
 
 A window delta copies no counter of a record that is new in the window:
 its :class:`RecordDelta` holds the end snapshot's counter arrays and reads
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter, sub
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.darshan.dxt import DxtLog, DxtSegment
 # get_module_records is not called here, but perfbench/probes.py patches it
@@ -36,6 +38,7 @@ from repro.darshan.extraction import (  # noqa: F401
 )
 from repro.darshan.counters import CounterLayout
 from repro.darshan.records import CounterRecord, CounterView
+from repro.darshan.runtime import DarshanCore
 from repro.core.attach import RuntimeAttachment
 from repro.core.config import COSTS
 
@@ -49,6 +52,8 @@ class Snapshot:
     two snapshots is the same object in both.  ``dxt_posix`` and
     ``dxt_stdio`` are each module's DXT log with its length at ``time``
     (None with DXT off): the log's first ``length`` rows never change.
+    ``core`` is the Darshan core they were read from (None before the
+    first attach).
     """
 
     time: float
@@ -56,6 +61,7 @@ class Snapshot:
     stdio: Dict[int, CounterRecord] = field(default_factory=dict)
     dxt_posix: Optional[Tuple[DxtLog, int]] = None
     dxt_stdio: Optional[Tuple[DxtLog, int]] = None
+    core: Optional[DarshanCore] = field(default=None, repr=False)
 
     @property
     def record_count(self) -> int:
@@ -100,25 +106,67 @@ class RecordDelta:
         return default if slot is None else self.values[slot]
 
 
+class DxtRows(NamedTuple):
+    """One module's DXT log rows between two snapshots: the log, the two
+    lengths and the end snapshot's record ids, whose order the files take."""
+
+    log: DxtLog
+    first: int
+    stop: int
+    record_ids: Tuple[int, ...]
+
+    def segments(self, window_start: float, window_end: float
+                 ) -> Dict[int, List[DxtSegment]]:
+        """Per file, in the end snapshot's order, its rows that overlap the
+        window: its reads, then its writes, sorted stably by start time."""
+        logged = self.log.segments(self.first, self.stop)
+        out: Dict[int, List[DxtSegment]] = {}
+        for record_id in self.record_ids:
+            lists = logged.get(record_id)
+            if lists is None:
+                continue
+            reads, writes = lists
+            segments = [s for s in reads + writes
+                        if s.end_time > window_start and s.start_time < window_end]
+            if segments:
+                out[record_id] = sorted(segments, key=attrgetter("start_time"))
+        return out
+
+
 @dataclass
 class SnapshotDelta:
-    """Everything that happened between profile start and stop."""
+    """Everything that happened between profile start and stop.
+
+    ``segment_count`` counts the window's DXT segments.  ``dxt_posix`` and
+    ``dxt_stdio`` build them, by record id, from the log rows on first
+    read and keep what they built.
+    """
 
     window_start: float
     window_end: float
     posix: List[RecordDelta] = field(default_factory=list)
     stdio: List[RecordDelta] = field(default_factory=list)
-    dxt_posix: Dict[int, List[DxtSegment]] = field(default_factory=dict)
-    dxt_stdio: Dict[int, List[DxtSegment]] = field(default_factory=dict)
+    segment_count: int = 0
+    posix_rows: Optional[DxtRows] = field(default=None, repr=False)
+    stdio_rows: Optional[DxtRows] = field(default=None, repr=False)
 
     @property
     def duration(self) -> float:
         return self.window_end - self.window_start
 
-    @property
-    def segment_count(self) -> int:
-        return (sum(len(s) for s in self.dxt_posix.values())
-                + sum(len(s) for s in self.dxt_stdio.values()))
+    @cached_property
+    def dxt_posix(self) -> Dict[int, List[DxtSegment]]:
+        return self._segments(self.posix_rows)
+
+    @cached_property
+    def dxt_stdio(self) -> Dict[int, List[DxtSegment]]:
+        return self._segments(self.stdio_rows)
+
+    def _segments(self, rows: Optional[DxtRows]
+                  ) -> Dict[int, List[DxtSegment]]:
+        if rows is None:
+            return {}
+        return rows.segments(self.window_start, self.window_end)
 
     def total(self, module: str, counter: str) -> int:
         """Sum a counter delta over all records of one module."""
@@ -146,7 +194,7 @@ class DarshanMiddleman:
     def take_snapshot(self) -> Generator:
         """Snapshot the module buffers; cost scales with the number of records."""
         core = self.attachment.core
-        snapshot = Snapshot(time=self.env.now)
+        snapshot = Snapshot(time=self.env.now, core=core)
         if core is not None:
             snapshot.posix = snapshot_records(core, "POSIX")
             snapshot.stdio = snapshot_records(core, "STDIO")
@@ -170,15 +218,24 @@ class DarshanMiddleman:
 
     # -- diffing ----------------------------------------------------------------
     def diff(self, start: Snapshot, end: Snapshot) -> SnapshotDelta:
-        """Per-record difference between two snapshots (pure computation)."""
-        delta = SnapshotDelta(window_start=start.time, window_end=end.time)
-        delta.posix = self._diff_module(start.posix, end.posix, "POSIX")
-        delta.stdio = self._diff_module(start.stdio, end.stdio, "STDIO")
-        delta.dxt_posix = self._diff_dxt(start.dxt_posix, end.dxt_posix,
-                                         end.posix, start.time, end.time)
-        delta.dxt_stdio = self._diff_dxt(start.dxt_stdio, end.dxt_stdio,
-                                         end.stdio, start.time, end.time)
-        return delta
+        """Per-record difference between two snapshots (pure computation).
+
+        A start snapshot of another core, taken before a re-attach built a
+        new one, shares no record and no log row with the end snapshot, so
+        the diff starts from nothing and every end record and row is new.
+        """
+        if start.core is not end.core:
+            start = Snapshot(time=start.time)
+        posix_rows, posix_count = self._rows(start.dxt_posix, end.dxt_posix,
+                                             end.posix, start.time, end.time)
+        stdio_rows, stdio_count = self._rows(start.dxt_stdio, end.dxt_stdio,
+                                             end.stdio, start.time, end.time)
+        return SnapshotDelta(
+            window_start=start.time, window_end=end.time,
+            posix=self._diff_module(start.posix, end.posix, "POSIX"),
+            stdio=self._diff_module(start.stdio, end.stdio, "STDIO"),
+            segment_count=posix_count + stdio_count,
+            posix_rows=posix_rows, stdio_rows=stdio_rows)
 
     def _diff_module(self, before: Dict[int, CounterRecord],
                      after: Dict[int, CounterRecord], module: str
@@ -213,31 +270,21 @@ class DarshanMiddleman:
         return deltas
 
     @staticmethod
-    def _diff_dxt(start: Optional[Tuple[DxtLog, int]],
-                  end: Optional[Tuple[DxtLog, int]],
-                  records: Dict[int, CounterRecord],
-                  window_start: float, window_end: float
-                  ) -> Dict[int, List[DxtSegment]]:
-        """Per file, in the order of ``records`` (the end snapshot's), the
-        segments logged between the two snapshots that overlap the window:
-        its reads, then its writes, sorted stably by start time.
-
-        A start snapshot of another log, taken before a re-attach built a
-        new core, marks none of the end log's rows, so every row counts.
-        """
+    def _rows(start: Optional[Tuple[DxtLog, int]],
+              end: Optional[Tuple[DxtLog, int]],
+              records: Dict[int, CounterRecord],
+              window_start: float, window_end: float
+              ) -> Tuple[Optional[DxtRows], int]:
+        """The log rows between two snapshots of one core, and how many of
+        them :meth:`DxtRows.segments` keeps: a row of a file in
+        ``records`` (the end snapshot's) that overlaps the window."""
         if end is None:
-            return {}
+            return None, 0
         log, stop = end
-        first = start[1] if start is not None and start[0] is log else 0
-        logged = log.segments(first, stop)
-        out: Dict[int, List[DxtSegment]] = {}
-        for record_id in records:
-            lists = logged.get(record_id)
-            if lists is None:
-                continue
-            reads, writes = lists
-            segments = [s for s in reads + writes
-                        if s.end_time > window_start and s.start_time < window_end]
-            if segments:
-                out[record_id] = sorted(segments, key=attrgetter("start_time"))
-        return out
+        first = start[1] if start is not None else 0
+        count = sum(1 for record_id, begin, finish in zip(
+            log.record_ids[first:stop], log.starts[first:stop],
+            log.ends[first:stop])
+            if finish > window_start and begin < window_end
+            and record_id in records)
+        return DxtRows(log, first, stop, tuple(records)), count

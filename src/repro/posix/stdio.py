@@ -18,7 +18,8 @@ from typing import Dict, Generator
 
 from repro.sim import Environment, Timeout
 from repro.posix.errors import SimOSError
-from repro.posix.fdtable import O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, SEEK_CUR, SEEK_SET
+from repro.posix.fdtable import (O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY,
+                                 SEEK_CUR, SEEK_END, SEEK_SET)
 from repro.posix.syscalls import PosixLayer
 
 #: Default stdio buffer size (glibc's BUFSIZ is 8 KiB).
@@ -123,20 +124,31 @@ class StdioLayer:
 
     def fseek(self, stream: object, offset: int, whence: int = SEEK_SET
               ) -> Generator:
-        """Reposition the stream (flushes pending writes first)."""
-        yield self._charge()
+        """Reposition the stream (flushes pending writes first).
+
+        A bad ``whence`` or a negative position raises EINVAL and leaves the
+        position as it was; unless only an ``fstat`` can tell (SEEK_END),
+        it raises before any charge or flush.
+        """
         fs = self._get(stream)
+        if whence not in (SEEK_SET, SEEK_CUR, SEEK_END):
+            raise SimOSError(errno.EINVAL, f"bad whence {whence}", fs.path)
+        base = fs.position if whence == SEEK_CUR else 0
+        if whence != SEEK_END:
+            self._check_position(base + offset, fs)
+        yield self._charge()
         yield from self._flush(fs)
-        if whence == SEEK_SET:
-            fs.position = offset
-        elif whence == SEEK_CUR:
-            fs.position += offset
-        else:
+        if whence == SEEK_END:
             stat = yield from self.posix.fstat(fs.fd)
-            fs.position = stat.st_size + offset
-        if fs.position < 0:
-            raise SimOSError(errno.EINVAL, "negative stream position", fs.path)
+            base = stat.st_size
+            self._check_position(base + offset, fs)
+        fs.position = base + offset
         return 0
+
+    @staticmethod
+    def _check_position(position: int, fs: FileStream) -> None:
+        if position < 0:
+            raise SimOSError(errno.EINVAL, "negative stream position", fs.path)
 
     def ftell(self, stream: object) -> Generator:
         """Current logical position of the stream."""

@@ -189,8 +189,8 @@ class PosixLayer:
 
     # -- metadata ---------------------------------------------------------------------
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
-        """``lseek(2)``: reposition the file offset."""
-        yield self._charge("lseek")
+        """``lseek(2)``: reposition the file offset.  A bad ``whence`` or a
+        negative result raises EINVAL before the call is counted."""
         ofd = self.fds.get(fd)
         if whence == SEEK_SET:
             new_offset = offset
@@ -203,6 +203,7 @@ class PosixLayer:
         if new_offset < 0:
             raise SimOSError(errno.EINVAL, "negative resulting offset",
                              ofd.inode.path)
+        yield self._charge("lseek")
         ofd.offset = new_offset
         return new_offset
 

@@ -103,7 +103,12 @@ class VirtualFileSystem:
         path = normalize_path(path)
         if path in self._inodes:
             raise SimOSError(errno.EEXIST, "file exists", path)
-        self._ensure_dirs(posixpath.dirname(path))
+        # A directory's ancestors all exist, so only a missing or
+        # non-directory parent needs the walk.
+        directory = path.rpartition("/")[0] or "/"
+        parent = self._inodes.get(directory)
+        if parent is None or not parent.is_dir:
+            self._ensure_dirs(directory)
         inode = Inode(ino=next(self._ino_counter), path=path, is_dir=False,
                       size=int(size))
         self._inodes[path] = inode

@@ -157,8 +157,8 @@ def build_overview(xspace, step_stats: List[StepStats]) -> OverviewPage:
     top_ops: Dict[str, float] = {}
     if host_plane:
         for line in host_plane.lines.values():
-            for event in line.events:
-                top_ops[event.name] = top_ops.get(event.name, 0.0) + event.duration
+            for name, _, duration, _ in line.rows():
+                top_ops[name] = top_ops.get(name, 0.0) + duration
     top_sorted = sorted(top_ops.items(), key=lambda kv: kv[1], reverse=True)[:5]
 
     return OverviewPage(

@@ -5,15 +5,16 @@ session is active the recorder keeps the events, and the host tracer turns
 them into the trace the TensorBoard TraceViewer shows.  The recorder is
 always installed but only records while started, so instrumentation is free
 when profiling is off — mirroring the real implementation.  Each span is
-recorded once, as the :class:`~repro.tfmini.profiler.xplane.XEvent` the host
-plane exports, on its thread's :class:`~repro.tfmini.profiler.xplane.XLine`.
+recorded once, as a row of its thread's
+:class:`~repro.tfmini.profiler.xplane.XLine`, which the host plane exports;
+the recorder's lines share one table of event and stat names.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.tfmini.profiler.xplane import XEvent, XLine
+from repro.tfmini.profiler.xplane import XLine
 
 
 class TraceMeRecorder:
@@ -22,6 +23,8 @@ class TraceMeRecorder:
     def __init__(self):
         self._active = False
         self._lines: Dict[str, XLine] = {}
+        #: Event and stat names by id, shared by every line recorded.
+        self._names: Dict[Any, int] = {}
         #: Events recorded since the recorder was created (for statistics).
         self.total_recorded = 0
 
@@ -48,6 +51,6 @@ class TraceMeRecorder:
             return
         line = self._lines.get(thread)
         if line is None:
-            line = self._lines[thread] = XLine(thread)
-        line.add(XEvent(name, start, end - start, metadata))
+            line = self._lines[thread] = XLine(thread, self._names)
+        line.append(name, start, end - start, metadata)
         self.total_recorded += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.tfmini.profiler.xplane import XEvent, XSpace
+from repro.tfmini.profiler.xplane import XSpace
 
 #: Plane names used by the built-in tracers (mirroring TF's naming scheme).
 HOST_PLANE_NAME = "/host:CPU"
@@ -82,7 +82,7 @@ class HostTracer(ProfilerInterface):
         yield self.env.timeout(COSTS.per_session)
 
     def collect_data(self, space: XSpace) -> Generator:
-        """Hand the recorder's lines, events and all, to the host plane."""
+        """Hand the recorder's lines, columns and all, to the host plane."""
         lines = self._lines
         self._lines = {}
         count = sum(line.event_count for line in lines.values())
@@ -124,8 +124,7 @@ class DeviceTracer(ProfilerInterface):
             plane = space.plane(f"{GPU_PLANE_PREFIX}:{gpu.name}")
             line = plane.line("stream:compute")
             for kernel in kernels:
-                line.add(XEvent(name=kernel.name, start=kernel.start,
-                                duration=kernel.duration,
-                                metadata={"correlation_id": kernel.correlation_id}))
+                line.append(kernel.name, kernel.start, kernel.duration,
+                            {"correlation_id": kernel.correlation_id})
             plane.stats["device_utilization"] = gpu.utilization(t0, t1)
         yield self.env.timeout(COSTS.per_device_event * total_events)

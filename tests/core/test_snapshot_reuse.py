@@ -179,9 +179,15 @@ def test_snapshots_and_diffs_equal_full_copies_under_random_io(
             delta = middleman.diff(start, end)
             full = middleman.diff(full_start, full_end)
             assert (delta.posix, delta.stdio) == (full.posix, full.stdio)
-            for field in DXT_MODULES:
-                want = _reference_dxt_diff(dxt_start[field], dxt_end[field],
-                                           start.time, end.time)
+            wants = {field: _reference_dxt_diff(dxt_start[field],
+                                                dxt_end[field],
+                                                start.time, end.time)
+                     for field in DXT_MODULES}
+            # Counted before any segment is built.
+            assert delta.segment_count == sum(
+                len(segments) for want in wants.values()
+                for segments in want.values())
+            for field, want in wants.items():
                 assert list(getattr(delta, field).items()) == \
                     list(want.items())
     assert sum(_reused(a.posix, b.posix) + _reused(a.stdio, b.stdio)
@@ -239,10 +245,18 @@ def test_reattached_runtime_reuses_nothing(runtime, os_image, env):
     for module in MODULES:
         assert _reused(getattr(before, module), getattr(after, module)) == 0
     _assert_same_records(after, full)
-    # The new core logs from an empty log, so a diff across the re-attach
-    # holds every segment the new core traced.
+    # The new core starts from empty tables and an empty log, so a diff
+    # across the re-attach holds every record and segment it traced.
+    assert after.core is not before.core
     assert after.dxt_posix[0] is not before.dxt_posix[0]
     delta = middleman.diff(before, after)
+    assert [(rec.record_id, dict(rec.counters), dict(rec.fcounters))
+            for rec in delta.posix] == \
+        [(rid, dict(rec.counters), dict(rec.fcounters))
+         for rid, rec in full.posix.items()]
+    assert len(delta.posix) == len(paths)
+    assert all(rec.get("POSIX_READS") == 2 for rec in delta.posix)
+    assert delta.segment_count == 2 * len(paths)
     assert delta.dxt_posix == _reference_dxt_diff(
         {}, dxt["dxt_posix"], before.time, after.time)
     assert sum(map(len, delta.dxt_posix.values())) == 2 * len(paths)

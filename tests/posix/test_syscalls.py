@@ -12,6 +12,7 @@ from repro.posix import (
     O_WRONLY,
     SEEK_CUR,
     SEEK_END,
+    SEEK_SET,
     SimOSError,
 )
 from tests.posix.conftest import run
@@ -172,6 +173,53 @@ def test_invalid_data_calls_raise_einval_before_any_charge(os_image, env,
     code, before = run(env, proc())
     assert code == errno.EINVAL
     assert state() == before
+
+
+@pytest.mark.parametrize("name, offset, whence, charged", [
+    ("lseek", -5_000, SEEK_SET, False),
+    ("lseek", -5_000, SEEK_CUR, False),
+    ("lseek", -5_000, SEEK_END, False),
+    ("lseek", 10, 9, False),
+    ("fseek", -5_000, SEEK_SET, False),
+    ("fseek", -5_000, SEEK_CUR, False),
+    ("fseek", 10, 9, False),
+    # Only an fstat tells that this one lands before the start.
+    ("fseek", -5_000, SEEK_END, True),
+])
+def test_failed_seeks_leave_the_position_unchanged(os_image, env, name,
+                                                   offset, whence, charged):
+    """A bad whence or a negative result raises EINVAL and leaves the
+    position; unless it takes an fstat to tell, nothing is counted or
+    charged and no pending write is flushed."""
+    os_image.vfs.create_file("/data/f", size=1000)
+    metrics = os_image.vfs.backend_for("/data/f").device.metrics
+
+    def proc():
+        fd = yield from os_image.posix.open("/data/f", O_RDWR)
+        yield from os_image.posix.lseek(fd, 100)
+        stream = yield from os_image.stdio.fopen("/data/f", "r+")
+        yield from os_image.stdio.fwrite(stream, 100)
+
+        def state():
+            return (env.now, dict(os_image.posix.call_counts),
+                    metrics.total_bytes, stream.pending_write_bytes)
+
+        def position():
+            if name == "lseek":
+                return os_image.posix.fds.get(fd).offset
+            return stream.position
+
+        before = state()
+        call = getattr(os_image.posix if name == "lseek" else os_image.stdio,
+                       name)
+        with pytest.raises(SimOSError) as info:
+            yield from call(fd if name == "lseek" else stream, offset, whence)
+        return info.value.errno, before, state(), position()
+
+    code, before, after, position = run(env, proc())
+    assert code == errno.EINVAL
+    assert position == 100
+    assert (after != before) == charged
 
 
 def test_lseek_whence_variants(os_image, env):

@@ -1,13 +1,15 @@
 """Tests for the virtual filesystem namespace."""
 
 import errno
+import posixpath
 
 import pytest
 
 from repro.posix import SimOSError, SimulatedOS
-from repro.posix.vfs import normalize_path
+from repro.posix.vfs import Inode, VirtualFileSystem, normalize_path
 from repro.sim import Environment
 from repro.storage import LocalFilesystem, StreamingDevice, optane_ssd
+from repro.workloads.datasets import build_imagenet_dataset
 
 
 @pytest.fixture
@@ -95,3 +97,42 @@ def test_drop_caches_clears_page_cache(os_image):
 
 def test_devices_enumerated_through_os(os_image):
     assert [d.name for d in os_image.devices()] == ["ssd"]
+
+
+def _create_walking_every_ancestor(vfs, path, size):
+    """``create_file`` as it was when it checked every ancestor of every
+    file: the reference for inode numbers and namespace order."""
+    path = normalize_path(path)
+    if path in vfs._inodes:
+        raise SimOSError(errno.EEXIST, "file exists", path)
+    vfs._ensure_dirs(posixpath.dirname(path))
+    vfs._inodes[path] = Inode(ino=next(vfs._ino_counter), path=path,
+                              size=size)
+
+
+def test_dataset_layout_numbers_inodes_as_a_full_walk_does():
+    layouts = []
+    for create in (VirtualFileSystem.create_file,
+                   _create_walking_every_ancestor):
+        vfs = VirtualFileSystem()
+        vfs.mkdir("/data")
+        create(vfs, "/data/top.bin", 1)
+        dataset = build_imagenet_dataset(vfs, root="/data/imagenet",
+                                         scale=0.02, seed=1)
+        vfs.remove(dataset.paths[5])
+        create(vfs, dataset.paths[5], 7)
+        create(vfs, "/data/imagenet/new/deeper/file.jpg", 3)
+        layouts.append([(path, inode.ino, inode.is_dir, inode.size)
+                        for path, inode in vfs._inodes.items()])
+    assert len(layouts[0]) > 2_560
+    assert layouts[0] == layouts[1]
+
+
+@pytest.mark.parametrize("path", ["/data/a/b", "/data/a/b/c"])
+def test_a_path_under_a_file_raises_enotdir(os_image, path):
+    vfs = os_image.vfs
+    vfs.create_file("/data/a", size=1)
+    with pytest.raises(SimOSError) as info:
+        vfs.create_file(path, size=1)
+    assert info.value.errno == errno.ENOTDIR
+    assert not vfs.exists(path)

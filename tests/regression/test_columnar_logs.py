@@ -1,10 +1,11 @@
 """The run's append-only logs live in typed-array columns.
 
-A small seeded STREAM job runs with its platform kept alive.  When it ends,
-no device transfer and no per-file DXT record exists as an object, and the
-only DXT segments alive are the last window's, which its delta holds.  The
-device timelines binned from the columns equal the per-bin reference bit
-for bit and conserve every byte the device moved.
+A small seeded STREAM job and a small seeded ImageNet epoch job run with
+their platforms kept alive.  When they end, no device transfer, no per-file
+DXT record and no host trace event exists as an object, and no DXT segment
+does until a reader asks the last window's delta for them.  The device
+timelines binned from the columns equal the per-bin reference bit for bit
+and conserve every byte the device moved.
 """
 
 import gc
@@ -15,8 +16,9 @@ import pytest
 
 from repro.darshan import DxtRecord, DxtSegment
 from repro.storage import TransferInterval
+from repro.tfmini.profiler import HOST_PLANE_NAME, XEvent
 from repro.workloads import runner
-from repro.workloads.platforms import greendog
+from repro.workloads.platforms import greendog, kebnekaise
 
 #: Relative tolerance of the float identity Σ bins × width == bytes moved.
 REL_TOL = 1e-9
@@ -34,6 +36,18 @@ def _per_bin_timeline(metrics, bin_seconds):
     bounds = (np.arange(n_bins + 1) * bin_seconds).tolist()
     return np.array([metrics.bytes_between(bounds[i], bounds[i + 1])
                      for i in range(n_bins)]) / bin_seconds
+
+
+def _built_on_read(delta):
+    """The segments that reading the delta's POSIX segments leaves alive;
+    a second read returns the same dict."""
+    before = _census()
+    segments = delta.dxt_posix
+    built = _census()
+    built.subtract(before)
+    assert delta.dxt_posix is segments
+    assert sum(map(len, segments.values())) == built[DxtSegment]
+    return built[DxtSegment]
 
 
 @pytest.fixture(scope="module")
@@ -58,17 +72,46 @@ def stream_world():
     return platforms[0], result, after
 
 
+@pytest.fixture(scope="module")
+def imagenet_world():
+    """A finished seed-1 ImageNet epoch job's platform and the objects it
+    left; nothing exports its profile."""
+    platform = kebnekaise()
+    before = _census()
+    result = runner.run_imagenet_case(scale=0.002, batch_size=16, threads=4,
+                                      profile="epoch", seed=1,
+                                      platform=platform)
+    after = _census()
+    after.subtract(before)
+    return platform, result, after
+
+
 def test_only_the_last_window_builds_segment_objects(stream_world):
     platform, result, alive = stream_world
     middleman = platform.runtime.tf_darshan
     assert len(result.windows) == 4
     assert middleman.delta.segment_count > 0
-    assert alive[DxtSegment] == middleman.delta.segment_count
+    assert alive[DxtSegment] == 0
     assert alive[DxtRecord] == 0
     assert alive[TransferInterval] == 0
     logged = sum(len(module.dxt_log)
                  for module in middleman.attachment.core.modules.values())
     assert logged > 4 * middleman.delta.segment_count
+    assert _built_on_read(middleman.delta) == middleman.delta.segment_count
+
+
+def test_an_epoch_job_keeps_its_host_events_and_segments_as_columns(
+        imagenet_world):
+    platform, _, alive = imagenet_world
+    runtime = platform.runtime
+    host = runtime.last_profile.xspace.find_plane(HOST_PLANE_NAME)
+    assert host.event_count > 100
+    assert alive[XEvent] == 0
+    delta = runtime.tf_darshan.delta
+    assert delta.segment_count > 0
+    assert alive[DxtSegment] == 0
+    assert _built_on_read(delta) == delta.segment_count
+
 
 
 @pytest.mark.parametrize("bin_seconds", [1.0, 0.05])
